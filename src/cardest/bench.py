@@ -17,11 +17,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 from .engine import EstimatorConfig, estimate
-from .graph import OracleBudgetError, PropertyGraph, exact_matches
+from .graph import DEFAULT_ORACLE_BUDGET, OracleBudgetError, PropertyGraph, exact_matches
 from .query import QueryPattern, parse_query
 from .stats import StatisticsCatalog, build_catalog
-
-DEFAULT_ORACLE_BUDGET = 10**8
 
 
 def qerror(est: float, real: float) -> float:

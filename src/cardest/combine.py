@@ -40,11 +40,20 @@ class MaxEntError(RuntimeError):
         self.residual = residual
 
 
-# Solutions on the simplex boundary make the proportional-fitting residual
-# decay only like 1/iterations even though the target masses settle almost
-# immediately; residuals below this after max_iter count as converged,
-# larger ones as an inconsistent estimate set.
+# With the structural zeros seeded, consistent estimates are usually fitted
+# at a geometric rate.  Estimate sets that force further atoms to zero, or
+# nearly so (through three or more estimates together, or selectivities
+# that agree only approximately), put the solution on or near the boundary
+# of the simplex, where the residual decays only like 1/iterations;
+# residuals below this after max_iter count as converged, larger ones as
+# an inconsistent estimate set.
 FEASIBILITY_TOL = 1e-4
+
+# Rounding allowances when selectivities are compared to find empty cells:
+# relative between two selectivities, which can lie far below 1e-15 when
+# they count matches over several ids, and absolute for a sum near 1.
+_EMPTY_CELL_RTOL = 1e-12
+_EMPTY_CELL_SLACK = 1e-15
 
 
 def make_complete(
@@ -87,15 +96,13 @@ def _singleton_resolver(
 
 
 def deviation_from_independence(
-    pe: PartialEstimate,
-    pes: Iterable[PartialEstimate],
-    catalog: Optional[StatisticsCatalog] = None,
+    pe: PartialEstimate, resolve: Callable[[Constraint], float]
 ) -> float:
     """How far an estimate is from the product of its constraints'
-    singleton selectivities; 1 means independent, +inf a hard conflict."""
+    singleton selectivities (looked up with `resolve`); 1 means
+    independent, +inf a hard conflict."""
     if len(pe.constraints) == 1:
         return 1.0
-    resolve = _singleton_resolver(pes, catalog)
     prod = 1.0
     # canonical order: float products must not depend on set iteration order
     for c in sorted(pe.constraints, key=lambda c: c.sort_key()):
@@ -116,18 +123,6 @@ def _order_estimates(
     if strategy not in SORT_STRATEGIES:
         raise ValueError(f"unknown sort strategy: {strategy!r}")
 
-    def deviation(pe: PartialEstimate) -> float:
-        if len(pe.constraints) == 1:
-            return 1.0
-        prod = 1.0
-        for c in sorted(pe.constraints, key=lambda c: c.sort_key()):
-            prod *= resolve(c)
-        if prod == 0.0 and pe.selectivity == 0.0:
-            return 1.0
-        if prod == 0.0 or pe.selectivity == 0.0:
-            return math.inf
-        return max(pe.selectivity / prod, prod / pe.selectivity)
-
     # ties always resolve by (fewest constraints, canonical key)
     def final(pe: PartialEstimate) -> tuple:
         return (len(pe.constraints), pe.key())
@@ -139,7 +134,7 @@ def _order_estimates(
         "NdSd": lambda pe: (-len(pe.constraints), -pe.selectivity),
         "NaSd": lambda pe: (len(pe.constraints), -pe.selectivity),
         "NaSa": lambda pe: (len(pe.constraints), pe.selectivity),
-        "Di": lambda pe: (-deviation(pe), pe.selectivity),
+        "Di": lambda pe: (-deviation_from_independence(pe, resolve), pe.selectivity),
     }
     if strategy in static:
         key = static[strategy]
@@ -150,7 +145,7 @@ def _order_estimates(
     secondary = (
         (lambda pe: (-len(pe.constraints),))
         if strategy == "MoNd"
-        else (lambda pe: (-deviation(pe),))
+        else (lambda pe: (-deviation_from_independence(pe, resolve),))
     )
     remaining = sorted(pes, key=lambda pe: secondary(pe) + final(pe))
     ordered: list[PartialEstimate] = []
@@ -290,30 +285,59 @@ def _solve_max_ent_partition(
     pes: list[PartialEstimate],
     tol: float,
     max_iter: int,
-) -> float:
-    """Iterative proportional fitting over the 2^k atoms of one partition;
-    returns the all-true atom mass."""
-    k = len(constraints)
+) -> np.ndarray:
+    """Iterative proportional fitting over the 2^k atoms of one partition.
+
+    Atom a makes constraint i true when bit i of a is set.  Every
+    estimate in `pes` must lie inside the partition; the fit scales the
+    atoms until each estimate's selectivity is the mass of the atoms where
+    all its constraints hold.  Atoms no such distribution can give mass
+    are structural zeros: they start and stay at mass 0, and the others
+    start uniform.  They are the atoms on which a constraint holds but
+    one it implies (`implied_closure`, within the partition) does not,
+    and the empty cells of estimate pairs: where one estimate holds
+    without an estimate that implies it at no lower selectivity, and
+    where neither of two disjoint estimates holds when their union's
+    estimate says that one of them always does.  Returns the fitted atom
+    masses.
+    """
     index = {c: i for i, c in enumerate(constraints)}
-    atoms = np.full(1 << k, 1.0 / (1 << k))
-    atom_ids = np.arange(1 << k)
-    marginals = []
-    cset = set(constraints)
+    atom_ids = np.arange(1 << len(constraints))
+
+    def holds(cs: Iterable[Constraint]) -> np.ndarray:
+        mask = _bits(cs, index)
+        return (atom_ids & mask) == mask
+
+    feasible = np.ones(len(atom_ids), dtype=bool)
+    for c in constraints:
+        feasible &= ~holds((c,)) | holds(d for d in implied_closure((c,)) if d in index)
+    selectivity = {pe.constraints: pe.selectivity for pe in pes}
     for pe in pes:
-        if not pe.constraints <= cset:
-            continue
-        mask = 0
-        for c in pe.constraints:
-            mask |= 1 << index[c]
-        included = (atom_ids & mask) == mask
-        marginals.append((included, pe.selectivity))
-    if not marginals:
-        return 1.0
+        pe_closure = implied_closure(pe.constraints)
+        for other in pes:
+            if other.constraints < pe_closure and (
+                other.selectivity <= pe.selectivity * (1.0 + _EMPTY_CELL_RTOL)
+            ):
+                feasible &= ~holds(other.constraints) | holds(pe.constraints)
+            if other.constraints < pe.constraints:
+                rest = pe.constraints - other.constraints
+                if rest in selectivity and (
+                    other.selectivity + selectivity[rest] - pe.selectivity
+                    >= 1.0 - _EMPTY_CELL_SLACK
+                ):
+                    feasible &= holds(other.constraints) | holds(rest)
+    atoms = feasible / np.count_nonzero(feasible)
+    marginals = []
+    for pe in pes:
+        included = holds(pe.constraints)
+        inside = np.flatnonzero(feasible & included)
+        outside = np.flatnonzero(feasible & ~included)
+        marginals.append((inside, outside, pe.selectivity))
     worst = math.inf
     for _ in range(max_iter):
         worst = 0.0
-        for included, s in marginals:
-            m = float(atoms[included].sum())
+        for inside, outside, s in marginals:
+            m = float(atoms[inside].sum())
             worst = max(worst, abs(m - s))
             if m == 0.0:
                 if s > 1e-15:
@@ -321,14 +345,21 @@ def _solve_max_ent_partition(
                 continue
             if m >= 1.0 and s < 1.0:
                 raise MaxEntError("full mass on a partial marginal", residual=1.0 - s)
-            atoms[included] *= s / m
+            atoms[inside] *= s / m
             if m < 1.0:
-                atoms[~included] *= (1.0 - s) / (1.0 - m)
+                atoms[outside] *= (1.0 - s) / (1.0 - m)
         if worst < tol:
-            return float(atoms[-1])
+            return atoms
     if worst < FEASIBILITY_TOL:
-        return float(atoms[-1])
+        return atoms
     raise MaxEntError(f"no convergence after {max_iter} iterations", residual=worst)
+
+
+def _bits(constraints: Iterable[Constraint], index: dict[Constraint, int]) -> int:
+    mask = 0
+    for c in constraints:
+        mask |= 1 << index[c]
+    return mask
 
 
 def combine_max_ent(
@@ -338,13 +369,16 @@ def combine_max_ent(
     tol: float = 1e-9,
     max_iter: int = 10000,
     trace: Optional[list] = None,
+    dropped: Optional[list[PartialEstimate]] = None,
 ) -> float:
     """Most uniform joint distribution consistent with the estimates.
 
     Constraints are greedily partitioned so each estimate lands inside
-    one partition of at most mps constraints (estimates spanning
-    partitions are dropped); partitions are assumed independent and each
-    contributes the mass of its all-true atom.
+    one partition of at most mps constraints; estimates larger than mps
+    or spanning partitions are dropped (and appended to `dropped` when
+    given).  Within a partition, atoms that violate an implication
+    between its constraints are structural zeros.  Partitions are assumed
+    independent and each contributes the mass of its all-true atom.
     """
     if mps < 1:
         raise ValueError("mps must be >= 1")
@@ -354,12 +388,21 @@ def combine_max_ent(
     for pe in pes:
         all_constraints |= pe.constraints
     parts = _greedy_partitions(pes, sorted(all_constraints, key=lambda c: c.sort_key()), mps)
+    placed: set[int] = set()
     result = 1.0
     for part in parts:
-        mass = _solve_max_ent_partition(part, pes, tol, max_iter)
+        members = set(part)
+        inside = [j for j, pe in enumerate(pes) if pe.constraints <= members]
+        placed.update(inside)
+        mass = 1.0  # no estimate constrains this partition
+        if inside:
+            atoms = _solve_max_ent_partition(part, [pes[j] for j in inside], tol, max_iter)
+            mass = float(atoms[-1])
         if trace is not None:
             trace.append((constraint_set_key(part), mass))
         result *= mass
+    if dropped is not None:
+        dropped.extend(pe for j, pe in enumerate(pes) if j not in placed)
     return min(max(result, 0.0), 1.0)
 
 
@@ -380,39 +423,9 @@ def max_ent_marginal(
     constraints = sorted(all_constraints, key=lambda c: c.sort_key())
     if len(constraints) > mps:
         raise ValueError("too many constraints for a single partition")
-    k = len(constraints)
-    index = {c: i for i, c in enumerate(constraints)}
-    atoms = np.full(1 << k, 1.0 / (1 << k))
-    atom_ids = np.arange(1 << k)
-    marginals = []
-    for pe in pes:
-        mask = 0
-        for c in pe.constraints:
-            mask |= 1 << index[c]
-        marginals.append(((atom_ids & mask) == mask, pe.selectivity))
-    worst = math.inf
-    for _ in range(max_iter):
-        worst = 0.0
-        for included, s in marginals:
-            m = float(atoms[included].sum())
-            worst = max(worst, abs(m - s))
-            if m == 0.0:
-                if s > 1e-15:
-                    raise MaxEntError("zero mass on a positive marginal", residual=s)
-                continue
-            if m >= 1.0 and s < 1.0:
-                raise MaxEntError("full mass on a partial marginal", residual=1.0 - s)
-            atoms[included] *= s / m
-            if m < 1.0:
-                atoms[~included] *= (1.0 - s) / (1.0 - m)
-        if worst < tol:
-            break
-    if worst >= FEASIBILITY_TOL:
-        raise MaxEntError(f"no convergence after {max_iter} iterations", residual=worst)
-    mask = 0
-    for c in target:
-        mask |= 1 << index[c]
-    return float(atoms[(atom_ids & mask) == mask].sum())
+    atoms = _solve_max_ent_partition(constraints, pes, tol, max_iter)
+    mask = _bits(target, {c: i for i, c in enumerate(constraints)})
+    return float(atoms[(np.arange(len(atoms)) & mask) == mask].sum())
 
 
 # ---------------------------------------------------------------------------

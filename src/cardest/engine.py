@@ -263,14 +263,18 @@ def estimate(
         sel = combine_cond_indep(cpes, q, m.group(2), catalog, trace)
     elif m.group(1).startswith("maxEnt"):
         mps = int(m.group(3)) if m.group(3) else 8
+        dropped: list[PartialEstimate] = []
         try:
             sel = combine_max_ent(
-                cpes, q, mps, config.maxent_tol, config.maxent_iter, trace
+                cpes, q, mps, config.maxent_tol, config.maxent_iter, trace, dropped
             )
         except MaxEntError as exc:
             flags.append(f"maxent-failed(residual={exc.residual:.3g})")
             trace = []
             sel = combine_cond_indep(cpes, q, "MoDi", catalog, trace)
+        else:
+            if dropped:
+                flags.append(f"maxent-dropped({len(dropped)})")
     else:  # bounds: report the upper bound as the point estimate
         bounds = combine_bounds(cpes, q)
         sel = bounds.upper

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cardest.combine import (
     BoundsResult,
@@ -103,14 +105,11 @@ class TestMakeComplete:
 class TestDeviation:
     def test_singleton_is_one(self):
         pe = PartialEstimate(frozenset({Constraint.vertex("a")}), 0.5, "x")
-        assert deviation_from_independence(pe, [pe]) == 1.0
+        assert deviation_from_independence(pe, {}.__getitem__) == 1.0
 
     def test_ratio_and_symmetry(self):
         a, b = Constraint.vertex("a"), Constraint.edge("b")
-        singles = [
-            PartialEstimate(frozenset({a}), 0.1, "x"),
-            PartialEstimate(frozenset({b}), 0.01, "x"),
-        ]
+        singles = {a: 0.1, b: 0.01}.__getitem__
         joint_hi = PartialEstimate(frozenset({a, b}), 0.01, "x")
         joint_lo = PartialEstimate(frozenset({a, b}), 0.0001, "x")
         assert deviation_from_independence(joint_hi, singles) == pytest.approx(10.0)
@@ -118,10 +117,7 @@ class TestDeviation:
 
     def test_zero_product_sentinel(self):
         a, b = Constraint.vertex("a"), Constraint.edge("b")
-        singles = [
-            PartialEstimate(frozenset({a}), 0.0, "x"),
-            PartialEstimate(frozenset({b}), 0.5, "x"),
-        ]
+        singles = {a: 0.0, b: 0.5}.__getitem__
         joint = PartialEstimate(frozenset({a, b}), 0.2, "x")
         assert deviation_from_independence(joint, singles) == math.inf
 
@@ -281,15 +277,74 @@ class TestMaxEnt:
             expected *= pe.selectivity
         assert got == pytest.approx(expected)
 
+    def test_g4_one_edge_matches_oracle(self, g4, one_edge_query):
+        # src/trg imply vertex and edge membership: without those structural
+        # zeros the fit spreads mass over impossible atoms (0.00195 here)
+        pes = exact_singletons(g4, one_edge_query)
+        got = combine_max_ent(pes, one_edge_query)
+        assert got == pytest.approx(exact_selectivity(g4, one_edge_query), abs=1e-9)
+
     def test_marginals_reproduced(self, g4, one_edge_query):
         pes = exact_singletons(g4, one_edge_query)
         pair = frozenset({Constraint.vertex("q1"), Constraint.src("q1", "q2")})
         pes.append(PartialEstimate(pair, oracle_constraint_sel(g4, pair), "x"))
-        # boundary solutions push the fitting residual down only like
-        # 1/iterations, so the marginal check uses a matching tolerance
         for pe in pes:
-            marginal = max_ent_marginal(pes, one_edge_query, pe.constraints, max_iter=50000)
-            assert marginal == pytest.approx(pe.selectivity, abs=1e-4)
+            marginal = max_ent_marginal(pes, one_edge_query, pe.constraints)
+            assert marginal == pytest.approx(pe.selectivity, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "sel_a, sel_b, sel_ab",
+        [
+            (0.5, 0.5, 0.5),  # a and b coincide: nothing where only one holds
+            (0.5, 0.75, 0.25),  # a or b always holds: nothing where both fail
+        ],
+    )
+    def test_empty_cells_fit_exactly(self, sel_a, sel_b, sel_ab):
+        a, b = Constraint.has_label("x", "a"), Constraint.has_label("x", "b")
+        pes = [
+            PartialEstimate(frozenset({a}), sel_a, "x"),
+            PartialEstimate(frozenset({b}), sel_b, "x"),
+            PartialEstimate(frozenset({a, b}), sel_ab, "x"),
+        ]
+        q = parse_query({"vertices": [{"id": "x", "labels": ["a", "b"]}], "edges": []})
+        for pe in pes:
+            marginal = max_ent_marginal(pes, q, pe.constraints, max_iter=200)
+            assert marginal == pytest.approx(pe.selectivity, abs=1e-12)
+
+    def test_tiny_nested_selectivities_keep_their_gap(self):
+        # selectivities over several ids lie far below 1e-15; a gap of half
+        # of a's mass between a and (a, b) must not be read as a == (a, b).
+        # Convergence is judged on absolute residuals, so tol is scaled down
+        # with the selectivities.
+        a, b = Constraint.has_label("x", "a"), Constraint.has_label("x", "b")
+        pes = [
+            PartialEstimate(frozenset({a}), 2e-16, "x"),
+            PartialEstimate(frozenset({b}), 3e-16, "x"),
+            PartialEstimate(frozenset({a, b}), 1e-16, "x"),
+        ]
+        q = parse_query({"vertices": [{"id": "x", "labels": ["a", "b"]}], "edges": []})
+        for order in (pes, pes[::-1]):
+            for pe in order:
+                marginal = max_ent_marginal(order, q, pe.constraints, tol=1e-28)
+                assert marginal == pytest.approx(pe.selectivity, rel=1e-9, abs=0)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10**6), n_edges=st.integers(1, 2), data=st.data())
+    def test_random_exact_marginals_reproduced(self, seed, n_edges, data):
+        rng = random.Random(seed)
+        g = random_graph(rng)
+        q = random_query(rng, n_edges=n_edges)
+        constraints = sorted(extract_constraints(q), key=lambda c: c.sort_key())
+        assume(len(constraints) <= 14)
+        pes = exact_singletons(g, q)
+        i, j = data.draw(
+            st.lists(st.integers(0, len(constraints) - 1), min_size=2, max_size=2, unique=True)
+        )
+        pair = frozenset({constraints[i], constraints[j]})
+        pes.append(PartialEstimate(pair, oracle_constraint_sel(g, pair), "pair"))
+        for pe in pes:
+            marginal = max_ent_marginal(pes, q, pe.constraints)
+            assert marginal == pytest.approx(pe.selectivity, abs=1e-6)
 
     def test_infeasible_system_raises(self):
         a, b = Constraint.has_label("x", "a"), Constraint.has_label("x", "b")

@@ -13,7 +13,7 @@ from cardest.engine import (
     expand_disjunctions,
 )
 from cardest.graph import PropertyGraph, exact_matches, exact_selectivity
-from cardest.query import parse_query
+from cardest.query import Constraint, PartialEstimate, parse_query
 from cardest.stats import StaleCatalogWarning, build_catalog
 
 from conftest import ONE_EDGE_DOC, random_graph, random_query
@@ -149,6 +149,22 @@ class TestEstimate:
         for part, mass in report.combiner_trace:
             prod *= mass
         assert prod == pytest.approx(report.selectivity, rel=1e-12)
+
+    def test_maxent_flags_dropped_estimates(self, g4, one_edge_query, monkeypatch):
+        catalog = build_catalog(g4)
+        incidence = frozenset(
+            {Constraint.src("q1", "q2"), Constraint.vertex("q1"), Constraint.edge("q2")}
+        )
+        run_techniques = engine_mod.run_techniques
+
+        def with_incidence(q, g, catalog, config):
+            return run_techniques(q, g, catalog, config) + [PartialEstimate(incidence, 0.125, "x")]
+
+        monkeypatch.setattr(engine_mod, "run_techniques", with_incidence)
+        report = estimate(one_edge_query, g4, catalog, EstimatorConfig(ct="maxEnt(mps=2)"))
+        assert "maxent-dropped(1)" in report.flags
+        report = estimate(one_edge_query, g4, catalog, EstimatorConfig(ct="maxEnt(mps=3)"))
+        assert report.flags == []
 
     def test_maxent_failure_falls_back(self, g4, one_edge_query, monkeypatch):
         catalog = build_catalog(g4)
