@@ -49,7 +49,7 @@ def add_implied_closures(
     for pe in pes:
         if not any(c.kind in _TRIGGER_KINDS for c in pe.constraints):
             continue
-        closed = implied_closure(pe.constraints, q)
+        closed = implied_closure(pe.constraints)
         if closed == pe.constraints:
             continue
         key = constraint_set_key(closed)

@@ -345,9 +345,7 @@ def extract_constraints(q: QueryPattern) -> frozenset[Constraint]:
     return frozenset(out)
 
 
-def implied_closure(
-    constraints: Iterable[Constraint], q: Optional[QueryPattern] = None
-) -> frozenset[Constraint]:
+def implied_closure(constraints: Iterable[Constraint]) -> frozenset[Constraint]:
     """Close a constraint set under its deterministic implications.
 
     src/trg incidence implies vertex and edge membership of its ids; a

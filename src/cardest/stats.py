@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence, Union
 
@@ -175,35 +176,56 @@ class LabeledTopoSynopsis:
         return cls(klass=d["class"], max_size=d["max_size"], counts=dict(d["counts"]))
 
 
-def _edge_combos(g: PropertyGraph, e: int) -> Iterable[tuple[str, str, str]]:
-    s, t = g.endpoints(e)
-    return itertools.product(
-        _label_options(g.labels_of(s)),
-        _label_options(g.labels_of(e)),
-        _label_options(g.labels_of(t)),
-    )
+def _by_key(signatures: Iterable[tuple[frozenset[str], ...]]) -> dict[tuple[str, ...], list]:
+    """Every label-slot combination, with the label-set signatures it matches."""
+    out: dict[tuple[str, ...], list] = {}
+    for sig in signatures:
+        for combo in itertools.product(*map(_label_options, sig)):
+            out.setdefault(combo, []).append(sig)
+    return out
 
 
-def _iter_chain_instances(g: PropertyGraph, size: int) -> Iterable[tuple[int, ...]]:
-    """All directed walks of `size` edges (elements may repeat)."""
-
-    def extend(seq: list[int]) -> Iterable[tuple[int, ...]]:
-        if len(seq) == size:
-            yield tuple(seq)
-            return
-        tail = g.endpoints(seq[-1])[1]
-        for e in g.out_edges(tail):
-            seq.append(e)
-            yield from extend(seq)
-            seq.pop()
-
+def _edge_groups(g: PropertyGraph) -> dict[tuple[frozenset[str], ...], list[tuple[int, int]]]:
+    """Edge endpoints grouped by signature (L(src), L(edge), L(trg))."""
+    groups: dict[tuple[frozenset[str], ...], list[tuple[int, int]]] = {}
     for e in g.edges:
-        yield from extend([e])
+        s, t = g.endpoints(e)
+        groups.setdefault((g.labels_of(s), g.labels_of(e), g.labels_of(t)), []).append((s, t))
+    return groups
+
+
+def _walk_signatures(g: PropertyGraph, max_size: int) -> dict[tuple[frozenset[str], ...], int]:
+    """Directed walks of 1..max_size edges (elements may repeat), counted
+    per signature (L(v0), L(e1), L(v1), ..., L(ek), L(vk))."""
+    # end vertex -> signature without L(end) -> walks; starts at 0 edges
+    ending: dict[int, dict[tuple, int]] = {v: {(): 1} for v in g.vertices}
+    walks: dict[tuple[frozenset[str], ...], int] = {}
+    for _ in range(max_size):
+        longer: dict[int, dict[tuple, int]] = {}
+        for e in g.edges:
+            s, t = g.endpoints(e)
+            if s in ending:
+                there = longer.setdefault(t, {})
+                step = (g.labels_of(s), g.labels_of(e))
+                for p, n in ending[s].items():
+                    there[p + step] = there.get(p + step, 0) + n
+        ending = longer
+        for t, there in ending.items():
+            end = (g.labels_of(t),)
+            for p, n in there.items():
+                walks[p + end] = walks.get(p + end, 0) + n
+    return walks
 
 
 def build_labeled_synopsis(g: PropertyGraph, klass: str, max_size: int = 1) -> LabeledTopoSynopsis:
     """Count the homomorphic cardinality of every labeled pattern of the
-    class up to max_size (chains/stars store all sizes 1..max_size)."""
+    class up to max_size (chains/stars store all sizes 1..max_size).
+
+    Instances are counted per label-set signature, and each signature is
+    expanded into its label/wildcard combinations once.  Chains count
+    walks by a DP over their end vertices (an edge is a 1-chain); stars
+    group centers by label set and multiset of branch label sets.
+    """
     if klass not in SYNOPSIS_CLASSES:
         raise ValueError(f"unknown synopsis class: {klass!r}")
     if max_size < 1:
@@ -211,50 +233,36 @@ def build_labeled_synopsis(g: PropertyGraph, klass: str, max_size: int = 1) -> L
     if max_size > 4:
         raise ValueError("max_size > 4 is not supported (resource guard)")
 
-    counts: dict[str, int] = {}
+    if klass in ("edge", "chain"):
+        size = max_size if klass == "chain" else 1
+        walks = _walk_signatures(g, size)
+        counts = {chain_key(k): sum(map(walks.get, sigs)) for k, sigs in _by_key(walks).items()}
+        return LabeledTopoSynopsis(klass, size, counts)
 
-    if klass == "edge":
-        for e in g.edges:
-            for ls, le, lt in _edge_combos(g, e):
-                k = edge_key(ls, le, lt)
-                counts[k] = counts.get(k, 0) + 1
-        return LabeledTopoSynopsis("edge", 1, counts)
-
-    if klass == "chain":
-        for size in range(1, max_size + 1):
-            for inst in _iter_chain_instances(g, size):
-                slots = [g.endpoints(inst[0])[0]]
-                for e in inst:
-                    slots.append(e)
-                    slots.append(g.endpoints(e)[1])
-                for combo in itertools.product(*[_label_options(g.labels_of(x)) for x in slots]):
-                    k = chain_key(combo)
-                    counts[k] = counts.get(k, 0) + 1
-        return LabeledTopoSynopsis("chain", max_size, counts)
-
-    # stars
     outgoing = klass == "source_star"
+    other = 1 if outgoing else 0
+    centers: dict[tuple, int] = {}  # signature -> centers with it
     for v in g.vertices:
         incident = g.out_edges(v) if outgoing else g.in_edges(v)
-        if not incident:
-            continue
+        branches = Counter((g.labels_of(e), g.labels_of(g.endpoints(e)[other])) for e in incident)
+        sig = (g.labels_of(v), frozenset(branches.items()))
+        centers[sig] = centers.get(sig, 0) + 1
+    totals: dict[tuple, int] = {}
+    for (center, branches), n_centers in centers.items():
         # branch descriptor -> number of incident edges matching it
         delta: dict[tuple[str, str], int] = {}
-        for e in incident:
-            s, t = g.endpoints(e)
-            other = t if outgoing else s
-            for le in _label_options(g.labels_of(e)):
-                for lo in _label_options(g.labels_of(other)):
-                    delta[(le, lo)] = delta.get((le, lo), 0) + 1
-        descriptors = sorted(delta)
+        for (le, lo), n in branches:
+            for d in itertools.product(_label_options(le), _label_options(lo)):
+                delta[d] = delta.get(d, 0) + n
+        center_options = _label_options(center)
         for size in range(1, max_size + 1):
-            for multiset in itertools.combinations_with_replacement(descriptors, size):
-                prod = 1
+            for multiset in itertools.combinations_with_replacement(sorted(delta), size):
+                prod = n_centers
                 for d in multiset:
                     prod *= delta[d]
-                for lc in _label_options(g.labels_of(v)):
-                    k = star_key(lc, multiset)
-                    counts[k] = counts.get(k, 0) + prod
+                for lc in center_options:
+                    totals[lc, multiset] = totals.get((lc, multiset), 0) + prod
+    counts = {star_key(lc, multiset): n for (lc, multiset), n in totals.items()}
     return LabeledTopoSynopsis(klass, max_size, counts)
 
 
@@ -280,17 +288,15 @@ class SysRStats:
 
 
 def build_system_r(g: PropertyGraph) -> SysRStats:
-    n: dict[str, int] = {}
-    srcs: dict[str, set[int]] = {}
-    trgs: dict[str, set[int]] = {}
-    for e in g.edges:
-        s, t = g.endpoints(e)
-        for combo in _edge_combos(g, e):
-            k = edge_key(*combo)
-            n[k] = n.get(k, 0) + 1
-            srcs.setdefault(k, set()).add(s)
-            trgs.setdefault(k, set()).add(t)
-    return SysRStats(entries={k: (n[k], len(srcs[k]), len(trgs[k])) for k in n})
+    """Per labeled edge pattern, the edge count and the distinct sources
+    and targets: edges are grouped by label-set signature, and each
+    pattern unions the groups it matches."""
+    groups = _edge_groups(g)
+    entries: dict[str, tuple[int, int, int]] = {}
+    for k, sigs in _by_key(groups).items():
+        pairs = [p for sig in sigs for p in groups[sig]]
+        entries[edge_key(*k)] = (len(pairs), len({s for s, _ in pairs}), len({t for _, t in pairs}))
+    return SysRStats(entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -468,30 +474,22 @@ def bucket_of(vertex_id: int, seed: int, n_buckets: int) -> int:
 
 
 def build_bound_sketch(g: PropertyGraph, n_buckets: int = 16, hash_seed: int = 0) -> BoundSketch:
+    """Per labeled edge pattern and role, bucketed (edge count, max
+    degree).  Edges are grouped by label-set signature; each pattern
+    counts the degrees over the groups it matches, then buckets them."""
     if n_buckets < 1:
         raise ValueError("n_buckets must be >= 1")
-    # (key, role, vertex) -> degree, to derive per-bucket maxima
-    degrees: dict[tuple[str, str, int], int] = {}
-    for e in g.edges:
-        s, t = g.endpoints(e)
-        for combo in _edge_combos(g, e):
-            k = edge_key(*combo)
-            degrees[(k, "src", s)] = degrees.get((k, "src", s), 0) + 1
-            degrees[(k, "trg", t)] = degrees.get((k, "trg", t), 0) + 1
-    entries: dict[str, dict[str, dict[int, list[int]]]] = {}
-    for (k, role, v), deg in degrees.items():
-        b = bucket_of(v, hash_seed, n_buckets)
-        bucket = entries.setdefault(k, {}).setdefault(role, {}).setdefault(b, [0, 0])
-        bucket[0] += deg
-        bucket[1] = max(bucket[1], deg)
-    return BoundSketch(
-        n_buckets=n_buckets,
-        seed=hash_seed,
-        entries={
-            k: {role: {b: (cv[0], cv[1]) for b, cv in buckets.items()} for role, buckets in roles.items()}
-            for k, roles in entries.items()
-        },
-    )
+    groups = _edge_groups(g)
+    bucket = [bucket_of(v, hash_seed, n_buckets) for v in g.vertices]
+    entries: dict[str, dict[str, dict[int, tuple[int, int]]]] = {}
+    for k, sigs in _by_key(groups).items():
+        roles = entries[edge_key(*k)] = {}
+        for role, end in (("src", 0), ("trg", 1)):
+            buckets = roles[role] = {}
+            for v, deg in Counter(p[end] for sig in sigs for p in groups[sig]).items():
+                n, top = buckets.get(bucket[v], (0, 0))
+                buckets[bucket[v]] = (n + deg, max(top, deg))
+    return BoundSketch(n_buckets=n_buckets, seed=hash_seed, entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +558,8 @@ def build_sample(g: PropertyGraph, pattern_type: str, pr: float, seed: int = 0) 
                 rec = _element_record(g, e)
                 rec["src"] = _element_record(g, s)
                 rec["trg"] = _element_record(g, t)
+                if s == t:
+                    rec["loop"] = True
                 members.append(rec)
     return Sample(pattern_type, pr, seed, population, members)
 

@@ -126,11 +126,11 @@ class TestImpliedClosure:
         subset = frozenset(c for c in full if rng.random() < 0.4)
         if not subset:
             subset = frozenset(full[:1])
-        closed = implied_closure(subset, movie_query)
+        closed = implied_closure(subset)
         assert subset <= closed, "inflationary"
-        assert implied_closure(closed, movie_query) == closed, "idempotent"
+        assert implied_closure(closed) == closed, "idempotent"
         assert closed <= extract_constraints(movie_query), "stays inside C(q)"
-        bigger = implied_closure(subset | {full[0]}, movie_query)
+        bigger = implied_closure(subset | {full[0]})
         assert closed <= bigger | closed, "monotone"
 
 

@@ -1,12 +1,23 @@
+import hashlib
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cardest.graph import PropertyGraph, exact_matches
+from cardest.bench import GraphSpec, generate_graph
+from cardest.estimators import sample_estimates
+from cardest.graph import PropertyGraph, exact_matches, exact_selectivity
 from cardest.query import PredicateKind, parse_query
 from cardest.stats import (
+    WILDCARD,
+    BoundSketch,
     CatalogFormatError,
+    LabeledTopoSynopsis,
+    SysRStats,
+    bucket_of,
     build_basic,
     build_bound_sketch,
     build_catalog,
@@ -179,6 +190,144 @@ class TestSynopses:
             assert count == exact_matches(g, q), key
 
 
+# ---------------------------------------------------------------------------
+# Brute-force reference builders: enumerate every walk, star and edge and
+# expand its label options one instance at a time.
+
+
+def _options(g, i):
+    return sorted(g.labels_of(i)) + [WILDCARD]
+
+
+def _edge_combos(g, e):
+    s, t = g.endpoints(e)
+    return itertools.product(_options(g, s), _options(g, e), _options(g, t))
+
+
+def _walks(g, size):
+    def extend(seq):
+        if len(seq) == size:
+            yield tuple(seq)
+            return
+        for e in g.out_edges(g.endpoints(seq[-1])[1]):
+            yield from extend(seq + [e])
+
+    for e in g.edges:
+        yield from extend([e])
+
+
+def reference_synopsis(g, klass, max_size):
+    counts = {}
+    if klass == "edge":
+        for e in g.edges:
+            for combo in _edge_combos(g, e):
+                k = edge_key(*combo)
+                counts[k] = counts.get(k, 0) + 1
+        return LabeledTopoSynopsis("edge", 1, counts)
+    if klass == "chain":
+        for size in range(1, max_size + 1):
+            for walk in _walks(g, size):
+                slots = [g.endpoints(walk[0])[0]]
+                for e in walk:
+                    slots += [e, g.endpoints(e)[1]]
+                for combo in itertools.product(*[_options(g, x) for x in slots]):
+                    k = chain_key(combo)
+                    counts[k] = counts.get(k, 0) + 1
+        return LabeledTopoSynopsis("chain", max_size, counts)
+    outgoing = klass == "source_star"
+    for v in g.vertices:
+        delta = {}
+        for e in g.out_edges(v) if outgoing else g.in_edges(v):
+            other = g.endpoints(e)[1 if outgoing else 0]
+            for d in itertools.product(_options(g, e), _options(g, other)):
+                delta[d] = delta.get(d, 0) + 1
+        for size in range(1, max_size + 1):
+            for multiset in itertools.combinations_with_replacement(sorted(delta), size):
+                prod = 1
+                for d in multiset:
+                    prod *= delta[d]
+                for lc in _options(g, v):
+                    k = star_key(lc, multiset)
+                    counts[k] = counts.get(k, 0) + prod
+    return LabeledTopoSynopsis(klass, max_size, counts)
+
+
+def reference_system_r(g):
+    n, srcs, trgs = {}, {}, {}
+    for e in g.edges:
+        s, t = g.endpoints(e)
+        for combo in _edge_combos(g, e):
+            k = edge_key(*combo)
+            n[k] = n.get(k, 0) + 1
+            srcs.setdefault(k, set()).add(s)
+            trgs.setdefault(k, set()).add(t)
+    return SysRStats(entries={k: (n[k], len(srcs[k]), len(trgs[k])) for k in n})
+
+
+def reference_bound_sketch(g, n_buckets, hash_seed):
+    degrees = {}
+    for e in g.edges:
+        s, t = g.endpoints(e)
+        for combo in _edge_combos(g, e):
+            for role, v in (("src", s), ("trg", t)):
+                key = (edge_key(*combo), role, v)
+                degrees[key] = degrees.get(key, 0) + 1
+    entries = {}
+    for (k, role, v), deg in degrees.items():
+        buckets = entries.setdefault(k, {}).setdefault(role, {})
+        b = bucket_of(v, hash_seed, n_buckets)
+        n, top = buckets.get(b, (0, 0))
+        buckets[b] = (n + deg, max(top, deg))
+    return BoundSketch(n_buckets=n_buckets, seed=hash_seed, entries=entries)
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs with isolated vertices, self-loops, parallel edges and
+    empty or multi-label elements."""
+    labels = st.lists(st.sampled_from("ab"), max_size=2)
+    n_vertices = draw(st.integers(0, 5))
+    vertices = [(f"v{i}", draw(labels), {}) for i in range(n_vertices)]
+    edges = []
+    if n_vertices:
+        ends = st.integers(0, n_vertices - 1)
+        for j in range(draw(st.integers(0, 8))):
+            edges.append((f"e{j}", f"v{draw(ends)}", f"v{draw(ends)}", draw(labels), {}))
+    return PropertyGraph(vertices, edges)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(small_graphs(), st.integers(0, 5))
+def test_builders_match_brute_force(g, hash_seed):
+    assert build_labeled_synopsis(g, "edge").to_dict() == reference_synopsis(g, "edge", 1).to_dict()
+    for klass in ("chain", "source_star", "target_star"):
+        for size in (1, 2, 3):
+            got = build_labeled_synopsis(g, klass, size).to_dict()
+            assert got == reference_synopsis(g, klass, size).to_dict(), (klass, size)
+    assert build_system_r(g).to_dict() == reference_system_r(g).to_dict()
+    for n_buckets in (1, 3, 16):
+        got = build_bound_sketch(g, n_buckets, hash_seed).to_dict()
+        assert got == reference_bound_sketch(g, n_buckets, hash_seed).to_dict(), n_buckets
+
+
+def test_golden_digest():
+    """The synopses, sysr and sketch sections of a seeded catalog are
+    byte-identical to those of the walk-enumerating builders."""
+    spec = GraphSpec(300, 1200, vertex_labels=("A", "B", "C"), edge_labels=("x", "y", "z"))
+    g = generate_graph(spec, seed=1)
+    catalog = build_catalog(
+        g,
+        synopses=[("edge", 1), ("chain", 2), ("source_star", 3), ("target_star", 2)],
+        with_sysr=True,
+        sketch_buckets=16,
+    ).to_dict()
+    sections = {k: catalog[k] for k in ("synopses", "sysr", "sketches")}
+    blob = json.dumps(sections, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "f45298324fc8b3e3732725b6da4d45b8aa0e8313b829494a6cb35099dde4b4fd"
+    )
+
+
 class TestSystemR:
     def test_g4(self, g4):
         s = build_system_r(g4)
@@ -310,6 +459,25 @@ class TestSamples:
         s = build_sample(g4, "edge_pattern", 1.0, seed=0)
         assert s.population == 2
         assert all("src" in m and "trg" in m for m in s.members)
+
+    def test_edge_pattern_sample_counts_self_loops(self):
+        g = PropertyGraph(
+            [("v0", ["a"], {}), ("v1", ["a"], {})],
+            [
+                ("e0", "v0", "v0", ["r"], {}),
+                ("e1", "v1", "v1", ["r"], {}),
+                ("e2", "v0", "v1", ["r"], {}),
+                ("e3", "v1", "v0", ["r"], {}),
+            ],
+        )
+        q = parse_query(
+            {"vertices": [{"id": "u"}], "edges": [{"id": "f", "src": "u", "trg": "u", "labels": ["r"]}]}
+        )
+        catalog = build_catalog(g, samples=[("edge_pattern", 1.0, 0)])
+        (pe,) = sample_estimates(q, catalog)
+        assert pe.selectivity == pytest.approx(exact_selectivity(g, q)) == pytest.approx(2 / 36)
+        # only loop members carry the flag, so loop-free samples are unchanged
+        assert [m.get("loop") for m in catalog.samples[0].members] == [True, True, None, None]
 
     def test_bad_params(self, g4):
         with pytest.raises(ValueError):
