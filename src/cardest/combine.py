@@ -120,6 +120,17 @@ def _order_estimates(
     strategy: str,
     resolve: Callable[[Constraint], float],
 ) -> list[PartialEstimate]:
+    """The estimates in the processing order of a sort strategy.
+
+    The maximum-overlap strategies (MoNd, MoDi) pick greedily: next comes
+    the estimate whose implied closure shares the most constraints with
+    the closure of those already picked, then by the secondary and the
+    final rank.  Each estimate's closure and ranks are computed once, and
+    the picked closure grows by union: `implied_closure` maps every
+    constraint on its own, so the closure of a union is the union of the
+    closures, and the order is the one that recomputing them at every
+    step gives.
+    """
     if strategy not in SORT_STRATEGIES:
         raise ValueError(f"unknown sort strategy: {strategy!r}")
 
@@ -147,19 +158,19 @@ def _order_estimates(
         if strategy == "MoNd"
         else (lambda pe: (-deviation_from_independence(pe, resolve),))
     )
-    remaining = sorted(pes, key=lambda pe: secondary(pe) + final(pe))
+    # sorted by rank, so the first estimate of largest overlap is the one
+    # the rank prefers
+    remaining = [
+        (implied_closure(pe.constraints), pe)
+        for pe in sorted(pes, key=lambda pe: secondary(pe) + final(pe))
+    ]
     ordered: list[PartialEstimate] = []
     done_impl: frozenset[Constraint] = frozenset()
     while remaining:
-        best = min(
-            remaining,
-            key=lambda pe: (-len(done_impl & implied_closure(pe.constraints)),)
-            + secondary(pe)
-            + final(pe),
-        )
-        remaining.remove(best)
-        ordered.append(best)
-        done_impl = implied_closure(done_impl | best.constraints)
+        best = max(range(len(remaining)), key=lambda i: len(done_impl & remaining[i][0]))
+        closure, pe = remaining.pop(best)
+        ordered.append(pe)
+        done_impl |= closure
     return ordered
 
 
@@ -190,11 +201,12 @@ def combine_cond_indep(
     pes = list(cpes)
     resolve = _singleton_resolver(pes, catalog)
     ordered = _order_estimates(pes, strategy, resolve)
-    done: set[Constraint] = set()
+    # the closure of the processed constraints, grown by union as in
+    # _order_estimates
+    done_impl: frozenset[Constraint] = frozenset()
     result = 1.0
     for pe in ordered:
         c_impl = implied_closure(pe.constraints)
-        done_impl = implied_closure(done) if done else frozenset()
         intersection = done_impl & c_impl
         factor: Optional[float]
         if not intersection:
@@ -218,7 +230,7 @@ def combine_cond_indep(
             trace.append(
                 CombineStep(pe.key(), pe.provenance, pe.selectivity, factor, reason)
             )
-        done |= pe.constraints
+        done_impl |= c_impl
     return min(max(result, 0.0), 1.0)
 
 

@@ -219,7 +219,7 @@ def extend_estimates(
     out = list(pes)
     for tag in config.epests:
         if tag == "implied":
-            out.extend(add_implied_closures(out, q))
+            out.extend(add_implied_closures(out))
             continue
         m = _IP_RE.match(tag)
         out.extend(add_implication_unions(out, q, m.group(1), m.group(2)))

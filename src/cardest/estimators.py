@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Any, Iterable, Optional
 
-from .graph import PropertyGraph
+from .graph import PropertyGraph, element_satisfies
 from .query import (
     Constraint,
     ConstraintKind,
@@ -588,58 +588,65 @@ def wander_join_estimate(
     seed: int = 0,
 ) -> Optional[PartialEstimate]:
     """Unbiased cardinality estimate from random walks over the query's
-    edges; covers every constraint on ids reachable by the walk plan."""
+    edges; covers every constraint on ids reachable by the walk plan.
+
+    The plan is compiled once per call: each step after the first records
+    whether it extends from its source (along out-edges) or from its
+    target (along in-edges), and whether its other endpoint is mapped
+    already, in which case the chosen edge must agree with it.  A
+    completed walk thus satisfies every topology constraint by
+    construction, and only the covered ids' data constraints are
+    checked.  The random draws and the accepted walks are those of a walk
+    that checks every constraint of its mapping, so the estimate does not
+    change.
+    """
     plan = walk_plan(q)
     if plan is None or g.n_edges == 0 or g.n_ids == 0 or walks < 1:
         return None
-    covered_ids: set[str] = set()
-    for e in plan:
-        covered_ids.add(e)
-        covered_ids.update(q.endpoints[e])
+    e0 = plan[0]
+    s0, t0 = q.endpoints[e0]
+    covered_ids = {e0, s0, t0}
+    steps: list[tuple[str, str, str, bool, bool]] = []
+    for e in plan[1:]:
+        s, t = q.endpoints[e]
+        forward = s in covered_ids
+        steps.append((e, s, t, forward, forward and t in covered_ids))
+        covered_ids.update((e, s, t))
     constraints = frozenset(
         c for c in extract_constraints(q) if set(c.ids) <= covered_ids
     )
-    from .graph import check_constraint
+    data_checks = [
+        (i, cs) for i, cs in sorted(data_constraints_by_id(q).items()) if i in covered_ids
+    ]
 
     rng = random.Random(seed)
-    all_edges = list(g.edges)
+    randrange = rng.randrange
+    endpoints, out_edges, in_edges = g.endpoints, g.out_edges, g.in_edges
     total = 0.0
     successes = 0
     for _ in range(walks):
-        m: dict[str, int] = {}
-        inv_prob = float(len(all_edges))
-        first = all_edges[rng.randrange(len(all_edges))]
-        s0, t0 = q.endpoints[plan[0]]
-        gs, gt = g.endpoints(first)
-        m[plan[0]] = first
-        m[s0] = gs
-        if t0 in m and m[t0] != gt:
+        inv_prob = float(g.n_edges)
+        first = g.n_vertices + randrange(g.n_edges)
+        gs, gt = endpoints(first)
+        if s0 == t0 and gs != gt:
             continue
-        m[t0] = gt
-        failed = False
-        for e in plan[1:]:
-            s, t = q.endpoints[e]
-            if s in m:
-                cands = g.out_edges(m[s])
-            else:
-                cands = g.in_edges(m[t])
+        m = {e0: first, s0: gs, t0: gt}
+        for e, s, t, forward, check in steps:
+            cands = out_edges(m[s]) if forward else in_edges(m[t])
             if not cands:
-                failed = True
                 break
-            choice = cands[rng.randrange(len(cands))]
+            choice = cands[randrange(len(cands))]
             inv_prob *= len(cands)
-            cgs, cgt = g.endpoints(choice)
-            if (e in m and m[e] != choice) or (s in m and m[s] != cgs) or (t in m and m[t] != cgt):
-                failed = True
+            cgs, cgt = endpoints(choice)
+            if check and m[t] != cgt:
                 break
             m[e] = choice
             m[s] = cgs
             m[t] = cgt
-        if failed:
-            continue
-        if all(check_constraint(g, m, c) for c in constraints):
-            total += inv_prob
-            successes += 1
+        else:
+            if all(element_satisfies(g, m[i], cs) for i, cs in data_checks):
+                total += inv_prob
+                successes += 1
     estimate = total / walks
     sel = _clamp(estimate / float(g.n_ids ** len(covered_ids)))
     provenance = "wj" if successes else "wj:low_confidence"

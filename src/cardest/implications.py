@@ -34,9 +34,7 @@ CONSTRAINT_CLASSES = {
 PATTERN_CLASSES = ("id", "ep")
 
 
-def add_implied_closures(
-    pes: Iterable[PartialEstimate], q: QueryPattern
-) -> list[PartialEstimate]:
+def add_implied_closures(pes: Iterable[PartialEstimate]) -> list[PartialEstimate]:
     """For every estimate containing a src/trg or value predicate, derive
     the estimate over its implied closure at the same selectivity.
 
@@ -44,6 +42,7 @@ def add_implied_closures(
     selectivity carries over exactly.  Returns only estimates whose
     constraint sets are not already present.
     """
+    pes = list(pes)
     present = {pe.key() for pe in pes}
     out: list[PartialEstimate] = []
     for pe in pes:

@@ -193,19 +193,27 @@ class PartialEstimate:
     constraints: frozenset[Constraint]
     selectivity: float
     provenance: str = ""
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.constraints:
             raise ValueError("partial estimate needs at least one constraint")
         if not (0.0 <= self.selectivity <= 1.0):
             raise ValueError(f"selectivity out of range: {self.selectivity}")
+        object.__setattr__(self, "_key", constraint_set_key(self.constraints))
 
     @property
     def id_set(self) -> frozenset[str]:
         return ids_of(self.constraints)
 
     def key(self) -> tuple:
-        return constraint_set_key(self.constraints)
+        """The canonical key of the constraint set.
+
+        Computed once, when the estimate is made: the constraint set is
+        frozen, so the key is the one `constraint_set_key` would return
+        on every call.
+        """
+        return self._key
 
 
 @dataclass

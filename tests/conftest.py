@@ -77,8 +77,9 @@ def oracle_constraint_sel(g: PropertyGraph, constraints) -> float:
     """Exact selectivity of an arbitrary constraint set, by enumeration.
 
     Independent of the production matcher: filters per-id domains by the
-    single-id constraints, then backtracks over the remaining ids and
-    checks every two-id constraint as soon as both ids are assigned.
+    single-id constraints, then backtracks over the ids, each one after an
+    id it shares a two-id constraint with where there is one, and checks
+    every two-id constraint as soon as both ids are assigned.
     """
     constraints = list(constraints)
     ids = sorted({i for c in constraints for i in c.ids})
@@ -98,8 +99,20 @@ def oracle_constraint_sel(g: PropertyGraph, constraints) -> float:
         domains[i] = [
             x for x in range(g.n_ids) if all(check_constraint(g, {i: x}, c) for c in single[i])
         ]
+    # edges first, and every later id next to an id it shares a pair
+    # constraint with, so that the pairs prune as early as they can
     edge_like = {c.ids[1] for c in pairs}
-    order = sorted(ids, key=lambda i: (i not in edge_like, i))
+    remaining = sorted(ids, key=lambda i: (i not in edge_like, i))
+    neighbours = {i: set() for i in ids}
+    for c in pairs:
+        neighbours[c.ids[0]].add(c.ids[1])
+        neighbours[c.ids[1]].add(c.ids[0])
+    order = []
+    while remaining:
+        placed = set(order)
+        i = next((i for i in remaining if neighbours[i] & placed), remaining[0])
+        remaining.remove(i)
+        order.append(i)
 
     def rec(k: int, assignment: dict) -> int:
         if k == len(order):
@@ -186,5 +199,31 @@ def random_query(
         if rng.random() < label_prob:
             item["labels"] = [rng.choice(labels)]
         if rng.random() < prop_prob:
+            item["props"] = [{"key": rng.choice(keys), "op": "=", "value": rng.randint(0, 3)}]
+    return parse_query(doc)
+
+
+# Edge lists of cyclic query shapes (a wander-join walk over them meets
+# an already-mapped vertex); random_query only draws trees.
+CYCLIC_SHAPES = {
+    "loop_first": [("f0", "u0", "u0"), ("f1", "u0", "u1")],
+    "loop_later": [("f0", "u0", "u1"), ("f1", "u1", "u1")],
+    "two_cycle": [("f0", "u0", "u1"), ("f1", "u1", "u0")],
+    "triangle": [("f0", "u0", "u1"), ("f1", "u1", "u2"), ("f2", "u0", "u2")],
+    "parallel": [("f0", "u0", "u1"), ("f1", "u0", "u1")],
+}
+
+
+def decorated_shape(rng, edges, labels=("a", "b"), keys=("k1", "k2")):
+    """A query with the given edges and random labels and predicates."""
+    vertex_ids = sorted({v for _, s, t in edges for v in (s, t)})
+    doc = {
+        "vertices": [{"id": v} for v in vertex_ids],
+        "edges": [{"id": e, "src": s, "trg": t} for e, s, t in edges],
+    }
+    for item in doc["vertices"] + doc["edges"]:
+        if rng.random() < 0.25:
+            item["labels"] = [rng.choice(labels)]
+        if rng.random() < 0.15:
             item["props"] = [{"key": rng.choice(keys), "op": "=", "value": rng.randint(0, 3)}]
     return parse_query(doc)

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from cardest.combine import (
     BoundsResult,
     MaxEntError,
+    RECURSION_LIMIT,
     SORT_STRATEGIES,
+    _order_estimates,
+    _singleton_resolver,
     combine_bounds,
     combine_cond_indep,
     combine_max_ent,
@@ -24,11 +27,19 @@ from cardest.query import (
     PredicateKind,
     constraints_for_edges,
     extract_constraints,
+    implied_closure,
     parse_query,
 )
+from cardest.implications import add_implied_closures
 from cardest.stats import BasicStats, StatisticsCatalog, build_catalog
 
-from conftest import oracle_constraint_sel, random_graph, random_query
+from conftest import (
+    CYCLIC_SHAPES,
+    decorated_shape,
+    oracle_constraint_sel,
+    random_graph,
+    random_query,
+)
 
 MOVIE_DB_VERTICES = 52639796
 MOVIE_DB_EDGES = 119343754
@@ -120,6 +131,107 @@ class TestDeviation:
         singles = {a: 0.0, b: 0.5}.__getitem__
         joint = PartialEstimate(frozenset({a, b}), 0.2, "x")
         assert deviation_from_independence(joint, singles) == math.inf
+
+
+def reference_order_estimates(pes, strategy, resolve):
+    """The processing order as first written: the maximum-overlap greedy
+    recomputes every remaining estimate's closure and rank at every step."""
+
+    def final(pe):
+        return (len(pe.constraints), pe.key())
+
+    static = {
+        "SaNd": lambda pe: (pe.selectivity, -len(pe.constraints)),
+        "Sd": lambda pe: (-pe.selectivity,),
+        "NdSa": lambda pe: (-len(pe.constraints), pe.selectivity),
+        "NdSd": lambda pe: (-len(pe.constraints), -pe.selectivity),
+        "NaSd": lambda pe: (len(pe.constraints), -pe.selectivity),
+        "NaSa": lambda pe: (len(pe.constraints), pe.selectivity),
+        "Di": lambda pe: (-deviation_from_independence(pe, resolve), pe.selectivity),
+    }
+    if strategy in static:
+        key = static[strategy]
+        return sorted(pes, key=lambda pe: key(pe) + final(pe))
+    secondary = (
+        (lambda pe: (-len(pe.constraints),))
+        if strategy == "MoNd"
+        else (lambda pe: (-deviation_from_independence(pe, resolve),))
+    )
+    remaining = sorted(pes, key=lambda pe: secondary(pe) + final(pe))
+    ordered = []
+    done_impl = frozenset()
+    while remaining:
+        best = min(
+            remaining,
+            key=lambda pe: (-len(done_impl & implied_closure(pe.constraints)),)
+            + secondary(pe)
+            + final(pe),
+        )
+        remaining.remove(best)
+        ordered.append(best)
+        done_impl = implied_closure(done_impl | best.constraints)
+    return ordered
+
+
+def reference_cond_indep(pes, q, strategy, depth=0):
+    """condIndep as first written: the closure of the processed
+    constraints is recomputed for every estimate."""
+    resolve = _singleton_resolver(pes, None)
+    done = set()
+    result = 1.0
+    for pe in reference_order_estimates(pes, strategy, resolve):
+        c_impl = implied_closure(pe.constraints)
+        done_impl = implied_closure(done) if done else frozenset()
+        intersection = done_impl & c_impl
+        if not intersection:
+            result *= pe.selectivity
+        elif intersection != c_impl:
+            if pe.selectivity == 0.0:
+                result *= 0.0
+            elif depth >= RECURSION_LIMIT:
+                shared = 1.0
+                for c in sorted(intersection, key=lambda c: c.sort_key()):
+                    shared *= resolve(c)
+                result *= pe.selectivity / max(pe.selectivity, shared)
+            else:
+                sub = [p for p in pes if p.constraints <= intersection]
+                covered = set().union(*(p.constraints for p in sub))
+                for c in sorted(intersection - covered, key=lambda c: c.sort_key()):
+                    sub.append(PartialEstimate(frozenset({c}), resolve(c), "singleton"))
+                shared = reference_cond_indep(sub, q, strategy, depth + 1)
+                result *= pe.selectivity / max(pe.selectivity, shared)
+        done |= pe.constraints
+    return min(max(result, 0.0), 1.0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    shape=st.sampled_from(["tree"] + sorted(CYCLIC_SHAPES)),
+    n_subsets=st.integers(0, 8),
+    with_closures=st.booleans(),
+)
+def test_order_and_cond_indep_match_reference(seed, shape, n_subsets, with_closures):
+    rng = random.Random(seed)
+    g = random_graph(rng, n_vertices=rng.randint(1, 3), n_edges=rng.randint(0, 6))
+    if shape == "tree":
+        q = random_query(rng, n_edges=rng.randint(1, 3), keys=("k1", "k2"))
+    else:
+        q = decorated_shape(rng, CYCLIC_SHAPES[shape])
+    constraints = sorted(extract_constraints(q), key=lambda c: c.sort_key())
+    pes = exact_singletons(g, q)
+    for _ in range(n_subsets):
+        subset = frozenset(rng.sample(constraints, rng.randint(2, min(5, len(constraints)))))
+        pes.append(PartialEstimate(subset, oracle_constraint_sel(g, subset), "subset"))
+    if with_closures:
+        pes.extend(add_implied_closures(pes))
+    rng.shuffle(pes)
+    resolve = _singleton_resolver(pes, None)
+    for strategy in SORT_STRATEGIES:
+        got = _order_estimates(pes, strategy, resolve)
+        assert got == reference_order_estimates(pes, strategy, resolve), strategy
+        sel = combine_cond_indep(pes, q, strategy)
+        assert sel.hex() == reference_cond_indep(pes, q, strategy).hex(), strategy
 
 
 class TestCondIndep:

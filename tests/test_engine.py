@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 import cardest.engine as engine_mod
+from cardest.bench import GraphSpec, PropSpec, enumerate_subqueries, generate_graph
 from cardest.combine import MaxEntError
 from cardest.engine import (
     ConfigError,
@@ -361,3 +363,63 @@ class TestDisjunctions:
         report = estimate_with_disjunctions(doc, g, catalog, config)
         assert report.selectivity <= 1.0
         assert "disjunction-clamped" in report.flags
+
+
+# The four grade configurations of the benchmark plus a max-entropy one.
+GOLDEN_CONFIGS = [
+    EstimatorConfig.parse(text)
+    for text in (
+        "name=ci; pets=EP,c2,SysR; epests=IP(id,p); ct=condIndep(MoDi)",
+        "name=rich; pets=EP,c2,s3,t2,CS,BS,MDH,S(id,0.05); epests=implied,IP(id,a); ct=condIndep(MoDi)",
+        "name=bounds; pets=EP,c2,s3,BS; ct=bounds",
+        "name=wj; pets=EP,WJ(1000); ct=condIndep(MoDi)",
+        "pets=EP,c2,s3; epests=implied; ct=maxEnt(mps=8)",
+    )
+]
+
+
+def test_estimates_golden_digest():
+    """Every estimate, cardinality and flag of the five configurations on
+    every connected subquery of ten seeded random queries, with and
+    without their property predicates, hashes to a recorded digest."""
+    spec = GraphSpec(
+        n_vertices=60,
+        n_edges=180,
+        vertex_labels=("A", "B"),
+        edge_labels=("A", "B"),
+        degree_exponent=0.8,
+        props=(
+            PropSpec("k1", n_values=4, base_prob=0.5, given="A", boost=0.5),
+            PropSpec("k2", n_values=4, base_prob=0.4, given="k1", boost=0.5),
+            PropSpec("w", n_values=4, base_prob=0.4, on="edge"),
+        ),
+    )
+    g = generate_graph(spec, seed=3)
+    catalog = build_catalog(
+        g,
+        synopses=[("edge", 1), ("chain", 2), ("source_star", 3), ("target_star", 2)],
+        with_sysr=True,
+        cs_max=1000,
+        sketch_buckets=16,
+        samples=[("id", 0.05, 3)],
+        md_keys=[("k1", "k2")],
+    )
+    rng = random.Random(7)
+    h = hashlib.sha256()
+    for n in range(10):
+        q = random_query(
+            rng,
+            n_edges=rng.randint(1, 3),
+            labels=("A", "B"),
+            keys=("k1", "k2", "w"),
+        )
+        for with_props in (True, False):
+            for sub_id, sub in enumerate_subqueries(q, 3, include_props=with_props):
+                qid = f"q{n}:{sub_id}:{'p' if with_props else 'np'}"
+                for config in GOLDEN_CONFIGS:
+                    report = estimate(sub, g, catalog, config)
+                    row = (qid, config.label, repr(report.cardinality), report.flags)
+                    h.update(repr(row).encode())
+    assert h.hexdigest() == (
+        "864013a31c83b796bdbde5169e59060f634c91e1371e97b27bce63762b920b03"
+    )

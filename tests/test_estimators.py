@@ -3,6 +3,8 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardest.estimators import (
     bound_sketch_estimates,
@@ -17,7 +19,7 @@ from cardest.estimators import (
     walk_plan,
     wander_join_estimate,
 )
-from cardest.graph import PropertyGraph, exact_matches, exact_selectivity
+from cardest.graph import PropertyGraph, check_constraint, exact_matches, exact_selectivity
 from cardest.query import (
     Constraint,
     ConstraintKind,
@@ -35,7 +37,13 @@ from cardest.stats import (
     build_catalog,
 )
 
-from conftest import oracle_constraint_sel, random_graph, random_query
+from conftest import (
+    CYCLIC_SHAPES,
+    decorated_shape,
+    oracle_constraint_sel,
+    random_graph,
+    random_query,
+)
 
 
 def by_constraints(pes):
@@ -527,6 +535,85 @@ class TestWanderJoin:
         mean = statistics.fmean(means)
         se = statistics.stdev(means) / math.sqrt(len(means))
         assert abs(mean - truth) <= 3 * se + 1e-12
+
+
+def reference_wander_join_estimate(q, g, walks=1000, seed=0):
+    """The walk as first written: an edge list copied per call, endpoints
+    looked up in the mapping at every step, and every constraint checked
+    after every completed walk."""
+    plan = walk_plan(q)
+    if plan is None or g.n_edges == 0 or g.n_ids == 0 or walks < 1:
+        return None
+    covered_ids = set()
+    for e in plan:
+        covered_ids.add(e)
+        covered_ids.update(q.endpoints[e])
+    constraints = frozenset(c for c in extract_constraints(q) if set(c.ids) <= covered_ids)
+    rng = random.Random(seed)
+    all_edges = list(g.edges)
+    total = 0.0
+    successes = 0
+    for _ in range(walks):
+        m = {}
+        inv_prob = float(len(all_edges))
+        first = all_edges[rng.randrange(len(all_edges))]
+        s0, t0 = q.endpoints[plan[0]]
+        gs, gt = g.endpoints(first)
+        m[plan[0]] = first
+        m[s0] = gs
+        if t0 in m and m[t0] != gt:
+            continue
+        m[t0] = gt
+        failed = False
+        for e in plan[1:]:
+            s, t = q.endpoints[e]
+            cands = g.out_edges(m[s]) if s in m else g.in_edges(m[t])
+            if not cands:
+                failed = True
+                break
+            choice = cands[rng.randrange(len(cands))]
+            inv_prob *= len(cands)
+            cgs, cgt = g.endpoints(choice)
+            if (e in m and m[e] != choice) or (s in m and m[s] != cgs) or (t in m and m[t] != cgt):
+                failed = True
+                break
+            m[e] = choice
+            m[s] = cgs
+            m[t] = cgt
+        if failed:
+            continue
+        if all(check_constraint(g, m, c) for c in constraints):
+            total += inv_prob
+            successes += 1
+    sel = min(max(total / walks / float(g.n_ids ** len(covered_ids)), 0.0), 1.0)
+    return PartialEstimate(constraints, sel, "wj" if successes else "wj:low_confidence")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    shape=st.sampled_from(["tree"] + sorted(CYCLIC_SHAPES)),
+    walks=st.integers(1, 200),
+)
+def test_wander_join_matches_reference_walk(seed, shape, walks):
+    # few vertices and many edges, so self-loops, parallel edges and empty
+    # label sets are common and many walks complete
+    rng = random.Random(seed)
+    g = random_graph(rng, n_vertices=rng.randint(1, 3), n_edges=rng.randint(0, 12))
+    if shape == "tree":
+        q = random_query(
+            rng, n_edges=rng.randint(1, 3), keys=("k1", "k2"), prop_prob=0.15, label_prob=0.25
+        )
+    else:
+        q = decorated_shape(rng, CYCLIC_SHAPES[shape])
+    got = wander_join_estimate(q, g, walks, seed)
+    want = reference_wander_join_estimate(q, g, walks, seed)
+    if want is None:
+        assert got is None
+        return
+    assert got.constraints == want.constraints
+    assert got.provenance == want.provenance
+    assert got.selectivity.hex() == want.selectivity.hex()
 
 
 class TestMDHEstimates:

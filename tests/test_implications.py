@@ -16,34 +16,38 @@ from test_estimators import oracle_sel
 
 
 class TestImpliedClosures:
-    def test_src_pe_gets_closed(self, one_edge_query):
+    def test_src_pe_gets_closed(self):
         pe = PartialEstimate(frozenset({Constraint.src("q1", "q2")}), 0.125, "individual:exact")
-        added = add_implied_closures([pe], one_edge_query)
+        added = add_implied_closures([pe])
         assert len(added) == 1
         assert added[0].constraints == frozenset(
             {Constraint.src("q1", "q2"), Constraint.vertex("q1"), Constraint.edge("q2")}
         )
         assert added[0].selectivity == 0.125
 
-    def test_closed_pe_adds_nothing(self, one_edge_query):
+    def test_closed_pe_adds_nothing(self):
         pe = PartialEstimate(frozenset({Constraint.vertex("q1")}), 0.5, "x")
-        assert add_implied_closures([pe], one_edge_query) == []
+        assert add_implied_closures([pe]) == []
 
-    def test_prop_value_adds_key(self, one_edge_query):
+    def test_prop_value_adds_key(self):
         pv = Constraint.prop_value("q1", "k", PredicateKind.EQ, 5)
         pe = PartialEstimate(frozenset({pv}), 0.01, "x")
-        added = add_implied_closures([pe], one_edge_query)
+        added = add_implied_closures([pe])
         assert added[0].constraints == frozenset({pv, Constraint.has_key("q1", "k")})
 
-    def test_idempotent(self, one_edge_query):
+    def test_idempotent(self):
         pes = [
             PartialEstimate(frozenset({Constraint.src("q1", "q2")}), 0.125, "x"),
             PartialEstimate(frozenset({Constraint.trg("q3", "q2")}), 0.125, "x"),
         ]
-        first = add_implied_closures(pes, one_edge_query)
+        first = add_implied_closures(pes)
         assert len(first) == 2
-        again = add_implied_closures(pes + first, one_edge_query)
+        again = add_implied_closures(pes + first)
         assert again == []
+
+    def test_accepts_an_iterator(self):
+        pe = PartialEstimate(frozenset({Constraint.src("q1", "q2")}), 0.125, "x")
+        assert add_implied_closures(iter([pe])) == add_implied_closures([pe])
 
 
 class TestImplicationUnions:
