@@ -13,7 +13,7 @@ from typing import Optional
 
 from .bench import run_workload, write_csv
 from .engine import EstimatorConfig, estimate_with_disjunctions
-from .graph import load_graph
+from .graph import DEFAULT_ORACLE_BUDGET, load_graph
 from .stats import build_catalog, load_catalog, save_catalog
 
 VERTEX_FILE = "vertices.jsonl"
@@ -103,7 +103,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     g = _load_graph_dir(args.graph)
     catalog = load_catalog(args.stats) if args.stats else build_catalog(g)
     with open(args.query, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = fh.read()
     config = _config_from_args(args)
     report = estimate_with_disjunctions(doc, g, catalog, config)
     if args.json:
@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--workload", required=True, help="JSON list of {id, query}")
     bench.add_argument("--configs", required=True, help="one config per line")
     bench.add_argument("--out", required=True, help="CSV output path")
-    bench.add_argument("--oracle-budget", type=int, default=10**8)
+    bench.add_argument("--oracle-budget", type=int, default=DEFAULT_ORACLE_BUDGET)
     bench.add_argument("--subqueries", type=int, default=None, help="expand to subqueries <= N edges")
     bench.add_argument("--props-mode", choices=("keep", "strip", "both"), default="keep")
     bench.add_argument(

@@ -29,7 +29,7 @@ from .combine import (
 from .estimators import dedup_estimates
 from .graph import PropertyGraph
 from .implications import add_implication_unions, add_implied_closures
-from .query import PartialEstimate, QueryPattern, parse_query
+from .query import PartialEstimate, QueryPattern, load_document, parse_query
 from .stats import StatisticsCatalog, StaleCatalogWarning
 
 
@@ -310,17 +310,18 @@ def expand_disjunctions(doc: Union[str, dict], cap: int = 64) -> list[dict]:
 
     Each group lists alternatives; an alternative is an object with an
     "id" plus "labels" and/or "props" to merge into that element.
+    Raises QueryFormatError for a document that is not a JSON object and
+    ExpansionLimitError for a malformed group.
     """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
+    doc = load_document(doc)
     groups = doc.get("anyOf") or []
     base = {k: v for k, v in doc.items() if k != "anyOf"}
     if not groups:
         return [base]
     total = 1
     for group in groups:
-        if not isinstance(group, list) or not group:
-            raise ExpansionLimitError("anyOf groups must be non-empty lists")
+        if not isinstance(group, list) or not group or not all(isinstance(a, dict) for a in group):
+            raise ExpansionLimitError("anyOf groups must be non-empty lists of objects")
         total *= len(group)
         if total > cap:
             raise ExpansionLimitError(

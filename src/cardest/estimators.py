@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Any, Iterable, Optional
 
-from .graph import PropertyGraph, element_satisfies
+from .graph import PropertyGraph
 from .query import (
     Constraint,
     ConstraintKind,
@@ -26,6 +26,7 @@ from .query import (
     iter_chains,
     iter_stars,
     cs_pattern_of,
+    satisfies,
 )
 from .stats import (
     StatisticsCatalog,
@@ -112,24 +113,13 @@ def individual_prop_estimate(
                 return _clamp(est / n_ids), "individual:histogram"
         sample = catalog.sample("id")
         if sample is not None and sample.members:
-            hits = sum(
-                1
-                for m in sample.members
-                if c.key in m["props"] and _member_value_holds(m, c)
-            )
+            hits = sum(1 for m in sample.members if satisfies((c,), m["labels"], m["props"]))
             return hits / len(sample.members), "individual:sample"
     if c.op is PredicateKind.EQ:
         return DEFAULT_EQ_SELECTIVITY, "individual:default"
     if c.op is PredicateKind.NEQ:
         return DEFAULT_NEQ_SELECTIVITY, "individual:default"
     return DEFAULT_OTHER_SELECTIVITY, "individual:default"
-
-
-def _member_value_holds(member: dict, c: Constraint) -> bool:
-    from .query import predicate_holds
-
-    w = member["props"].get(c.key)
-    return w is not None and predicate_holds(c.op, w, c.value)
 
 
 def individual_estimate(c: Constraint, catalog: StatisticsCatalog) -> PartialEstimate:
@@ -471,22 +461,6 @@ def char_set_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[Part
 # Sampling
 
 
-def _member_satisfies(member: dict, constraints: Iterable[Constraint]) -> bool:
-    for c in constraints:
-        if c.kind is ConstraintKind.HAS_LABEL:
-            if c.label not in member["labels"]:
-                return False
-        elif c.kind is ConstraintKind.HAS_KEY:
-            if c.key not in member["props"]:
-                return False
-        elif c.kind is ConstraintKind.PROP_VALUE:
-            if not _member_value_holds(member, c):
-                return False
-        else:
-            raise ValueError(f"sampling cannot check {c!r}")
-    return True
-
-
 def sample_estimates(
     q: QueryPattern,
     catalog: StatisticsCatalog,
@@ -524,7 +498,7 @@ def sample_estimates(
                 members = [m for m in sample.members if m["kind"] == kind]
                 if not members:
                     continue
-                hits = sum(1 for m in members if _member_satisfies(m, groups[i]))
+                hits = sum(1 for m in members if satisfies(groups[i], m["labels"], m["props"]))
                 population = basic.n_vertices if is_vertex else basic.n_edges
                 sel = (hits / len(members)) * (population / n_ids_g)
                 membership = Constraint.vertex(i) if is_vertex else Constraint.edge(i)
@@ -544,11 +518,11 @@ def sample_estimates(
                 for m in sample.members:
                     if loop and not m.get("loop"):
                         continue
-                    if not _member_satisfies(m, data_e):
+                    if not satisfies(data_e, m["labels"], m["props"]):
                         continue
-                    if not _member_satisfies(m["src"], data_s):
+                    if not satisfies(data_s, m["src"]["labels"], m["src"]["props"]):
                         continue
-                    if not loop and not _member_satisfies(m["trg"], data_t):
+                    if not loop and not satisfies(data_t, m["trg"]["labels"], m["trg"]["props"]):
                         continue
                     hits += 1
                 sel = (hits / len(sample.members)) * (basic.n_edges / float(n_ids_g ** len(ids)))
@@ -644,7 +618,10 @@ def wander_join_estimate(
             m[s] = cgs
             m[t] = cgt
         else:
-            if all(element_satisfies(g, m[i], cs) for i, cs in data_checks):
+            for i, cs in data_checks:
+                if not satisfies(cs, g.labels_of(m[i]), g.props_of(m[i])):
+                    break
+            else:
                 total += inv_prob
                 successes += 1
     estimate = total / walks

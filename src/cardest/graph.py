@@ -16,8 +16,9 @@ from .query import (
     ConstraintKind,
     QueryPattern,
     Scalar,
-    extract_constraints,
+    data_constraints_by_id,
     predicate_holds,
+    satisfies,
 )
 
 
@@ -256,7 +257,8 @@ Mapping = dict[str, int]
 def check_constraint(g: PropertyGraph, m: Mapping, c: Constraint) -> bool:
     """Does mapping m satisfy constraint c on graph g?
 
-    Every id appearing in c must be assigned in m.
+    Every id appearing in c must be assigned in m.  Nothing in the package
+    calls this; it is the independent reference the tests check against.
     """
     kind = c.kind
     if kind is ConstraintKind.VERTEX:
@@ -278,30 +280,6 @@ def check_constraint(g: PropertyGraph, m: Mapping, c: Constraint) -> bool:
     return w is not None and predicate_holds(c.op, w, c.value)
 
 
-def element_satisfies(g: PropertyGraph, i: int, constraints: Iterable[Constraint]) -> bool:
-    """Check single-id data constraints against one graph element."""
-    for c in constraints:
-        if c.kind is ConstraintKind.HAS_LABEL:
-            if c.label not in g.labels_of(i):
-                return False
-        elif c.kind is ConstraintKind.HAS_KEY:
-            if c.key not in g.props_of(i):
-                return False
-        elif c.kind is ConstraintKind.PROP_VALUE:
-            w = g.prop(i, c.key)
-            if w is None or not predicate_holds(c.op, w, c.value):
-                return False
-        elif c.kind is ConstraintKind.VERTEX:
-            if not g.is_vertex(i):
-                return False
-        elif c.kind is ConstraintKind.EDGE:
-            if not g.is_edge(i):
-                return False
-        else:
-            raise ValueError(f"not a single-id constraint: {c!r}")
-    return True
-
-
 class _Matcher:
     """Backtracking search over assignments, most-constrained id first."""
 
@@ -312,11 +290,7 @@ class _Matcher:
         self.budget = budget
         self.expansions = 0
         # Per-id data constraints are checked eagerly while extending.
-        per_id: dict[str, list[Constraint]] = {i: [] for i in q.ids}
-        for c in extract_constraints(q):
-            if c.kind in (ConstraintKind.HAS_LABEL, ConstraintKind.HAS_KEY, ConstraintKind.PROP_VALUE):
-                per_id[c.ids[0]].append(c)
-        self.data_constraints = per_id
+        self.data_constraints = data_constraints_by_id(q)
 
     def count(self) -> int:
         q = self.q
@@ -384,7 +358,7 @@ class _Matcher:
             best_cands = list(g.edges) if best_id in self.q.edges else list(g.vertices)
 
         remaining.discard(best_id)
-        data = self.data_constraints[best_id]
+        data = self.data_constraints.get(best_id)
         total = 0
         for cand in best_cands:
             self.expansions += 1
@@ -394,7 +368,7 @@ class _Matcher:
                 )
             if self.isomorphic and cand in used:
                 continue
-            if data and not element_satisfies(g, cand, data):
+            if data and not satisfies(data, g._labels[cand], g._props[cand]):
                 continue
             assignment[best_id] = cand
             if self.isomorphic:

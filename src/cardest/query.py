@@ -13,7 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Collection, Iterable, Optional, Union
 
 Scalar = Union[str, int, float, bool]
 
@@ -85,6 +85,30 @@ def predicate_holds(op: PredicateKind, actual: Scalar, expected: Any) -> bool:
     if op is PredicateKind.CONTAINS:
         return isinstance(actual, str) and isinstance(expected, str) and expected in actual
     raise AssertionError(op)
+
+
+def satisfies(constraints: Iterable[Constraint], labels: Collection[str], props: dict) -> bool:
+    """Does an element meet every hasLabel, hasKey and propValue constraint?
+
+    The element is given by its labels and props: a graph element's, or
+    a sample record's "labels"/"props" or those of its "src"/"trg"
+    sub-records.  Topology constraints raise ValueError.
+    """
+    for c in constraints:
+        kind = c.kind
+        if kind is ConstraintKind.HAS_LABEL:
+            if c.label not in labels:
+                return False
+        elif kind is ConstraintKind.HAS_KEY:
+            if c.key not in props:
+                return False
+        elif kind is ConstraintKind.PROP_VALUE:
+            w = props.get(c.key)
+            if w is None or not predicate_holds(c.op, w, c.value):
+                return False
+        else:
+            raise ValueError(f"not a data constraint: {c!r}")
+    return True
 
 
 class ConstraintKind(Enum):
@@ -264,12 +288,9 @@ class QueryPattern:
         return sorted(e for e in self.edges if v in self.endpoints[e])
 
 
-def parse_query(doc: Union[str, dict]) -> QueryPattern:
-    """Parse a query document (JSON text or parsed dict) into a pattern.
-
-    Documents with ``anyOf`` groups must be expanded first (see the
-    engine's disjunction handling); this parser rejects them.
-    """
+def load_document(doc: Union[str, dict]) -> dict:
+    """A query document as a dict; raises QueryFormatError for invalid
+    JSON text and for anything but an object."""
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
@@ -277,6 +298,16 @@ def parse_query(doc: Union[str, dict]) -> QueryPattern:
             raise QueryFormatError(f"invalid query document: {exc}") from exc
     if not isinstance(doc, dict):
         raise QueryFormatError("query document must be an object")
+    return doc
+
+
+def parse_query(doc: Union[str, dict]) -> QueryPattern:
+    """Parse a query document (JSON text or parsed dict) into a pattern.
+
+    Documents with ``anyOf`` groups must be expanded first (see the
+    engine's disjunction handling); this parser rejects them.
+    """
+    doc = load_document(doc)
     if doc.get("anyOf"):
         raise QueryFormatError("query contains anyOf groups; expand disjunctions first")
 

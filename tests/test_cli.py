@@ -5,6 +5,7 @@ import pytest
 
 from cardest.cli import main
 from cardest.graph import PropertyGraph, save_graph
+from cardest.query import QueryFormatError
 from cardest.stats import load_catalog
 
 from conftest import G4_EDGES, G4_VERTICES, MOVIE_QUERY_DOC, ONE_EDGE_DOC, TWO_CHAIN_DOC, random_graph
@@ -84,6 +85,12 @@ class TestEstimateCommand:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["cardinality"] == pytest.approx(2.0)
+
+    def test_invalid_json_query_rejected(self, graph_dir, tmp_path):
+        qfile = tmp_path / "q.json"
+        qfile.write_text("not json", encoding="utf-8")
+        with pytest.raises(QueryFormatError, match="invalid query document"):
+            main(["estimate", "--graph", str(graph_dir), "--query", str(qfile)])
 
     def test_with_stats_and_pets(self, rich_graph_dir, tmp_path, capsys):
         out = tmp_path / "catalog.json"

@@ -15,7 +15,7 @@ from cardest.engine import (
     expand_disjunctions,
 )
 from cardest.graph import PropertyGraph, exact_matches, exact_selectivity
-from cardest.query import Constraint, PartialEstimate, parse_query
+from cardest.query import Constraint, PartialEstimate, QueryFormatError, parse_query
 from cardest.stats import StaleCatalogWarning, build_catalog
 
 from conftest import ONE_EDGE_DOC, random_graph, random_query
@@ -350,6 +350,20 @@ class TestDisjunctions:
         ]
         with pytest.raises(ExpansionLimitError, match="cap"):
             expand_disjunctions(doc, cap=16)
+
+    def test_non_object_document_rejected(self):
+        with pytest.raises(QueryFormatError, match="object"):
+            expand_disjunctions("[1]")
+
+    def test_invalid_json_rejected(self):
+        with pytest.raises(QueryFormatError, match="invalid query document"):
+            expand_disjunctions("not json")
+
+    def test_non_object_alternative_rejected(self):
+        doc = self.doc()
+        doc["anyOf"] = [["x"]]
+        with pytest.raises(ExpansionLimitError, match="objects"):
+            expand_disjunctions(doc)
 
     def test_clamped_selectivity_flagged(self):
         g = PropertyGraph([("v0", [], {}), ("v1", [], {}), ("v2", [], {})], [])

@@ -1,6 +1,9 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardest.graph import (
     GraphFormatError,
@@ -13,7 +16,8 @@ from cardest.graph import (
     load_graph,
     save_graph,
 )
-from cardest.query import Constraint, parse_query
+from cardest.query import Constraint, PredicateKind, parse_query, satisfies
+from cardest.stats import _element_record
 
 from conftest import brute_force_matches, random_graph, random_query
 
@@ -177,3 +181,61 @@ class TestAdjacency:
                 by_label.extend(e for e in g.out_edges(v, l))
         for e in by_label:
             assert g.labels_of(e) & {"a", "b"}
+
+
+# Scalars that meet across types: bool against int, str against number.
+SCALARS = st.sampled_from([True, False, 0, 1, 1.0, 1.5, "", "1", "a", "ab", "b"])
+
+
+@st.composite
+def graphs_with_props(draw):
+    """Graphs with multi-label and label-less elements, whose props may
+    hold a null value."""
+    labels = st.lists(st.sampled_from("ab"), max_size=2)
+    props = st.dictionaries(st.sampled_from(["k1", "k2"]), st.none() | SCALARS, max_size=2)
+    n_vertices = draw(st.integers(1, 3))
+    vertices = [(f"v{i}", draw(labels), draw(props)) for i in range(n_vertices)]
+    ends = st.integers(0, n_vertices - 1)
+    edges = [
+        (f"e{j}", f"v{draw(ends)}", f"v{draw(ends)}", draw(labels), draw(props))
+        for j in range(draw(st.integers(0, 3)))
+    ]
+    return PropertyGraph(vertices, edges)
+
+
+@st.composite
+def data_constraints(draw):
+    kind = draw(st.sampled_from(["label", "key", "value"]))
+    if kind == "label":
+        return Constraint.has_label("x", draw(st.sampled_from("abc")))
+    key = draw(st.sampled_from(["k1", "k2", "k3"]))
+    if kind == "key":
+        return Constraint.has_key("x", key)
+    op = draw(st.sampled_from(PredicateKind))
+    value = draw(st.lists(SCALARS, max_size=3) if op is PredicateKind.IN else SCALARS)
+    return Constraint.prop_value("x", key, op, value)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(graphs_with_props(), st.lists(data_constraints(), max_size=4))
+def test_satisfies_matches_check_constraint(g, constraints):
+    """`satisfies` agrees with the reference `check_constraint` on a
+    graph element and on its sample record as a loaded catalog holds it."""
+    for i in range(g.n_ids):
+        record = json.loads(json.dumps(_element_record(g, i)))
+        views = [(g.labels_of(i), g.props_of(i)), (record["labels"], record["props"])]
+        for c in constraints:
+            want = check_constraint(g, {"x": i}, c)
+            for labels, props in views:
+                assert satisfies([c], labels, props) is want, (c, labels, props)
+        want = all(check_constraint(g, {"x": i}, c) for c in constraints)
+        for labels, props in views:
+            assert satisfies(constraints, labels, props) is want
+
+
+@pytest.mark.parametrize(
+    "c", [Constraint.vertex("x"), Constraint.edge("x"), Constraint.src("x", "y"), Constraint.trg("x", "y")]
+)
+def test_satisfies_rejects_topology_constraints(c):
+    with pytest.raises(ValueError, match="not a data constraint"):
+        satisfies([c], frozenset(), {})
