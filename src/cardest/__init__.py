@@ -3,8 +3,8 @@
 Three loosely coupled phases: techniques produce partial estimates for
 constraint subsets of a query, extension rules derive further estimates,
 and a combiner folds the complete set into one selectivity.  An exact
-backtracking matcher doubles as the ground-truth oracle for the
-benchmark harness.
+matcher is the ground-truth oracle for the benchmark harness: it counts
+acyclic patterns bottom-up and backtracks over the matches of the rest.
 """
 
 from .engine import EstimateReport, EstimatorConfig, estimate, estimate_with_disjunctions

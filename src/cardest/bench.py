@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 from .engine import EstimatorConfig, estimate
-from .graph import DEFAULT_ORACLE_BUDGET, OracleBudgetError, PropertyGraph, exact_matches
+from .graph import OracleBudgetError, PropertyGraph, exact_matches
 from .query import QueryPattern, parse_query
 from .stats import StatisticsCatalog, build_catalog
 
@@ -266,7 +266,7 @@ def run_workload(
     g: PropertyGraph,
     queries: Iterable[tuple[str, Union[dict, QueryPattern]]],
     configs: Iterable[EstimatorConfig],
-    oracle_budget: int = DEFAULT_ORACLE_BUDGET,
+    oracle_budget: Optional[int] = None,
     catalog: Optional[StatisticsCatalog] = None,
     subquery_max_edges: Optional[int] = None,
     props_mode: str = "keep",  # keep | strip | both
@@ -275,7 +275,9 @@ def run_workload(
     """Estimate every (query, config) pair and compare with the oracle.
 
     Queries whose exact evaluation exceeds the oracle budget are recorded
-    with empty exact/q-error fields.  With subquery_max_edges set, each
+    with empty exact/q-error fields.  A budget runs the oracle's capped
+    backtracker on every query; without one, acyclic patterns are counted
+    bottom-up (see `graph.exact_matches`).  With subquery_max_edges set, each
     input query is replaced by all its connected subqueries up to that
     size, with property constraints kept, stripped, or both.
     """

@@ -12,8 +12,9 @@ import sys
 from typing import Optional
 
 from .bench import run_workload, write_csv
-from .engine import EstimatorConfig, estimate_with_disjunctions
-from .graph import DEFAULT_ORACLE_BUDGET, load_graph
+from .engine import ConfigError, EstimatorConfig, ExpansionLimitError, estimate_with_disjunctions
+from .graph import load_graph
+from .query import QueryFormatError
 from .stats import build_catalog, load_catalog, save_catalog
 
 VERTEX_FILE = "vertices.jsonl"
@@ -193,7 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--workload", required=True, help="JSON list of {id, query}")
     bench.add_argument("--configs", required=True, help="one config per line")
     bench.add_argument("--out", required=True, help="CSV output path")
-    bench.add_argument("--oracle-budget", type=int, default=DEFAULT_ORACLE_BUDGET)
+    bench.add_argument(
+        "--oracle-budget",
+        type=int,
+        default=None,
+        help="cap on the oracle's backtracking expansions; a budget runs the backtracker on every "
+        "query (default: count acyclic patterns bottom-up, backtrack over the rest)",
+    )
     bench.add_argument("--subqueries", type=int, default=None, help="expand to subqueries <= N edges")
     bench.add_argument("--props-mode", choices=("keep", "strip", "both"), default="keep")
     bench.add_argument(
@@ -205,7 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (QueryFormatError, ExpansionLimitError, ConfigError) as exc:
+        print(f"cardest: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

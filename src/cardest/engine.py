@@ -29,7 +29,7 @@ from .combine import (
 from .estimators import dedup_estimates
 from .graph import PropertyGraph
 from .implications import add_implication_unions, add_implied_closures
-from .query import PartialEstimate, QueryPattern, load_document, parse_query
+from .query import PartialEstimate, QueryPattern, label_list, load_document, parse_query
 from .stats import StatisticsCatalog, StaleCatalogWarning
 
 
@@ -310,8 +310,9 @@ def expand_disjunctions(doc: Union[str, dict], cap: int = 64) -> list[dict]:
 
     Each group lists alternatives; an alternative is an object with an
     "id" plus "labels" and/or "props" to merge into that element.
-    Raises QueryFormatError for a document that is not a JSON object and
-    ExpansionLimitError for a malformed group.
+    Raises QueryFormatError for a document that is not a JSON object or
+    for labels that are not a list of strings, and ExpansionLimitError
+    for a malformed group.
     """
     doc = load_document(doc)
     groups = doc.get("anyOf") or []
@@ -340,8 +341,8 @@ def expand_disjunctions(doc: Union[str, dict], cap: int = 64) -> list[dict]:
             if target is None:
                 raise ExpansionLimitError(f"anyOf refers to unknown id {alt.get('id')!r}")
             if "labels" in alt:
-                target.setdefault("labels", [])
-                target["labels"] = sorted(set(target["labels"]) | set(alt["labels"]))
+                merged = set(label_list(target.get("labels", ()), target["id"]))
+                target["labels"] = sorted(merged | set(label_list(alt["labels"], alt["id"])))
             if "props" in alt:
                 target.setdefault("props", [])
                 target["props"] = target["props"] + list(alt["props"])

@@ -381,26 +381,122 @@ class _Matcher:
         return total
 
 
+def _is_forest(q: QueryPattern) -> bool:
+    """Is q acyclic: no self-loop, no parallel query edges, no cycle?"""
+    parent = {v: v for v in q.vertices}
+
+    def find(v: str) -> str:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for s, t in q.endpoints.values():
+        rs, rt = find(s), find(t)
+        if rs == rt:
+            return False
+        parent[rs] = rt
+    return True
+
+
+def _count_forest(g: PropertyGraph, q: QueryPattern) -> int:
+    """Homomorphic match count of an acyclic pattern, bottom-up.
+
+    Each query tree is rooted and visited in post-order.  f[u] maps a
+    graph vertex to the number of matches of u's subtree with u on that
+    vertex; None stands for "every vertex, weight 1".  A child's table
+    is pushed through the graph edges that satisfy the connecting query
+    edge's constraints into a message on the parent's vertices, and the
+    parent's table is the product of its own filter and its messages.
+    The count is the product over trees of the sum of the root's table.
+    """
+    data = data_constraints_by_id(q)
+    labels, props, n = g._labels, g._props, g.n_vertices
+    adjacent: dict[str, list[tuple[str, str]]] = {v: [] for v in q.vertices}
+    for e, (s, t) in q.endpoints.items():
+        adjacent[s].append((e, t))
+        adjacent[t].append((e, s))
+
+    total = 1
+    seen: set[str] = set()
+    for root in sorted(q.vertices):
+        if root in seen:
+            continue
+        seen.add(root)
+        # pre-order with each vertex's edge to its parent; reversed, every
+        # child comes before its parent
+        order: list[tuple[str, Optional[str], Optional[str]]] = []
+        stack: list[tuple[str, Optional[str], Optional[str]]] = [(root, None, None)]
+        while stack:
+            u, via, up = stack.pop()
+            order.append((u, via, up))
+            for e, w in adjacent[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append((w, e, u))
+
+        messages: dict[str, list[dict[int, int]]] = {}
+        for u, via, up in reversed(order):
+            own = data.get(u)
+            f: Optional[dict[int, int]] = None
+            if own:
+                f = {x: 1 for x in range(n) if satisfies(own, labels[x], props[x])}
+            for m in sorted(messages.pop(u, ()), key=len):
+                if f is None:
+                    f = m
+                else:
+                    f = {x: c * m[x] for x, c in f.items() if x in m}
+            if f is not None and not f:
+                return 0
+            if via is None:
+                continue
+            # push f[u] to the parent over the graph edges that end (or
+            # start) on u's vertices, as the query edge points; `far` is
+            # the parent's end of such an edge
+            far = 0 if q.endpoints[via][1] == u else 1
+            if f is None:
+                weighted = ((e, 1) for e in g.edges)
+            else:
+                walk = g._in if far == 0 else g._out
+                weighted = ((e, c) for y, c in f.items() for e in walk.get(y, ()))
+            edge_data = data.get(via)
+            message: dict[int, int] = {}
+            for e, c in weighted:
+                if edge_data and not satisfies(edge_data, labels[e], props[e]):
+                    continue
+                x = g._endpoints[e - n][far]
+                message[x] = message.get(x, 0) + c
+            messages.setdefault(up, []).append(message)
+        total *= n if f is None else sum(f.values())
+    return total
+
+
 def exact_matches(
     g: PropertyGraph,
     q: QueryPattern,
     semantics: str = "homomorphic",
-    budget: int = DEFAULT_ORACLE_BUDGET,
+    budget: Optional[int] = None,
 ) -> int:
     """Exact number of matches of q on g; the oracle for all estimators.
 
     semantics is 'homomorphic' (default) or 'isomorphic' (all query ids
-    map to pairwise-distinct graph ids).  Intended for desk-scale graphs;
-    raises OracleBudgetError past the expansion budget.
+    map to pairwise-distinct graph ids).  A homomorphic call on an
+    acyclic pattern without a budget is counted bottom-up over the query
+    tree, in time that does not grow with the number of matches.  Every
+    other call, and every call that passes a budget, runs the
+    backtracking matcher, which visits each match and raises
+    OracleBudgetError past `budget` expansions (DEFAULT_ORACLE_BUDGET
+    when None).
     """
     if semantics not in ("homomorphic", "isomorphic"):
         raise ValueError(f"unknown semantics: {semantics!r}")
+    if semantics == "homomorphic" and budget is None and _is_forest(q):
+        return _count_forest(g, q)
+    if budget is None:
+        budget = DEFAULT_ORACLE_BUDGET
     return _Matcher(g, q, semantics == "isomorphic", budget).count()
 
 
-def exact_selectivity(
-    g: PropertyGraph, q: QueryPattern, budget: int = DEFAULT_ORACLE_BUDGET
-) -> float:
+def exact_selectivity(g: PropertyGraph, q: QueryPattern, budget: Optional[int] = None) -> float:
     """Fraction of all possible mappings that are homomorphic matches."""
     if not q.ids:
         return 1.0

@@ -301,6 +301,14 @@ def load_document(doc: Union[str, dict]) -> dict:
     return doc
 
 
+def label_list(labels: Any, ident: Any) -> list[str]:
+    """An element's "labels" entry; raises QueryFormatError unless it is a
+    list of strings (a bare string would split into one-letter labels)."""
+    if not isinstance(labels, (list, tuple)) or not all(isinstance(l, str) for l in labels):
+        raise QueryFormatError(f"labels of {ident!r} must be a list of strings: {labels!r}")
+    return list(labels)
+
+
 def parse_query(doc: Union[str, dict]) -> QueryPattern:
     """Parse a query document (JSON text or parsed dict) into a pattern.
 
@@ -318,7 +326,7 @@ def parse_query(doc: Union[str, dict]) -> QueryPattern:
     props: list[tuple[str, str, PredicateKind, Any]] = []
 
     def add_common(item: dict, ident: str) -> None:
-        labs = frozenset(item.get("labels", ()))
+        labs = frozenset(label_list(item.get("labels", ()), ident))
         if labs:
             labels[ident] = labs
         for p in item.get("props", ()):

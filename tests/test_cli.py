@@ -5,7 +5,6 @@ import pytest
 
 from cardest.cli import main
 from cardest.graph import PropertyGraph, save_graph
-from cardest.query import QueryFormatError
 from cardest.stats import load_catalog
 
 from conftest import G4_EDGES, G4_VERTICES, MOVIE_QUERY_DOC, ONE_EDGE_DOC, TWO_CHAIN_DOC, random_graph
@@ -86,11 +85,28 @@ class TestEstimateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["cardinality"] == pytest.approx(2.0)
 
-    def test_invalid_json_query_rejected(self, graph_dir, tmp_path):
+    def test_invalid_json_query_rejected(self, graph_dir, tmp_path, capsys):
         qfile = tmp_path / "q.json"
         qfile.write_text("not json", encoding="utf-8")
-        with pytest.raises(QueryFormatError, match="invalid query document"):
-            main(["estimate", "--graph", str(graph_dir), "--query", str(qfile)])
+        rc = main(["estimate", "--graph", str(graph_dir), "--query", str(qfile)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cardest: error: invalid query document")
+        assert err.count("\n") == 1
+
+    def test_malformed_disjunction_rejected(self, graph_dir, tmp_path, capsys):
+        qfile = tmp_path / "q.json"
+        qfile.write_text(json.dumps(dict(ONE_EDGE_DOC, anyOf=[[]])), encoding="utf-8")
+        rc = main(["estimate", "--graph", str(graph_dir), "--query", str(qfile)])
+        assert rc == 2
+        assert capsys.readouterr().err == "cardest: error: anyOf groups must be non-empty lists of objects\n"
+
+    def test_bad_config_rejected(self, graph_dir, tmp_path, capsys):
+        qfile = tmp_path / "q.json"
+        qfile.write_text(json.dumps(ONE_EDGE_DOC), encoding="utf-8")
+        rc = main(["estimate", "--graph", str(graph_dir), "--query", str(qfile), "--pets", "NOPE"])
+        assert rc == 2
+        assert capsys.readouterr().err == "cardest: error: unknown technique tag: 'NOPE'\n"
 
     def test_with_stats_and_pets(self, rich_graph_dir, tmp_path, capsys):
         out = tmp_path / "catalog.json"

@@ -365,6 +365,12 @@ class TestDisjunctions:
         with pytest.raises(ExpansionLimitError, match="objects"):
             expand_disjunctions(doc)
 
+    def test_string_labels_in_alternative_rejected(self):
+        doc = self.doc()
+        doc["anyOf"] = [[{"id": "q2", "labels": "ab"}]]
+        with pytest.raises(QueryFormatError, match="list of strings"):
+            expand_disjunctions(doc)
+
     def test_clamped_selectivity_flagged(self):
         g = PropertyGraph([("v0", [], {}), ("v1", [], {}), ("v2", [], {})], [])
         catalog = build_catalog(g)

@@ -1,10 +1,12 @@
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cardest import graph
 from cardest.graph import (
     GraphFormatError,
     GraphIntegrityError,
@@ -19,7 +21,7 @@ from cardest.graph import (
 from cardest.query import Constraint, PredicateKind, parse_query, satisfies
 from cardest.stats import _element_record
 
-from conftest import brute_force_matches, random_graph, random_query
+from conftest import CYCLIC_SHAPES, brute_force_matches, random_graph, random_query
 
 
 def write_lines(path, lines):
@@ -159,6 +161,70 @@ class TestExactMatches:
             exact_matches(g, q, budget=5)
 
 
+def _refusing(target, name):
+    """Patch target.name so that a call to it fails the test."""
+    return mock.patch.object(target, name, side_effect=AssertionError(f"{name} called"))
+
+
+def _path_query(n_edges, forward=lambda j: True):
+    """u0 - u1 - ... - u<n_edges>; edge j points forward where forward(j)."""
+    edges = []
+    for j in range(n_edges):
+        a, b = f"u{j}", f"u{j + 1}"
+        src, trg = (a, b) if forward(j) else (b, a)
+        edges.append({"id": f"f{j}", "src": src, "trg": trg})
+    return parse_query({"vertices": [{"id": f"u{j}"} for j in range(n_edges + 1)], "edges": edges})
+
+
+class TestTreeCounter:
+    """Degenerate shapes on the bottom-up path.  The backtracker is
+    disabled, so each count is the tree counter's own."""
+
+    @pytest.fixture(autouse=True)
+    def no_backtracker(self):
+        with _refusing(graph._Matcher, "count"):
+            yield
+
+    def test_empty_pattern(self, g4):
+        empty = parse_query({"vertices": [], "edges": []})
+        assert exact_matches(g4, empty) == 1
+        assert exact_matches(PropertyGraph([], []), empty) == 1
+
+    def test_single_unconstrained_vertex(self):
+        g = random_graph(random.Random(5), n_vertices=7, n_edges=9)
+        assert exact_matches(g, parse_query({"vertices": [{"id": "x"}]})) == g.n_vertices
+
+    def test_graph_without_edges(self):
+        g = PropertyGraph([("v0", ["a"], {}), ("v1", [], {}), ("v2", ["a"], {})], [])
+        one_edge = parse_query(
+            {"vertices": [{"id": "x"}, {"id": "y"}], "edges": [{"id": "e", "src": "x", "trg": "y"}]}
+        )
+        assert exact_matches(g, one_edge) == 0
+        two_vertices = parse_query({"vertices": [{"id": "x", "labels": ["a"]}, {"id": "y"}]})
+        assert exact_matches(g, two_vertices) == 2 * 3
+        assert exact_matches(PropertyGraph([], []), parse_query({"vertices": [{"id": "x"}]})) == 0
+
+    @pytest.mark.parametrize("forward", [lambda j: True, lambda j: j % 2 == 0], ids=["directed", "zigzag"])
+    def test_long_path_on_g4(self, g4, forward):
+        # every g4 vertex has one out- and one in-edge, so the start vertex
+        # fixes the rest of the path: 2 matches whatever the orientation
+        assert exact_matches(g4, _path_query(2000, forward)) == 2
+
+    def test_long_path_counts_walks(self):
+        # two vertices, all four directed edges: 2 * 2**L walks of length L
+        g = PropertyGraph(
+            [("a", [], {}), ("b", [], {})],
+            [(f"e{s}{t}", s, t, [], {}) for s in "ab" for t in "ab"],
+        )
+        assert exact_matches(g, _path_query(2000)) == 2 * 2**2000
+
+    def test_budget_selects_backtracker(self, movie_query):
+        g = random_graph(random.Random(8), n_vertices=8, n_edges=12)
+        exact_matches(g, movie_query)
+        with pytest.raises(AssertionError, match="count called"):
+            exact_matches(g, movie_query, budget=10**8)
+
+
 class TestAdjacency:
     def test_g4_out_edges(self, g4):
         assert g4.out_edges(g4.id_of("g1")) == [g4.id_of("g2")]
@@ -239,3 +305,71 @@ def test_satisfies_matches_check_constraint(g, constraints):
 def test_satisfies_rejects_topology_constraints(c):
     with pytest.raises(ValueError, match="not a data constraint"):
         satisfies([c], frozenset(), {})
+
+
+@st.composite
+def oracle_graphs(draw):
+    """2-3 vertices and 1-4 edges, self-loops included.  Most elements
+    carry labels and endpoints are drawn evenly, so in- and out-degrees
+    often differ and a count that mixes up an edge's direction shows."""
+    labels = st.sampled_from([[], ["a"], ["b"], ["a", "b"]])
+    props = st.dictionaries(st.sampled_from(["k1", "k2"]), SCALARS, max_size=2)
+    n_vertices = 3 - draw(st.integers(0, 1))
+    vertices = [(f"v{i}", draw(labels), draw(props)) for i in range(n_vertices)]
+    ends = st.sampled_from(range(n_vertices))
+    edges = [
+        (f"e{j}", f"v{draw(ends)}", f"v{draw(ends)}", draw(labels), draw(props))
+        for j in range(draw(st.integers(1, 4)))
+    ]
+    return PropertyGraph(vertices, edges)
+
+
+@st.composite
+def patterns(draw, shape):
+    """A query pattern whose edges form a random forest, isolated
+    vertices included (shape "forest"), or one of `CYCLIC_SHAPES` (shape
+    "cyclic"); every element may carry labels and a property predicate."""
+    if shape == "forest":
+        n = 3 - draw(st.integers(0, 2))
+        edges = []
+        for j in range(1, n):
+            if draw(st.integers(0, 3)) < 3:
+                anchor = f"u{draw(st.integers(0, j - 1))}"
+                ends = (anchor, f"u{j}") if draw(st.booleans()) else (f"u{j}", anchor)
+                edges.append((f"f{j}", *ends))
+        vertex_ids = [f"u{j}" for j in range(n)]
+    else:
+        edges = CYCLIC_SHAPES[draw(st.sampled_from(sorted(CYCLIC_SHAPES)))]
+        vertex_ids = sorted({v for _, s, t in edges for v in (s, t)})
+    doc = {
+        "vertices": [{"id": v} for v in vertex_ids],
+        "edges": [{"id": e, "src": s, "trg": t} for e, s, t in edges],
+    }
+    for item in doc["vertices"] + doc["edges"]:
+        item["labels"] = draw(st.sampled_from([[], [], ["a"], ["b"], ["a", "b"], ["c"]]))
+        if draw(st.integers(0, 4)) == 4:
+            op = draw(st.sampled_from(PredicateKind))
+            value = draw(st.lists(SCALARS, max_size=2) if op is PredicateKind.IN else SCALARS)
+            item["props"] = [{"key": draw(st.sampled_from(["k1", "k2"])), "op": op.value, "value": value}]
+    return parse_query(doc)
+
+
+@pytest.mark.parametrize("shape", ["forest", "cyclic"])
+@pytest.mark.parametrize("semantics", ["homomorphic", "isomorphic"])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_exact_matches_against_references(shape, semantics, data):
+    """Unbudgeted and budgeted calls both equal full enumeration.  A
+    homomorphic call on a forest without a budget is counted bottom-up;
+    every other call runs the backtracker."""
+    g = data.draw(oracle_graphs())
+    q = data.draw(patterns(shape))
+    want = brute_force_matches(g, q, isomorphic=semantics == "isomorphic")
+    if shape == "forest" and semantics == "homomorphic":
+        with _refusing(graph._Matcher, "count"):
+            assert exact_matches(g, q, semantics) == want
+    else:
+        with _refusing(graph, "_count_forest"):
+            assert exact_matches(g, q, semantics) == want
+    with _refusing(graph, "_count_forest"):
+        assert exact_matches(g, q, semantics, budget=10**8) == want

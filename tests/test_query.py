@@ -50,6 +50,11 @@ class TestParseQuery:
         with pytest.raises(QueryFormatError):
             parse_query(doc)
 
+    @pytest.mark.parametrize("labels", ["person", ["person", 3], {"person": True}])
+    def test_labels_must_be_a_list_of_strings(self, labels):
+        with pytest.raises(QueryFormatError, match="list of strings"):
+            parse_query({"vertices": [{"id": "v", "labels": labels}]})
+
     def test_accepts_json_text(self):
         import json
 
