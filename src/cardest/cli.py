@@ -32,41 +32,52 @@ def _parse_synopsis_token(token: str) -> tuple[str, int]:
     for prefix, klass in (("chain", "chain"), ("sstar", "source_star"), ("tstar", "target_star")):
         if token.startswith(prefix) and token[len(prefix) :].isdigit():
             return (klass, int(token[len(prefix) :]))
-    raise SystemExit(f"bad synopsis token: {token!r} (want edge, chainN, sstarN or tstarN)")
+    raise ValueError("want edge, chainN, sstarN or tstarN")
 
 
 def _parse_sample_token(token: str) -> tuple[str, float, int]:
     parts = token.split(":")
     if len(parts) not in (2, 3):
-        raise SystemExit(f"bad sample token: {token!r} (want pt:probability[:seed])")
+        raise ValueError("want pt:probability[:seed]")
     pt = {"ep": "edge_pattern"}.get(parts[0], parts[0])
     seed = int(parts[2]) if len(parts) == 3 else 0
     return (pt, float(parts[1]), seed)
 
 
-def _parse_value(text: str):
+def _parse_histogram_token(token: str) -> tuple[str, str, int]:
+    parts = token.split(":")
+    kind = parts[1] if len(parts) > 1 else "equi_depth"
+    return (parts[0], kind, int(parts[2]) if len(parts) > 2 else 10)
+
+
+def _parse_prop_exact_token(token: str) -> tuple[str, str, object]:
+    parts = token.split(":", 2)
+    if len(parts) != 3:
+        raise ValueError("want key:op:value")
     try:
-        return json.loads(text)
+        return (parts[0], parts[1], json.loads(parts[2]))
     except json.JSONDecodeError:
-        return text
+        return (parts[0], parts[1], parts[2])
+
+
+def _parse_tokens(flag: str, tokens: list[str], parse) -> list:
+    """Each token parsed; a ValueError becomes a ConfigError naming the token."""
+    out = []
+    for token in tokens:
+        try:
+            out.append(parse(token))
+        except ValueError as exc:
+            raise ConfigError(f"bad {flag} token {token!r}: {exc}") from None
+    return out
 
 
 def cmd_stats_build(args: argparse.Namespace) -> int:
     g = _load_graph_dir(args.graph)
-    synopses = [_parse_synopsis_token(t) for t in args.synopses.split(",") if t.strip()] if args.synopses else []
-    samples = [_parse_sample_token(t) for t in args.sample]
-    histograms = []
-    for token in args.histogram:
-        parts = token.split(":")
-        key = parts[0]
-        kind = parts[1] if len(parts) > 1 else "equi_depth"
-        n = int(parts[2]) if len(parts) > 2 else 10
-        histograms.append((key, kind, n))
+    synopses = _parse_tokens("--synopses", [t for t in args.synopses.split(",") if t.strip()], _parse_synopsis_token)
+    samples = _parse_tokens("--sample", args.sample, _parse_sample_token)
+    histograms = _parse_tokens("--histogram", args.histogram, _parse_histogram_token)
     md_keys = [tuple(t.split(",")) for t in args.md_histogram]
-    prop_exact = []
-    for token in args.prop_exact:
-        key, op, value = token.split(":", 2)
-        prop_exact.append((key, op, _parse_value(value)))
+    prop_exact = _parse_tokens("--prop-exact", args.prop_exact, _parse_prop_exact_token)
     catalog = build_catalog(
         g,
         synopses=synopses,

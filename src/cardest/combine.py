@@ -29,6 +29,8 @@ SORT_STRATEGIES = ("SaNd", "Sd", "NdSa", "NdSd", "NaSd", "NaSa", "Di", "MoNd", "
 
 RECURSION_LIMIT = 2
 MPS_HARD_CAP = 20
+IPF_TOL = 1e-9
+IPF_MAX_ITER = 10000
 
 
 class MaxEntError(RuntimeError):
@@ -378,8 +380,8 @@ def combine_max_ent(
     cpes: Iterable[PartialEstimate],
     q: QueryPattern,
     mps: int = 8,
-    tol: float = 1e-9,
-    max_iter: int = 10000,
+    tol: float = IPF_TOL,
+    max_iter: int = IPF_MAX_ITER,
     trace: Optional[list] = None,
     dropped: Optional[list[PartialEstimate]] = None,
 ) -> float:
@@ -418,28 +420,6 @@ def combine_max_ent(
     return min(max(result, 0.0), 1.0)
 
 
-def max_ent_marginal(
-    cpes: Iterable[PartialEstimate],
-    q: QueryPattern,
-    target: Iterable[Constraint],
-    mps: int = MPS_HARD_CAP,
-    tol: float = 1e-12,
-    max_iter: int = 20000,
-) -> float:
-    """Marginal probability of a constraint subset under the solved
-    distribution (single partition; for diagnostics and tests)."""
-    pes = list(cpes)
-    all_constraints: set[Constraint] = set()
-    for pe in pes:
-        all_constraints |= pe.constraints
-    constraints = sorted(all_constraints, key=lambda c: c.sort_key())
-    if len(constraints) > mps:
-        raise ValueError("too many constraints for a single partition")
-    atoms = _solve_max_ent_partition(constraints, pes, tol, max_iter)
-    mask = _bits(target, {c: i for i, c in enumerate(constraints)})
-    return float(atoms[(np.arange(len(atoms)) & mask) == mask].sum())
-
-
 # ---------------------------------------------------------------------------
 # Bounds
 
@@ -450,10 +430,6 @@ class BoundsResult:
     upper: float
     exact_upper: bool
     chosen: list[tuple] = field(default_factory=list)
-
-    def __iter__(self):
-        # supports: lower, upper = combine_bounds(...)
-        return iter((self.lower, self.upper))
 
 
 _EXACT_ENUM_LIMIT = 20

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
-from . import estimators
+from . import combine, estimators
 from .combine import (
     CombineStep,
     MaxEntError,
@@ -29,12 +29,19 @@ from .combine import (
 from .estimators import dedup_estimates
 from .graph import PropertyGraph
 from .implications import add_implication_unions, add_implied_closures
-from .query import PartialEstimate, QueryPattern, label_list, load_document, parse_query
+from .query import (
+    PartialEstimate,
+    QueryFormatError,
+    QueryPattern,
+    label_list,
+    load_document,
+    parse_query,
+)
 from .stats import StatisticsCatalog, StaleCatalogWarning
 
 
 class ConfigError(ValueError):
-    """An estimator configuration string could not be parsed."""
+    """An estimator configuration or a statistics token could not be parsed."""
 
 
 class ExpansionLimitError(RuntimeError):
@@ -62,11 +69,14 @@ def _split_tags(value: str) -> tuple[str, ...]:
 
 _PET_RE = re.compile(
     r"^(EP|c(\d+)|s(\d+)|t(\d+)|SysR|CS|BS|MDH|defaults"
-    r"|S\((id|vertex|ep|edge_pattern),([0-9.eE+-]+)\)"
+    r"|S\((id|vertex|ep|edge_pattern),((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\)"
     r"|WJ\((\d+)\))$"
 )
 _IP_RE = re.compile(r"^IP\((id|ep),(pv|p|a)\)$")
-_CT_RE = re.compile(r"^(condIndep\((\w+)\)|maxEnt\((?:mps=)?(\d+)\)|maxEnt|bounds)$")
+_CT_RE = re.compile(
+    rf"^(condIndep\(({'|'.join(combine.SORT_STRATEGIES)})\)"
+    r"|maxEnt\((?:mps=)?(0*[1-9]\d*)\)|maxEnt|bounds)$"
+)
 
 
 @dataclass
@@ -77,15 +87,15 @@ class EstimatorConfig:
     epests: tuple[str, ...] = ()
     ct: str = "condIndep(MoDi)"
     seed: int = 0
-    maxent_tol: float = 1e-9
-    maxent_iter: int = 10000
-    disjunction_cap: int = 64
     name: str = ""
 
     def __post_init__(self) -> None:
         for tag in self.pets:
-            if not _PET_RE.match(tag):
+            m = _PET_RE.match(tag)
+            if not m:
                 raise ConfigError(f"unknown technique tag: {tag!r}")
+            if m.group(6) is not None and not 0.0 < float(m.group(6)) <= 1.0:
+                raise ConfigError(f"sample probability in {tag!r} must be in (0, 1]")
         for tag in self.epests:
             if tag != "implied" and not _IP_RE.match(tag):
                 raise ConfigError(f"unknown extension tag: {tag!r}")
@@ -117,7 +127,10 @@ class EstimatorConfig:
             elif key == "ct":
                 fields["ct"] = value
             elif key == "seed":
-                fields["seed"] = int(value)
+                try:
+                    fields["seed"] = int(value)
+                except ValueError:
+                    raise ConfigError(f"seed must be an integer: {value!r}") from None
             elif key == "name":
                 fields["name"] = value
             else:
@@ -265,9 +278,8 @@ def estimate(
         mps = int(m.group(3)) if m.group(3) else 8
         dropped: list[PartialEstimate] = []
         try:
-            sel = combine_max_ent(
-                cpes, q, mps, config.maxent_tol, config.maxent_iter, trace, dropped
-            )
+            # positional: perfbench/spans.py reads mps and trace by position
+            sel = combine_max_ent(cpes, q, mps, combine.IPF_TOL, combine.IPF_MAX_ITER, trace, dropped)
         except MaxEntError as exc:
             flags.append(f"maxent-failed(residual={exc.residual:.3g})")
             trace = []
@@ -310,15 +322,16 @@ def expand_disjunctions(doc: Union[str, dict], cap: int = 64) -> list[dict]:
 
     Each group lists alternatives; an alternative is an object with an
     "id" plus "labels" and/or "props" to merge into that element.
-    Raises QueryFormatError for a document that is not a JSON object or
-    for labels that are not a list of strings, and ExpansionLimitError
-    for a malformed group.
+    Raises QueryFormatError for a document whose part outside the
+    groups `parse_query` rejects and for labels or props that are not
+    lists, and ExpansionLimitError for a malformed group.
     """
     doc = load_document(doc)
     groups = doc.get("anyOf") or []
     base = {k: v for k, v in doc.items() if k != "anyOf"}
     if not groups:
         return [base]
+    parse_query(base)  # every element must be an object with an id before it is indexed
     total = 1
     for group in groups:
         if not isinstance(group, list) or not group or not all(isinstance(a, dict) for a in group):
@@ -344,8 +357,10 @@ def expand_disjunctions(doc: Union[str, dict], cap: int = 64) -> list[dict]:
                 merged = set(label_list(target.get("labels", ()), target["id"]))
                 target["labels"] = sorted(merged | set(label_list(alt["labels"], alt["id"])))
             if "props" in alt:
-                target.setdefault("props", [])
-                target["props"] = target["props"] + list(alt["props"])
+                props = target.get("props", [])
+                if not isinstance(props, list) or not isinstance(alt["props"], (list, tuple)):
+                    raise QueryFormatError(f"props of {alt['id']!r} must be a list")
+                target["props"] = props + list(alt["props"])
         docs.append(expanded)
     return docs
 
@@ -359,7 +374,7 @@ def estimate_with_disjunctions(
     """Estimate a document that may contain anyOf groups: estimate each
     expansion and sum the cardinalities, assuming disjoint result sets."""
     start = time.perf_counter()
-    docs = expand_disjunctions(doc, config.disjunction_cap)
+    docs = expand_disjunctions(doc)
     reports = [estimate(parse_query(d), g, catalog, config) for d in docs]
     if len(reports) == 1:
         return reports[0]

@@ -10,7 +10,7 @@ result, never an error.
 from __future__ import annotations
 
 import random
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from .graph import PropertyGraph
 from .query import (
@@ -168,6 +168,38 @@ def _slot_label(q: QueryPattern, i: str) -> str:
     return next(iter(labs))
 
 
+def _edge_pattern_labels(q: QueryPattern, e: str) -> tuple[str, str, str]:
+    s, t = q.endpoints[e]
+    return (_slot_label(q, s), _slot_label(q, e), _slot_label(q, t))
+
+
+def _edge_patterns(q: QueryPattern) -> Iterator[tuple[tuple[str, str, str], frozenset[Constraint]]]:
+    """Slot labels and constraints of each query edge but self-loops and multi-labelled ones."""
+    for e in sorted(q.edges):
+        s, t = q.endpoints[e]
+        if s == t:
+            continue
+        try:
+            ep = _edge_pattern_labels(q, e)
+        except _MultiLabel:
+            continue
+        yield ep, constraints_for_edges(q, (e,))
+
+
+def _labeled_stars(
+    q: QueryPattern,
+) -> Iterator[tuple[list[tuple[tuple[str, str, str], bool]], frozenset[Constraint]]]:
+    """Branches (slot labels, leaves the center?) and constraints of each star of 2 to
+    MAX_STAR_SIZE edges in any direction, skipping stars with multi-labelled ids."""
+    for size in range(2, min(MAX_STAR_SIZE, len(q.edges)) + 1):
+        for center, edges in iter_stars(q, size, "any"):
+            try:
+                branches = [(_edge_pattern_labels(q, e), q.endpoints[e][0] == center) for e in edges]
+            except _MultiLabel:
+                continue
+            yield branches, constraints_for_edges(q, edges)
+
+
 def _chain_slots(q: QueryPattern, chain: tuple[str, ...]) -> list[str]:
     slots = [_slot_label(q, q.endpoints[chain[0]][0])]
     for e in chain:
@@ -204,18 +236,10 @@ def synopsis_estimates(
         use_size = min(syn.max_size, classes[syn.klass]) if classes else syn.max_size
 
         if syn.klass == "edge":
-            for e in sorted(q.edges):
-                s, t = q.endpoints[e]
-                if s == t:
-                    continue
-                try:
-                    key_labels = (_slot_label(q, s), _slot_label(q, e), _slot_label(q, t))
-                except _MultiLabel:
-                    continue
-                count = syn.count_edge(*key_labels)
+            for ep, cs in _edge_patterns(q):
+                count = syn.count_edge(*ep)
                 if count is None:
                     continue
-                cs = constraints_for_edges(q, (e,))
                 out.append(PartialEstimate(cs, sel_from_count(count, 3), "synopsis:EP"))
 
         elif syn.klass == "chain":
@@ -304,11 +328,6 @@ def _chain_sel(
 # System R style join-size estimation for labeled stars
 
 
-def _edge_pattern_labels(q: QueryPattern, e: str) -> tuple[str, str, str]:
-    s, t = q.endpoints[e]
-    return (_slot_label(q, s), _slot_label(q, e), _slot_label(q, t))
-
-
 def system_r_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[PartialEstimate]:
     """Estimates for every labeled star subpattern (size >= 2, mixed
     directions allowed) from per-edge-pattern cardinality and distinct
@@ -317,28 +336,21 @@ def system_r_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[Part
         return []
     n_ids_g = catalog.basic.n_ids
     out: list[PartialEstimate] = []
-    max_size = min(MAX_STAR_SIZE, len(q.edges))
-    for size in range(2, max_size + 1):
-        for center, edges in iter_stars(q, size, "any"):
-            try:
-                eps = [_edge_pattern_labels(q, e) for e in edges]
-            except _MultiLabel:
-                continue
-            cards: list[int] = []
-            distincts: list[int] = []
-            for e, ep in zip(edges, eps):
-                n, ds, dt = catalog.sysr.lookup(*ep)
-                cards.append(n)
-                distincts.append(ds if q.endpoints[e][0] == center else dt)
-            cs = constraints_for_edges(q, edges)
-            if any(n == 0 for n in cards):
-                out.append(PartialEstimate(cs, 0.0, "sysr"))
-                continue
-            est = float(min(distincts))
-            for n, d in zip(cards, distincts):
-                est *= n / d
-            k = len(ids_of(cs))
-            out.append(PartialEstimate(cs, _clamp(est / n_ids_g**k), "sysr"))
+    for branches, cs in _labeled_stars(q):
+        cards: list[int] = []
+        distincts: list[int] = []
+        for ep, outgoing in branches:
+            n, ds, dt = catalog.sysr.lookup(*ep)
+            cards.append(n)
+            distincts.append(ds if outgoing else dt)
+        if any(n == 0 for n in cards):
+            out.append(PartialEstimate(cs, 0.0, "sysr"))
+            continue
+        est = float(min(distincts))
+        for n, d in zip(cards, distincts):
+            est *= n / d
+        k = len(ids_of(cs))
+        out.append(PartialEstimate(cs, _clamp(est / n_ids_g**k), "sysr"))
     return out
 
 
@@ -377,16 +389,8 @@ def bound_sketch_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[
         return bound
 
     # single edges: the sketch stores exact per-pattern counts
-    for e in sorted(q.edges):
-        s, t = q.endpoints[e]
-        if s == t:
-            continue
-        try:
-            ep = _edge_pattern_labels(q, e)
-        except _MultiLabel:
-            continue
+    for ep, cs in _edge_patterns(q):
         count = sum(c for c, _ in sketch.partition(*ep, "src").values())
-        cs = constraints_for_edges(q, (e,))
         out.append(PartialEstimate(cs, _clamp(count / n_ids_g**3), "sketch"))
 
     for chain in iter_chains(q, 2):
@@ -400,21 +404,11 @@ def bound_sketch_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[
         cs = constraints_for_edges(q, chain)
         out.append(PartialEstimate(cs, _clamp(bound / n_ids_g**5), "sketch"))
 
-    max_size = min(MAX_STAR_SIZE, len(q.edges))
-    for size in range(2, max_size + 1):
-        for center, edges in iter_stars(q, size, "any"):
-            try:
-                eps = [_edge_pattern_labels(q, e) for e in edges]
-            except _MultiLabel:
-                continue
-            parts = []
-            for e, ep in zip(edges, eps):
-                role = "src" if q.endpoints[e][0] == center else "trg"
-                parts.append(sketch.partition(*ep, role))
-            bound = joined_bound(parts)
-            cs = constraints_for_edges(q, edges)
-            k = len(ids_of(cs))
-            out.append(PartialEstimate(cs, _clamp(bound / n_ids_g**k), "sketch"))
+    for branches, cs in _labeled_stars(q):
+        parts = [sketch.partition(*ep, "src" if outgoing else "trg") for ep, outgoing in branches]
+        bound = joined_bound(parts)
+        k = len(ids_of(cs))
+        out.append(PartialEstimate(cs, _clamp(bound / n_ids_g**k), "sketch"))
     return out
 
 

@@ -11,15 +11,7 @@ import hashlib
 import json
 from typing import Any, Iterable, Optional
 
-from .query import (
-    Constraint,
-    ConstraintKind,
-    QueryPattern,
-    Scalar,
-    data_constraints_by_id,
-    predicate_holds,
-    satisfies,
-)
+from .query import QueryPattern, Scalar, data_constraints_by_id, satisfies
 
 
 class GraphFormatError(ValueError):
@@ -54,8 +46,6 @@ class PropertyGraph:
         "_props",
         "_out",
         "_in",
-        "_out_by_label",
-        "_in_by_label",
         "_fingerprint",
     )
 
@@ -103,19 +93,12 @@ class PropertyGraph:
 
         out: dict[int, list[int]] = {}
         inn: dict[int, list[int]] = {}
-        out_by_label: dict[tuple[int, str], list[int]] = {}
-        in_by_label: dict[tuple[int, str], list[int]] = {}
         for k, (s, t) in enumerate(endpoints):
             e = self.n_vertices + k
             out.setdefault(s, []).append(e)
             inn.setdefault(t, []).append(e)
-            for l in labels[e]:
-                out_by_label.setdefault((s, l), []).append(e)
-                in_by_label.setdefault((t, l), []).append(e)
         self._out = out
         self._in = inn
-        self._out_by_label = out_by_label
-        self._in_by_label = in_by_label
         self._fingerprint: Optional[str] = None
 
     # -- basic accessors ---------------------------------------------------
@@ -153,17 +136,13 @@ class PropertyGraph:
     def id_of(self, name: str) -> int:
         return self._name_to_id[name]
 
-    def out_edges(self, v: int, label: Optional[str] = None) -> list[int]:
-        """Edges whose source is v, optionally filtered by label."""
-        if label is None:
-            return self._out.get(v, [])
-        return self._out_by_label.get((v, label), [])
+    def out_edges(self, v: int) -> list[int]:
+        """Edges whose source is v."""
+        return self._out.get(v, [])
 
-    def in_edges(self, v: int, label: Optional[str] = None) -> list[int]:
-        """Edges whose target is v, optionally filtered by label."""
-        if label is None:
-            return self._in.get(v, [])
-        return self._in_by_label.get((v, label), [])
+    def in_edges(self, v: int) -> list[int]:
+        """Edges whose target is v."""
+        return self._in.get(v, [])
 
     # -- content hash --------------------------------------------------------
 
@@ -249,35 +228,9 @@ def save_graph(g: PropertyGraph, vertex_file: str, edge_file: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Constraint checking and the exact matcher.
+# The exact matcher.
 
 Mapping = dict[str, int]
-
-
-def check_constraint(g: PropertyGraph, m: Mapping, c: Constraint) -> bool:
-    """Does mapping m satisfy constraint c on graph g?
-
-    Every id appearing in c must be assigned in m.  Nothing in the package
-    calls this; it is the independent reference the tests check against.
-    """
-    kind = c.kind
-    if kind is ConstraintKind.VERTEX:
-        return g.is_vertex(m[c.ids[0]])
-    if kind is ConstraintKind.EDGE:
-        return g.is_edge(m[c.ids[0]])
-    if kind is ConstraintKind.SRC:
-        e = m[c.ids[1]]
-        return g.is_edge(e) and g.endpoints(e)[0] == m[c.ids[0]]
-    if kind is ConstraintKind.TRG:
-        e = m[c.ids[1]]
-        return g.is_edge(e) and g.endpoints(e)[1] == m[c.ids[0]]
-    if kind is ConstraintKind.HAS_LABEL:
-        return c.label in g.labels_of(m[c.ids[0]])
-    if kind is ConstraintKind.HAS_KEY:
-        return c.key in g.props_of(m[c.ids[0]])
-    # PROP_VALUE
-    w = g.prop(m[c.ids[0]], c.key)
-    return w is not None and predicate_holds(c.op, w, c.value)
 
 
 class _Matcher:

@@ -318,6 +318,10 @@ def parse_query(doc: Union[str, dict]) -> QueryPattern:
     doc = load_document(doc)
     if doc.get("anyOf"):
         raise QueryFormatError("query contains anyOf groups; expand disjunctions first")
+    for key in ("vertices", "edges"):
+        items = doc.get(key, ())
+        if not isinstance(items, (list, tuple)) or not all(isinstance(i, dict) for i in items):
+            raise QueryFormatError(f"{key!r} must be a list of objects")
 
     vertices: set[str] = set()
     edges: set[str] = set()
@@ -407,12 +411,6 @@ def implied_closure(constraints: Iterable[Constraint]) -> frozenset[Constraint]:
         elif c.kind is ConstraintKind.PROP_VALUE:
             out.add(Constraint.has_key(c.ids[0], c.key))
     return frozenset(out)
-
-
-# ---------------------------------------------------------------------------
-# Structured subpattern enumeration.  The estimators need the shapes, not
-# just the constraint sets, so the iterators below return edge tuples and
-# the public enumerate_subpatterns() maps them to constraint sets.
 
 
 def iter_chains(q: QueryPattern, n: int) -> list[tuple[str, ...]]:
@@ -540,49 +538,8 @@ def cs_pattern_of(q: QueryPattern, center: str, direction: str = "out") -> Optio
         constraints.add(Constraint.has_key(center, k))
     return {
         "center": center,
-        "edges": tuple(star_edges),
         "edge_labels": tuple(edge_labels),
         "keys": tuple(keys),
         "elements": frozenset(elements),
         "constraints": frozenset(constraints),
     }
-
-
-def enumerate_subpatterns(
-    q: QueryPattern, kind: str, size: Optional[int] = None
-) -> list[frozenset[Constraint]]:
-    """Constraint sets of the query's subpatterns of a given class.
-
-    kind: 'edge', 'chain', 'source_star', 'target_star' (these take a
-    size), 'cs_pattern', 'per_id', 'per_edge_pattern'.
-    """
-    if kind == "edge":
-        return [constraints_for_edges(q, (e,)) for e in sorted(q.edges)]
-    if kind == "chain":
-        if size is None or size < 1:
-            raise ValueError("chain enumeration needs size >= 1")
-        return [constraints_for_edges(q, chain) for chain in iter_chains(q, size)]
-    if kind in ("source_star", "target_star"):
-        if size is None or size < 1:
-            raise ValueError("star enumeration needs size >= 1")
-        direction = "source" if kind == "source_star" else "target"
-        return [constraints_for_edges(q, edges) for _, edges in iter_stars(q, size, direction)]
-    if kind == "cs_pattern":
-        out = []
-        for v in sorted(q.vertices):
-            info = cs_pattern_of(q, v)
-            if info is not None:
-                out.append(info["constraints"])
-        return out
-    if kind == "per_id":
-        groups = data_constraints_by_id(q)
-        return [groups[i] for i in sorted(groups)]
-    if kind == "per_edge_pattern":
-        all_constraints = extract_constraints(q)
-        out = []
-        for e in sorted(q.edges):
-            s, t = q.endpoints[e]
-            ids = {e, s, t}
-            out.append(frozenset(c for c in all_constraints if set(c.ids) <= ids))
-        return out
-    raise ValueError(f"unknown subpattern class: {kind!r}")

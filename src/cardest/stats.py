@@ -880,12 +880,6 @@ class StatisticsCatalog:
                 return s
         return None
 
-    def char_set_store(self, direction: str = "out") -> Optional[CharacteristicSetStore]:
-        for cs in self.char_sets:
-            if cs.direction == direction:
-                return cs
-        return None
-
     def to_dict(self) -> dict:
         return {
             "version": CATALOG_VERSION,

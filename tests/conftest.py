@@ -3,8 +3,15 @@ import random
 
 import pytest
 
-from cardest.graph import PropertyGraph, check_constraint
-from cardest.query import QueryPattern, extract_constraints, parse_query
+from cardest.graph import PropertyGraph
+from cardest.query import (
+    Constraint,
+    ConstraintKind,
+    QueryPattern,
+    extract_constraints,
+    parse_query,
+    predicate_holds,
+)
 
 # Two vertices, two edges forming a 2-cycle; the standard tiny fixture.
 G4_VERTICES = [("g1", [], {}), ("g3", [], {})]
@@ -71,6 +78,33 @@ def two_chain_query() -> QueryPattern:
 @pytest.fixture
 def movie_query() -> QueryPattern:
     return parse_query(MOVIE_QUERY_DOC)
+
+
+def check_constraint(g: PropertyGraph, m: dict, c: Constraint) -> bool:
+    """Does mapping m satisfy constraint c on graph g?
+
+    Every id appearing in c must be assigned in m.  Written apart from
+    the package's `satisfies` and matcher: it is the independent
+    reference the tests check against.
+    """
+    kind = c.kind
+    if kind is ConstraintKind.VERTEX:
+        return g.is_vertex(m[c.ids[0]])
+    if kind is ConstraintKind.EDGE:
+        return g.is_edge(m[c.ids[0]])
+    if kind is ConstraintKind.SRC:
+        e = m[c.ids[1]]
+        return g.is_edge(e) and g.endpoints(e)[0] == m[c.ids[0]]
+    if kind is ConstraintKind.TRG:
+        e = m[c.ids[1]]
+        return g.is_edge(e) and g.endpoints(e)[1] == m[c.ids[0]]
+    if kind is ConstraintKind.HAS_LABEL:
+        return c.label in g.labels_of(m[c.ids[0]])
+    if kind is ConstraintKind.HAS_KEY:
+        return c.key in g.props_of(m[c.ids[0]])
+    # PROP_VALUE
+    w = g.prop(m[c.ids[0]], c.key)
+    return w is not None and predicate_holds(c.op, w, c.value)
 
 
 def oracle_constraint_sel(g: PropertyGraph, constraints) -> float:
@@ -178,6 +212,7 @@ def random_query(
     keys=("k1",),
     prop_prob: float = 0.3,
     label_prob: float = 0.4,
+    values: tuple[int, int] = (0, 3),
 ) -> QueryPattern:
     """A small connected random pattern: each new edge attaches to an
     existing vertex (or starts the pattern)."""
@@ -199,7 +234,7 @@ def random_query(
         if rng.random() < label_prob:
             item["labels"] = [rng.choice(labels)]
         if rng.random() < prop_prob:
-            item["props"] = [{"key": rng.choice(keys), "op": "=", "value": rng.randint(0, 3)}]
+            item["props"] = [{"key": rng.choice(keys), "op": "=", "value": rng.randint(*values)}]
     return parse_query(doc)
 
 

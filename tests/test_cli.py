@@ -68,6 +68,25 @@ class TestStatsBuild:
         assert catalog.basic.prop_exact
 
 
+    @pytest.mark.parametrize(
+        "flag, value, bad",
+        [
+            ("--synopses", "edge,chainX", "chainX"),
+            ("--sample", "id:abc", "id:abc"),
+            ("--histogram", "k1:equi_depth:x", "k1:equi_depth:x"),
+            ("--prop-exact", "k1:=", "k1:="),
+        ],
+    )
+    def test_bad_token_rejected(self, graph_dir, tmp_path, capsys, flag, value, bad):
+        out = tmp_path / "catalog.json"
+        rc = main(["stats", "build", "--graph", str(graph_dir), "--out", str(out), flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cardest: error: bad {flag} token {bad!r}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestEstimateCommand:
     def test_human_output(self, graph_dir, tmp_path, capsys):
         qfile = tmp_path / "q.json"

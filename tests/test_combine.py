@@ -1,8 +1,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from cardest.combine import (
@@ -16,11 +17,13 @@ from cardest.combine import (
     combine_cond_indep,
     combine_max_ent,
     deviation_from_independence,
+    MPS_HARD_CAP,
+    _bits,
+    _solve_max_ent_partition,
     make_complete,
-    max_ent_marginal,
     selectivity_to_cardinality,
 )
-from cardest.graph import exact_selectivity
+from cardest.graph import PropertyGraph, exact_selectivity
 from cardest.query import (
     Constraint,
     PartialEstimate,
@@ -234,6 +237,52 @@ def test_order_and_cond_indep_match_reference(seed, shape, n_subsets, with_closu
         assert sel.hex() == reference_cond_indep(pes, q, strategy).hex(), strategy
 
 
+def dense_graph(rng):
+    """2-3 vertices and 4-9 edges, most of them labelled and each with a
+    k1 value in {0, 1}, so that most small queries have matches."""
+
+    def labels():
+        return [l for l in "ab" if rng.random() < 0.75]
+
+    n = rng.randint(2, 3)
+    vertices = [(f"v{i}", labels(), {"k1": rng.randint(0, 1)}) for i in range(n)]
+    edges = [
+        (f"e{j}", f"v{rng.randrange(n)}", f"v{rng.randrange(n)}", labels(), {"k1": rng.randint(0, 1)})
+        for j in range(rng.randint(4, 9))
+    ]
+    return PropertyGraph(vertices, edges)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), n_subsets=st.integers(0, 3))
+def test_combiners_hold_with_exact_inputs(seed, n_subsets):
+    """With exact singletons and exact subset estimates, the bounds
+    enclose the truth; adding the exact full-query estimate, condIndep
+    returns the truth under every order that does not process the
+    smaller estimates first (Sd, NaSd and NaSa do), and so does maxEnt
+    with one partition for every constraint."""
+    rng = random.Random(seed)
+    g = dense_graph(rng)
+    q = random_query(rng, n_edges=rng.randint(1, 2), values=(0, 1))
+    constraints = sorted(extract_constraints(q), key=lambda c: c.sort_key())
+    assume(len(constraints) <= 14)
+    truth = oracle_constraint_sel(g, constraints)
+    event("truth is zero" if truth == 0.0 else "truth is positive")
+    pes = exact_singletons(g, q)
+    for _ in range(n_subsets):
+        subset = frozenset(rng.sample(constraints, rng.randint(2, min(5, len(constraints)))))
+        pes.append(PartialEstimate(subset, oracle_constraint_sel(g, subset), "subset"))
+
+    bounds = combine_bounds(pes, q)
+    assert bounds.lower <= truth * (1 + 1e-9)
+    assert truth <= bounds.upper * (1 + 1e-9)
+
+    pes.append(PartialEstimate(frozenset(constraints), truth, "full"))
+    for strategy in sorted(set(SORT_STRATEGIES) - {"Sd", "NaSd", "NaSa"}):
+        assert combine_cond_indep(pes, q, strategy) == pytest.approx(truth, rel=1e-9, abs=0), strategy
+    assert combine_max_ent(pes, q, mps=20) == pytest.approx(truth, rel=1e-6, abs=1e-9)
+
+
 class TestCondIndep:
     def test_singletons_give_independence_product(self):
         # no constraint implies another here, so every strategy degenerates
@@ -348,6 +397,21 @@ class TestCondIndep:
             )
         )
         assert combine_cond_indep(pes, one_edge_query, "NdSa") == 0.0
+
+
+def max_ent_marginal(cpes, q, target, mps=MPS_HARD_CAP, tol=1e-12, max_iter=20000):
+    """Marginal probability of a constraint subset under the solved
+    distribution (single partition)."""
+    pes = list(cpes)
+    all_constraints = set()
+    for pe in pes:
+        all_constraints |= pe.constraints
+    constraints = sorted(all_constraints, key=lambda c: c.sort_key())
+    if len(constraints) > mps:
+        raise ValueError("too many constraints for a single partition")
+    atoms = _solve_max_ent_partition(constraints, pes, tol, max_iter)
+    mask = _bits(target, {c: i for i, c in enumerate(constraints)})
+    return float(atoms[(np.arange(len(atoms)) & mask) == mask].sum())
 
 
 class TestMaxEnt:

@@ -39,6 +39,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             EstimatorConfig(ct="vibes")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["ct=condIndep(Foo)", "ct=maxEnt(0)", "pets=S(id,e)", "pets=S(id,0)", "pets=S(ep,1.5)", "seed=abc"],
+    )
+    def test_bad_values_rejected(self, text):
+        with pytest.raises(ConfigError):
+            EstimatorConfig.parse(text)
+
     def test_known_tags_accepted(self):
         EstimatorConfig(
             pets=("EP", "c3", "s4", "t2", "SysR", "CS", "BS", "MDH", "S(ep,0.001)", "WJ(500)", "defaults"),
@@ -369,6 +377,24 @@ class TestDisjunctions:
         doc = self.doc()
         doc["anyOf"] = [[{"id": "q2", "labels": "ab"}]]
         with pytest.raises(QueryFormatError, match="list of strings"):
+            expand_disjunctions(doc)
+
+    def test_element_without_id_rejected(self):
+        doc = self.doc()
+        doc["vertices"].append({"labels": ["x"]})
+        with pytest.raises(QueryFormatError, match="without id"):
+            expand_disjunctions(doc)
+
+    @pytest.mark.parametrize("key, value", [("vertices", "q1"), ("edges", {"id": "q2"})])
+    def test_element_lists_must_be_lists(self, key, value):
+        doc = dict(self.doc(), **{key: value})
+        with pytest.raises(QueryFormatError, match="list of objects"):
+            expand_disjunctions(doc)
+
+    def test_non_list_props_in_alternative_rejected(self):
+        doc = self.doc()
+        doc["anyOf"] = [[{"id": "q2", "props": 5}]]
+        with pytest.raises(QueryFormatError, match="props"):
             expand_disjunctions(doc)
 
     def test_clamped_selectivity_flagged(self):

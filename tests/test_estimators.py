@@ -19,7 +19,7 @@ from cardest.estimators import (
     walk_plan,
     wander_join_estimate,
 )
-from cardest.graph import PropertyGraph, check_constraint, exact_matches, exact_selectivity
+from cardest.graph import PropertyGraph, exact_matches, exact_selectivity
 from cardest.query import (
     Constraint,
     ConstraintKind,
@@ -39,6 +39,7 @@ from cardest.stats import (
 
 from conftest import (
     CYCLIC_SHAPES,
+    check_constraint,
     decorated_shape,
     oracle_constraint_sel,
     random_graph,

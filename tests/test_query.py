@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from cardest.estimators import sample_estimates
+from cardest.graph import PropertyGraph
 from cardest.query import (
     Constraint,
     ConstraintKind,
@@ -9,15 +11,42 @@ from cardest.query import (
     PredicateKind,
     QueryFormatError,
     constraint_set_key,
+    constraints_for_edges,
     cs_pattern_of,
-    enumerate_subpatterns,
+    data_constraints_by_id,
     extract_constraints,
     implied_closure,
+    iter_chains,
+    iter_stars,
     parse_query,
     predicate_holds,
 )
+from cardest.stats import build_catalog
 
-from conftest import MOVIE_QUERY_DOC, ONE_EDGE_DOC, random_query
+from conftest import G4_EDGES, G4_VERTICES, MOVIE_QUERY_DOC, ONE_EDGE_DOC, random_query
+
+
+def edge_sets(q):
+    return [constraints_for_edges(q, (e,)) for e in sorted(q.edges)]
+
+
+def chain_sets(q, n):
+    return [constraints_for_edges(q, chain) for chain in iter_chains(q, n)]
+
+
+def star_sets(q, n, direction):
+    return [constraints_for_edges(q, edges) for _, edges in iter_stars(q, n, direction)]
+
+
+def cs_pattern_sets(q):
+    infos = (cs_pattern_of(q, v) for v in sorted(q.vertices))
+    return [info["constraints"] for info in infos if info is not None]
+
+
+def edge_pattern_sets(q):
+    """The per-edge-pattern constraint sets an edge-pattern sample serves."""
+    catalog = build_catalog(PropertyGraph(G4_VERTICES, G4_EDGES), samples=[("edge_pattern", 1.0, 0)])
+    return [pe.constraints for pe in sample_estimates(q, catalog)]
 
 
 class TestParseQuery:
@@ -54,6 +83,11 @@ class TestParseQuery:
     def test_labels_must_be_a_list_of_strings(self, labels):
         with pytest.raises(QueryFormatError, match="list of strings"):
             parse_query({"vertices": [{"id": "v", "labels": labels}]})
+
+    @pytest.mark.parametrize("doc", [{"vertices": "ab"}, {"vertices": [1]}, {"edges": 5}])
+    def test_elements_must_be_lists_of_objects(self, doc):
+        with pytest.raises(QueryFormatError, match="list of objects"):
+            parse_query(doc)
 
     def test_accepts_json_text(self):
         import json
@@ -141,13 +175,13 @@ class TestImpliedClosure:
 
 class TestEnumerateSubpatterns:
     def test_movie_query_counts(self, movie_query):
-        assert len(enumerate_subpatterns(movie_query, "edge")) == 4
-        assert len(enumerate_subpatterns(movie_query, "chain", 2)) == 2
-        assert len(enumerate_subpatterns(movie_query, "source_star", 2)) == 2
-        assert len(enumerate_subpatterns(movie_query, "target_star", 2)) == 0
+        assert len(edge_sets(movie_query)) == 4
+        assert len(chain_sets(movie_query, 2)) == 2
+        assert len(star_sets(movie_query, 2, "source")) == 2
+        assert len(star_sets(movie_query, 2, "target")) == 0
 
     def test_single_edge_has_no_chain2(self, one_edge_query):
-        assert enumerate_subpatterns(one_edge_query, "chain", 2) == []
+        assert chain_sets(one_edge_query, 2) == []
 
     def test_movie_query_cs_patterns(self, movie_query):
         infos = [cs_pattern_of(movie_query, v) for v in sorted(movie_query.vertices)]
@@ -158,7 +192,7 @@ class TestEnumerateSubpatterns:
         assert "id2" not in elements and "id4" not in elements
 
     def test_source_star_includes_budget_votes(self, movie_query):
-        stars = enumerate_subpatterns(movie_query, "source_star", 2)
+        stars = star_sets(movie_query, 2, "source")
         wanted = None
         for cs in stars:
             labels = {c.label for c in cs if c.kind is ConstraintKind.HAS_LABEL}
@@ -169,9 +203,9 @@ class TestEnumerateSubpatterns:
         assert ids == {"id0", "id1", "id2", "id3", "id4"}
 
     def test_per_id_returns_data_constraints(self, movie_query):
-        groups = enumerate_subpatterns(movie_query, "per_id")
+        groups = data_constraints_by_id(movie_query)
         assert len(groups) == 9  # every id carries at least a label
-        for cs in groups:
+        for cs in groups.values():
             assert all(
                 c.kind in (ConstraintKind.HAS_LABEL, ConstraintKind.HAS_KEY, ConstraintKind.PROP_VALUE)
                 for c in cs
@@ -179,7 +213,7 @@ class TestEnumerateSubpatterns:
             assert len({i for c in cs for i in c.ids}) == 1
 
     def test_per_edge_pattern(self, movie_query):
-        groups = enumerate_subpatterns(movie_query, "per_edge_pattern")
+        groups = edge_pattern_sets(movie_query)
         assert len(groups) == 4
         full = extract_constraints(movie_query)
         for cs in groups:
@@ -189,8 +223,13 @@ class TestEnumerateSubpatterns:
 
     def test_subpattern_constraints_are_subset(self, movie_query):
         full = extract_constraints(movie_query)
-        for kind, size in [("edge", None), ("chain", 2), ("source_star", 2), ("cs_pattern", None)]:
-            for cs in enumerate_subpatterns(movie_query, kind, size):
+        for sets in [
+            edge_sets(movie_query),
+            chain_sets(movie_query, 2),
+            star_sets(movie_query, 2, "source"),
+            cs_pattern_sets(movie_query),
+        ]:
+            for cs in sets:
                 assert cs <= full
 
 
@@ -237,14 +276,14 @@ class TestPartialEstimate:
         rng = random.Random(5)
         for _ in range(20):
             q = random_query(rng, n_edges=3)
-            for kind, size in [
-                ("edge", None),
-                ("chain", 2),
-                ("source_star", 2),
-                ("target_star", 2),
-                ("cs_pattern", None),
-                ("per_id", None),
-                ("per_edge_pattern", None),
+            for sets in [
+                edge_sets(q),
+                chain_sets(q, 2),
+                star_sets(q, 2, "source"),
+                star_sets(q, 2, "target"),
+                cs_pattern_sets(q),
+                list(data_constraints_by_id(q).values()),
+                edge_pattern_sets(q),
             ]:
-                for cs in enumerate_subpatterns(q, kind, size):
+                for cs in sets:
                     assert cs <= extract_constraints(q)
