@@ -217,48 +217,27 @@ CSV_COLUMNS = [
 
 @dataclass
 class QErrorSummary:
+    """Per configuration: the q-error count, median and max; plus the rows
+    without an exact count."""
+
     per_config: dict[str, dict] = field(default_factory=dict)
-    by_edge_count: dict[tuple[str, int], dict] = field(default_factory=dict)
     skipped: int = 0
-
-
-def _aggregate(values: list[float]) -> dict:
-    ordered = sorted(values)
-
-    def pct(p: float) -> float:
-        if not ordered:
-            return math.nan
-        k = min(len(ordered) - 1, max(0, math.ceil(p / 100.0 * len(ordered)) - 1))
-        return ordered[k]
-
-    return {
-        "count": len(ordered),
-        "median": statistics.median(ordered) if ordered else math.nan,
-        "max": ordered[-1] if ordered else math.nan,
-        "p90": pct(90),
-        "p95": pct(95),
-        "p99": pct(99),
-    }
 
 
 def summarize(rows: Iterable[BenchRow]) -> QErrorSummary:
     summary = QErrorSummary()
-    by_config: dict[str, list[BenchRow]] = {}
+    by_config: dict[str, list[float]] = {}
     for row in rows:
         if row.qerror is None:
             summary.skipped += 1
             continue
-        by_config.setdefault(row.config, []).append(row)
-    for config, config_rows in sorted(by_config.items()):
-        qerrors = [r.qerror for r in config_rows]
-        times = [r.est_ms for r in config_rows]
-        agg = _aggregate(qerrors)
-        agg["median_est_ms"] = statistics.median(times) if times else math.nan
-        agg["max_est_ms"] = max(times) if times else math.nan
-        summary.per_config[config] = agg
-        for n in sorted({r.n_edge_ids for r in config_rows}):
-            part = [r.qerror for r in config_rows if r.n_edge_ids == n]
-            summary.by_edge_count[(config, n)] = _aggregate(part)
+        by_config.setdefault(row.config, []).append(row.qerror)
+    for config, qerrors in sorted(by_config.items()):
+        summary.per_config[config] = {
+            "count": len(qerrors),
+            "median": statistics.median(qerrors),
+            "max": max(qerrors),
+        }
     return summary
 
 
@@ -301,19 +280,14 @@ def run_workload(
             for sub_id, sub in enumerate_subqueries(q, subquery_max_edges, include_props):
                 work.append((f"{qid}/{sub_id}/{tag}", sub))
 
-    oracle_cache: dict[str, tuple[Optional[float], float]] = {}
     rows: list[BenchRow] = []
     for qid, q in work:
-        if qid in oracle_cache:
-            exact, oracle_ms = oracle_cache[qid]
-        else:
-            t0 = time.perf_counter()
-            try:
-                exact = float(exact_matches(g, q, budget=oracle_budget))
-            except OracleBudgetError:
-                exact = None
-            oracle_ms = (time.perf_counter() - t0) * 1000.0 if timing else 0.0
-            oracle_cache[qid] = (exact, oracle_ms)
+        t0 = time.perf_counter()
+        try:
+            exact = float(exact_matches(g, q, budget=oracle_budget))
+        except OracleBudgetError:
+            exact = None
+        oracle_ms = (time.perf_counter() - t0) * 1000.0 if timing else 0.0
         for config in configs:
             t1 = time.perf_counter()
             report = estimate(q, g, catalog, config)

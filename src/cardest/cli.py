@@ -78,19 +78,22 @@ def cmd_stats_build(args: argparse.Namespace) -> int:
     histograms = _parse_tokens("--histogram", args.histogram, _parse_histogram_token)
     md_keys = [tuple(t.split(",")) for t in args.md_histogram]
     prop_exact = _parse_tokens("--prop-exact", args.prop_exact, _parse_prop_exact_token)
-    catalog = build_catalog(
-        g,
-        synopses=synopses,
-        with_sysr=args.sysr,
-        cs_max=args.cs,
-        cs_directions=tuple(args.cs_directions.split(",")) if args.cs else ("out",),
-        sketch_buckets=args.sketch,
-        sketch_seed=args.sketch_seed,
-        samples=samples,
-        histogram_keys=histograms,
-        md_keys=md_keys,
-        prop_exact=prop_exact,
-    )
+    try:
+        catalog = build_catalog(
+            g,
+            synopses=synopses,
+            with_sysr=args.sysr,
+            cs_max=args.cs,
+            cs_directions=tuple(args.cs_directions.split(",")) if args.cs else ("out",),
+            sketch_buckets=args.sketch,
+            sketch_seed=args.sketch_seed,
+            samples=samples,
+            histogram_keys=histograms,
+            md_keys=md_keys,
+            prop_exact=prop_exact,
+        )
+    except ValueError as exc:  # a builder rejected a parsed value
+        raise ConfigError(str(exc)) from None
     save_catalog(catalog, args.out)
     basic = catalog.basic
     print(

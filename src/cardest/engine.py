@@ -165,18 +165,24 @@ class EstimateReport:
                 }
                 for pe in self.estimates
             ],
-            "factors": [
-                {
-                    "technique": step.provenance,
-                    "selectivity": step.selectivity,
-                    "factor": step.factor,
-                    "reason": step.reason,
-                }
-                if isinstance(step, CombineStep)
-                else {"partition": str(step[0]), "mass": step[1]}
-                for step in self.combiner_trace
-            ],
+            "factors": [_trace_entry(step) for step in self.combiner_trace],
         }
+
+
+def _trace_entry(step) -> dict:
+    """One combiner trace step: a condIndep or bounds factor, a maxEnt
+    partition's mass, or a disjunction's per-expansion cardinalities."""
+    if isinstance(step, CombineStep):
+        return {
+            "technique": step.provenance,
+            "selectivity": step.selectivity,
+            "factor": step.factor,
+            "reason": step.reason,
+        }
+    head, value = step
+    if head == "union-cardinalities":
+        return {"union_cardinalities": value}
+    return {"partition": str(head), "mass": value}
 
 
 def run_techniques(

@@ -192,7 +192,7 @@ def _labeled_stars(
     """Branches (slot labels, leaves the center?) and constraints of each star of 2 to
     MAX_STAR_SIZE edges in any direction, skipping stars with multi-labelled ids."""
     for size in range(2, min(MAX_STAR_SIZE, len(q.edges)) + 1):
-        for center, edges in iter_stars(q, size, "any"):
+        for center, edges in iter_stars(q, size):
             try:
                 branches = [(_edge_pattern_labels(q, e), q.endpoints[e][0] == center) for e in edges]
             except _MultiLabel:
@@ -200,12 +200,18 @@ def _labeled_stars(
             yield branches, constraints_for_edges(q, edges)
 
 
-def _chain_slots(q: QueryPattern, chain: tuple[str, ...]) -> list[str]:
-    slots = [_slot_label(q, q.endpoints[chain[0]][0])]
-    for e in chain:
-        slots.append(_slot_label(q, e))
-        slots.append(_slot_label(q, q.endpoints[e][1]))
-    return slots
+def _labeled_chains(q: QueryPattern, m: int) -> Iterator[tuple[list[str], frozenset[Constraint]]]:
+    """Slot labels (vertex, edge, vertex, ..., vertex) and constraints of each
+    directed m-chain, skipping chains with multi-labelled ids; edge i's
+    pattern is slots[2 * i : 2 * i + 3]."""
+    for chain in iter_chains(q, m):
+        try:
+            slots = [_slot_label(q, q.endpoints[chain[0]][0])]
+            for e in chain:
+                slots += (_slot_label(q, e), _slot_label(q, q.endpoints[e][1]))
+        except _MultiLabel:
+            continue
+        yield slots, constraints_for_edges(q, chain)
 
 
 def synopsis_estimates(
@@ -226,6 +232,7 @@ def synopsis_estimates(
         return []
     n_ids_g = basic.n_ids
     out: list[PartialEstimate] = []
+    stars: Optional[list] = None  # walked once, for the first star synopsis
 
     def sel_from_count(count: int, k: int) -> float:
         return _clamp(count / float(n_ids_g**k))
@@ -243,45 +250,32 @@ def synopsis_estimates(
                 out.append(PartialEstimate(cs, sel_from_count(count, 3), "synopsis:EP"))
 
         elif syn.klass == "chain":
-            max_query_chain = len(q.edges)
-            for m in range(2, max_query_chain + 1):
-                for chain in iter_chains(q, m):
-                    try:
-                        slots = _chain_slots(q, chain)
-                    except _MultiLabel:
-                        continue
+            for m in range(2, len(q.edges) + 1):
+                for slots, cs in _labeled_chains(q, m):
                     sel = _chain_sel(syn, basic, slots, m, use_size, n_ids_g)
                     if sel is None:
                         continue
-                    cs = constraints_for_edges(q, chain)
-                    out.append(
-                        PartialEstimate(cs, _clamp(sel), f"synopsis:c{use_size}")
-                    )
+                    out.append(PartialEstimate(cs, _clamp(sel), f"synopsis:c{use_size}"))
 
         else:  # source_star / target_star
-            direction = "source" if syn.klass == "source_star" else "target"
-            tag = "s" if direction == "source" else "t"
-            for size in range(2, use_size + 1):
-                for center, edges in iter_stars(q, size, direction):
-                    try:
-                        lc = _slot_label(q, center)
-                        branches = []
-                        for e in edges:
-                            other = (
-                                q.endpoints[e][1] if direction == "source" else q.endpoints[e][0]
-                            )
-                            branches.append((_slot_label(q, e), _slot_label(q, other)))
-                    except _MultiLabel:
-                        continue
-                    count = syn.count_star(lc, branches)
-                    if count is None:
-                        continue
-                    cs = constraints_for_edges(q, edges)
-                    out.append(
-                        PartialEstimate(
-                            cs, sel_from_count(count, 2 * size + 1), f"synopsis:{tag}{use_size}"
-                        )
+            outgoing = syn.klass == "source_star"
+            tag = "s" if outgoing else "t"
+            if stars is None:
+                stars = list(_labeled_stars(q))
+            for branches, cs in stars:
+                if len(branches) > use_size or any(o != outgoing for _, o in branches):
+                    continue
+                # each branch is (ls, le, lt): the center is ls on a source star, lt on a target star
+                center = branches[0][0][0 if outgoing else 2]
+                leaves = [(le, lt if outgoing else ls) for (ls, le, lt), _ in branches]
+                count = syn.count_star(center, leaves)
+                if count is None:
+                    continue
+                out.append(
+                    PartialEstimate(
+                        cs, sel_from_count(count, 2 * len(branches) + 1), f"synopsis:{tag}{use_size}"
                     )
+                )
     return out
 
 
@@ -393,15 +387,9 @@ def bound_sketch_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[
         count = sum(c for c, _ in sketch.partition(*ep, "src").values())
         out.append(PartialEstimate(cs, _clamp(count / n_ids_g**3), "sketch"))
 
-    for chain in iter_chains(q, 2):
-        try:
-            ep1 = _edge_pattern_labels(q, chain[0])
-            ep2 = _edge_pattern_labels(q, chain[1])
-        except _MultiLabel:
-            continue
-        parts = [sketch.partition(*ep1, "trg"), sketch.partition(*ep2, "src")]
+    for slots, cs in _labeled_chains(q, 2):
+        parts = [sketch.partition(*slots[0:3], "trg"), sketch.partition(*slots[2:5], "src")]
         bound = joined_bound(parts)
-        cs = constraints_for_edges(q, chain)
         out.append(PartialEstimate(cs, _clamp(bound / n_ids_g**5), "sketch"))
 
     for branches, cs in _labeled_stars(q):

@@ -444,26 +444,17 @@ def iter_chains(q: QueryPattern, n: int) -> list[tuple[str, ...]]:
     return chains
 
 
-def iter_stars(q: QueryPattern, n: int, direction: str) -> list[tuple[str, tuple[str, ...]]]:
-    """All (center, edge-subset) stars of size n.
+def iter_stars(q: QueryPattern, n: int) -> list[tuple[str, tuple[str, ...]]]:
+    """All (center, edge-subset) stars of size n, in any mix of directions.
 
-    direction 'source' / 'target' restricts to common-source or
-    common-target stars; 'any' allows mixed incidence.  The non-center
-    endpoints must be pairwise distinct and differ from the center.
+    The non-center endpoints must be pairwise distinct and differ from
+    the center.
     """
     if n < 1:
         return []
     stars: list[tuple[str, tuple[str, ...]]] = []
     for v in sorted(q.vertices):
-        if direction == "source":
-            incident = q.out_query_edges(v)
-        elif direction == "target":
-            incident = q.in_query_edges(v)
-        elif direction == "any":
-            incident = q.incident_query_edges(v)
-        else:
-            raise ValueError(f"unknown star direction: {direction!r}")
-        incident = [e for e in incident if q.endpoints[e][0] != q.endpoints[e][1]]
+        incident = [e for e in q.incident_query_edges(v) if q.endpoints[e][0] != q.endpoints[e][1]]
         for combo in itertools.combinations(incident, n):
             others = [_other_endpoint(q, e, v) for e in combo]
             if len(set(others)) == len(others) and v not in others:

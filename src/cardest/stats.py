@@ -661,14 +661,22 @@ def histogram_estimate(hist: Histogram, op: PredicateKind, value: Any) -> Option
     """Estimated number of elements with the key satisfying ``op value``.
 
     Returns None when the histogram cannot serve the predicate (substring
-    matching, domain mismatch).  Intra-bucket estimation assumes uniform
-    spread over uniformly frequent distinct values.
+    matching, domain mismatch).  Numeric buckets follow the bucket model
+    of `_bucket_fraction`; a string prefix bucket assumes uniformly
+    frequent distinct values.
     """
     if hist.total == 0:
         return 0.0
+    if op is PredicateKind.IN and not isinstance(value, (list, tuple)):
+        return None
+    if hist.domain == "numeric":
+        if op is PredicateKind.CONTAINS or (op is not PredicateKind.IN and not _is_number(value)):
+            return {PredicateKind.EQ: 0.0, PredicateKind.NEQ: float(hist.total)}.get(op)
+        return sum(
+            b["count"] * _bucket_fraction(b["lo"], b["hi"], b["distinct"], op, value)
+            for b in hist.buckets
+        )
     if op is PredicateKind.IN:
-        if not isinstance(value, (list, tuple)):
-            return None
         parts = [histogram_estimate(hist, PredicateKind.EQ, v) for v in value]
         if any(p is None for p in parts):
             return None
@@ -676,29 +684,6 @@ def histogram_estimate(hist: Histogram, op: PredicateKind, value: Any) -> Option
     if op is PredicateKind.NEQ:
         eq = histogram_estimate(hist, PredicateKind.EQ, value)
         return None if eq is None else hist.total - eq
-    if hist.domain == "numeric":
-        if not _is_number(value):
-            return 0.0 if op is PredicateKind.EQ else None
-        v = float(value)
-        if op is PredicateKind.EQ:
-            est = 0.0
-            for b in hist.buckets:
-                if b["lo"] <= v <= b["hi"] and b["distinct"] > 0:
-                    est += b["count"] / b["distinct"]
-            return est
-        if op in (PredicateKind.LT, PredicateKind.LEQ, PredicateKind.GT, PredicateKind.GEQ):
-            below = 0.0  # estimated mass with value < v (continuous model)
-            for b in hist.buckets:
-                if b["hi"] < v:
-                    below += b["count"]
-                elif b["lo"] < v:
-                    span = b["hi"] - b["lo"]
-                    frac = (v - b["lo"]) / span if span > 0 else 0.5
-                    below += b["count"] * frac
-            if op in (PredicateKind.LT, PredicateKind.LEQ):
-                return below
-            return hist.total - below
-        return None  # CONTAINS on numbers
     # string_prefix domain
     if not isinstance(value, str):
         return 0.0 if op is PredicateKind.EQ else None
@@ -809,40 +794,56 @@ def md_fraction(mdh: MDHistogram, constraints: Iterable[tuple[str, PredicateKind
         for a, preds in by_axis.items():
             lo = mdh.axes[a]["bounds"][cell[a]]
             hi = mdh.axes[a]["bounds"][cell[a] + 1]
-            distinct = mdh.axes[a]["distincts"][cell[a]] or 1
+            distinct = mdh.axes[a]["distincts"][cell[a]]
             for op, value in preds:
-                frac *= _axis_fraction(lo, hi, distinct, op, value)
+                frac *= _bucket_fraction(lo, hi, distinct, op, value)
                 if frac == 0.0:
                     break
         acc += count * frac
     return acc / mdh.total
 
 
-def _axis_fraction(lo: float, hi: float, distinct: int, op: PredicateKind, value: Any) -> float:
+# Looking up an Enum member costs about as much as the rest of a bucket's
+# arithmetic, and the kernel below runs once per bucket.
+_BELOW = (PredicateKind.LT, PredicateKind.LEQ)
+_ABOVE = (PredicateKind.GT, PredicateKind.GEQ)
+
+
+def _bucket_fraction(lo: float, hi: float, distinct: int, op: PredicateKind, value: Any) -> float:
+    """Fraction of a numeric bucket's elements, all valued in [lo, hi],
+    that satisfy ``op value``: the 1-D histogram's and the grid's shared
+    bucket model.
+
+    A point bucket (lo == hi) is evaluated exactly.  Any other bucket
+    assumes its values spread uniformly over the span, `distinct` equally
+    frequent ones among them.
+    """
     if op is PredicateKind.IN:
         if not isinstance(value, (list, tuple)):
             return 0.0
-        return min(1.0, sum(_axis_fraction(lo, hi, distinct, PredicateKind.EQ, v) for v in value))
+        return min(1.0, sum(_bucket_fraction(lo, hi, distinct, PredicateKind.EQ, v) for v in value))
     if not _is_number(value):
         return 0.0
+    if lo == hi:
+        return 1.0 if predicate_holds(op, lo, value) else 0.0
     v = float(value)
-    span = hi - lo
+    if op in _BELOW:
+        if v <= lo:
+            return 0.0
+        if v >= hi:
+            return 1.0
+        return (v - lo) / (hi - lo)
+    if op in _ABOVE:
+        if v >= hi:
+            return 0.0
+        if v <= lo:
+            return 1.0
+        return (hi - v) / (hi - lo)
+    eq = (1.0 / (distinct or 1)) if lo <= v <= hi else 0.0
     if op is PredicateKind.EQ:
-        return (1.0 / distinct) if lo <= v <= hi else 0.0
+        return eq
     if op is PredicateKind.NEQ:
-        return 1.0 - ((1.0 / distinct) if lo <= v <= hi else 0.0)
-    if op in (PredicateKind.LT, PredicateKind.LEQ):
-        if v <= lo:
-            return 0.0
-        if v >= hi:
-            return 1.0
-        return (v - lo) / span if span > 0 else 0.5
-    if op in (PredicateKind.GT, PredicateKind.GEQ):
-        if v >= hi:
-            return 0.0
-        if v <= lo:
-            return 1.0
-        return (hi - v) / span if span > 0 else 0.5
+        return 1.0 - eq
     return 0.0  # CONTAINS never matches numerics
 
 

@@ -122,6 +122,7 @@ class TestRunWorkload:
         rows, summary = run_workload(g, queries, configs, catalog=catalog)
         assert all(r.qerror == pytest.approx(1.0) for r in rows)
         assert summary.per_config["rich"]["median"] == pytest.approx(1.0)
+        assert set(summary.per_config["rich"]) == {"count", "median", "max"}
 
     def test_oracle_budget_skips_and_records(self):
         g, catalog = self.exact_fixture()
@@ -135,6 +136,18 @@ class TestRunWorkload:
         assert len(rows) == 1
         assert rows[0].exact is None and rows[0].qerror is None
         assert summary.skipped == 1
+
+    def test_repeated_ids_graded_apart(self):
+        g, catalog = self.exact_fixture()
+        vertex = {"vertices": [{"id": "u"}], "edges": []}
+        edge = {
+            "vertices": [{"id": "u"}, {"id": "v"}],
+            "edges": [{"id": "f", "src": "u", "trg": "v"}],
+        }
+        rows, _ = run_workload(
+            g, [("w", vertex), ("w", edge)], [EstimatorConfig(name="c")], catalog=catalog
+        )
+        assert [r.exact for r in rows] == [float(g.n_vertices), float(g.n_edges)]
 
     def test_subquery_modes(self):
         g, catalog = self.exact_fixture()

@@ -86,6 +86,24 @@ class TestStatsBuild:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--sample", "foo:0.5", "unknown sample pattern type: 'foo'"),
+            ("--synopses", "chain9", "max_size > 4 is not supported (resource guard)"),
+            ("--cs", "0", "max_entries must be >= 1"),
+            ("--sketch", "0", "n_buckets must be >= 1"),
+            ("--histogram", "k1:bogus", "unknown histogram kind: 'bogus'"),
+            ("--md-histogram", "k1", "md histogram takes 2..3 keys"),
+        ],
+    )
+    def test_builder_rejection_reported(self, graph_dir, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "catalog.json"
+        rc = main(["stats", "build", "--graph", str(graph_dir), "--out", str(out), flag, value])
+        assert rc == 2
+        assert capsys.readouterr().err == f"cardest: error: {message}\n"
+        assert not out.exists()
+
 
 class TestEstimateCommand:
     def test_human_output(self, graph_dir, tmp_path, capsys):

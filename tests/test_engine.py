@@ -334,6 +334,15 @@ class TestDisjunctions:
         rb = estimate(parse_query(db), g, catalog, config)
         assert report.cardinality == pytest.approx(ra.cardinality + rb.cardinality)
 
+    def test_union_trace_in_to_dict(self):
+        g = self.graph_with_labels()
+        catalog = build_catalog(g, synopses=[("edge", 1)])
+        config = EstimatorConfig(pets=("EP",))
+        report = estimate_with_disjunctions(self.doc(), g, catalog, config)
+        docs = expand_disjunctions(self.doc())
+        cards = [estimate(parse_query(d), g, catalog, config).cardinality for d in docs]
+        assert report.to_dict()["factors"] == [{"union_cardinalities": cards}]
+
     def test_disjoint_alternatives_match_union_oracle(self):
         g = self.graph_with_labels()
         catalog = build_catalog(g, synopses=[("edge", 1)])

@@ -35,7 +35,12 @@ def chain_sets(q, n):
 
 
 def star_sets(q, n, direction):
-    return [constraints_for_edges(q, edges) for _, edges in iter_stars(q, n, direction)]
+    end = 0 if direction == "source" else 1
+    return [
+        constraints_for_edges(q, edges)
+        for center, edges in iter_stars(q, n)
+        if all(q.endpoints[e][end] == center for e in edges)
+    ]
 
 
 def cs_pattern_sets(q):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cardest.bench import GraphSpec, generate_graph
 from cardest.estimators import sample_estimates
 from cardest.graph import PropertyGraph, exact_matches, exact_selectivity
-from cardest.query import PredicateKind, parse_query
+from cardest.query import PredicateKind, parse_query, predicate_holds
 from cardest.stats import (
     WILDCARD,
     BoundSketch,
@@ -37,6 +37,16 @@ from cardest.stats import (
 )
 
 from conftest import random_graph
+
+# the operators a point bucket answers exactly
+POINT_OPS = [
+    PredicateKind.EQ,
+    PredicateKind.NEQ,
+    PredicateKind.LT,
+    PredicateKind.LEQ,
+    PredicateKind.GT,
+    PredicateKind.GEQ,
+]
 
 
 def chain_query_from_slots(slots):
@@ -533,6 +543,30 @@ class TestHistograms:
         est = histogram_estimate(h, PredicateKind.EQ, "avocado")
         assert est == pytest.approx(1.0)  # bucket "a": 2 values, 2 distinct
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        runs=st.dictionaries(st.integers(-3, 6), st.integers(1, 3), min_size=1, max_size=5),
+        depth=st.integers(1, 3),
+        op=st.sampled_from(POINT_OPS),
+        value=st.integers(-4, 7),
+    )
+    def test_point_buckets_are_exact(self, runs, depth, op, value):
+        """Each value fills whole buckets of `depth` elements, so every
+        equi-depth bucket is a point bucket and the estimate is exact."""
+        values = [v for v, m in sorted(runs.items()) for _ in range(m * depth)]
+        vertices = [(f"v{i}", [], {"x": v}) for i, v in enumerate(values)]
+        g = PropertyGraph(vertices + [("w", [], {})], [])
+        h = build_histogram(g, "x", "equi_depth", sum(runs.values()))
+        assert all(b["lo"] == b["hi"] for b in h.buckets)
+        exact = sum(predicate_holds(op, v, value) for v in values)
+        assert histogram_estimate(h, op, value) == exact
+
+    def test_in_clamps_per_bucket(self):
+        vertices = [(f"v{i}", [], {"x": i % 4}) for i in range(20)]
+        h = build_histogram(PropertyGraph(vertices, []), "x", "equi_depth", 2)
+        # buckets [0, 1] and [2, 3] of 10: repeated alternatives fill at most the first
+        assert histogram_estimate(h, PredicateKind.IN, [0, 0, 0]) == 10.0
+
 
 class TestMDHistogram:
     def test_grid_totals(self):
@@ -571,6 +605,20 @@ class TestMDHistogram:
         g = PropertyGraph(vertices, [])
         mdh = build_md_histogram(g, ["x", "y"], 3)
         assert md_fraction(mdh, [("x", PredicateKind.EQ, 99)]) == 0.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        xs=st.lists(st.integers(0, 9), min_size=1, max_size=12),
+        c=st.integers(-2, 2),
+        op=st.sampled_from(POINT_OPS),
+        value=st.integers(-3, 3),
+    )
+    def test_constant_axis_is_exact(self, xs, c, op, value):
+        """A key holding one value everywhere has a point bucket on its axis."""
+        g = PropertyGraph([(f"v{i}", [], {"x": x, "y": c}) for i, x in enumerate(xs)], [])
+        mdh = build_md_histogram(g, ["x", "y"], 4)
+        expected = 1.0 if predicate_holds(op, c, value) else 0.0
+        assert md_fraction(mdh, [("y", op, value)]) == expected
 
 
 class TestCatalogPersistence:
