@@ -13,7 +13,7 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional, Sequence, Union
 
 from .engine import EstimatorConfig, estimate
@@ -191,28 +191,10 @@ class BenchRow:
                 return "inf"
             return repr(v) if isinstance(v, float) else v
 
-        return [
-            self.query_id,
-            self.n_edge_ids,
-            self.config,
-            fmt(self.exact),
-            fmt(self.estimate),
-            fmt(self.qerror),
-            fmt(self.est_ms),
-            fmt(self.oracle_ms),
-        ]
+        return [fmt(getattr(self, name)) for name in CSV_COLUMNS]
 
 
-CSV_COLUMNS = [
-    "query_id",
-    "n_edge_ids",
-    "config",
-    "exact",
-    "estimate",
-    "qerror",
-    "est_ms",
-    "oracle_ms",
-]
+CSV_COLUMNS = [f.name for f in fields(BenchRow)]
 
 
 @dataclass

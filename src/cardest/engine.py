@@ -380,13 +380,13 @@ def estimate_with_disjunctions(
     """Estimate a document that may contain anyOf groups: estimate each
     expansion and sum the cardinalities, assuming disjoint result sets."""
     start = time.perf_counter()
-    docs = expand_disjunctions(doc)
-    reports = [estimate(parse_query(d), g, catalog, config) for d in docs]
+    queries = [parse_query(d) for d in expand_disjunctions(doc)]
+    reports = [estimate(q, g, catalog, config) for q in queries]
     if len(reports) == 1:
         return reports[0]
-    q = parse_query(docs[0])
     card = sum(r.cardinality for r in reports)
-    denom = float(catalog.basic.n_ids) ** len(q.ids) if q.ids else 1.0
+    # the expansions differ only in labels and predicates, so share one id count
+    denom = selectivity_to_cardinality(1.0, queries[0], catalog)
     sel = card / denom if denom else 0.0
     flags = sorted({f for r in reports for f in r.flags})
     if sel > 1.0:

@@ -633,10 +633,9 @@ def md_histogram_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[
         return []
     n_ids_g = basic.n_ids
     by_id: dict[str, list[tuple[str, PredicateKind, Any]]] = {}
-    constraints_by_id: dict[str, set[Constraint]] = {}
     for i, key, op, value in q.prop_constraints:
         by_id.setdefault(i, []).append((key, op, value))
-        constraints_by_id.setdefault(i, set()).add(Constraint.prop_value(i, key, op, value))
+    data = data_constraints_by_id(q)
     out: list[PartialEstimate] = []
     for i in sorted(by_id):
         preds = by_id[i]
@@ -650,8 +649,7 @@ def md_histogram_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[
                 continue
             frac = md_fraction(mdh, preds)
             sel = frac * (mdh.total / n_ids_g)
-            out.append(
-                PartialEstimate(frozenset(constraints_by_id[i]), _clamp(sel), "mdh")
-            )
+            values = frozenset(c for c in data[i] if c.kind is ConstraintKind.PROP_VALUE)
+            out.append(PartialEstimate(values, _clamp(sel), "mdh"))
             break
     return out

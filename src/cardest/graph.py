@@ -150,10 +150,10 @@ class PropertyGraph:
         """Stable content hash; identical graphs hash identically."""
         if self._fingerprint is None:
             h = hashlib.sha256()
-            for i in sorted(self.vertices, key=lambda i: self.names[i]):
-                h.update(_element_blob(self, i, None))
-            for e in sorted(self.edges, key=lambda e: self.names[e]):
-                h.update(_element_blob(self, e, self.endpoints(e)))
+            for ids in (self.vertices, self.edges):
+                for i in sorted(ids, key=lambda i: self.names[i]):
+                    blob = json.dumps(_record(self, i), sort_keys=True, separators=(",", ":"))
+                    h.update(blob.encode())
             self._fingerprint = h.hexdigest()
         return self._fingerprint
 
@@ -164,16 +164,13 @@ class PropertyGraph:
         return f"PropertyGraph(|V|={self.n_vertices}, |E|={self.n_edges})"
 
 
-def _element_blob(g: PropertyGraph, i: int, ends: Optional[tuple[int, int]]) -> bytes:
-    rec: dict[str, Any] = {
-        "id": g.names[i],
-        "labels": sorted(g.labels_of(i)),
-        "props": {k: g.prop(i, k) for k in sorted(g.props_of(i))},
-    }
-    if ends is not None:
-        rec["src"] = g.names[ends[0]]
-        rec["trg"] = g.names[ends[1]]
-    return json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
+def _record(g: PropertyGraph, i: int) -> dict[str, Any]:
+    """Element i as one line of the file format, which the fingerprint hashes too."""
+    rec = {"id": g.names[i], "labels": sorted(g.labels_of(i)), "props": g.props_of(i)}
+    if g.is_edge(i):
+        s, t = g.endpoints(i)
+        rec["src"], rec["trg"] = g.names[s], g.names[t]
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -210,21 +207,10 @@ def load_graph(vertex_file: str, edge_file: str) -> PropertyGraph:
 
 def save_graph(g: PropertyGraph, vertex_file: str, edge_file: str) -> None:
     """Write a graph back to the line-delimited file format."""
-    with open(vertex_file, "w", encoding="utf-8") as fh:
-        for v in g.vertices:
-            rec = {"id": g.names[v], "labels": sorted(g.labels_of(v)), "props": g.props_of(v)}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    with open(edge_file, "w", encoding="utf-8") as fh:
-        for e in g.edges:
-            s, t = g.endpoints(e)
-            rec = {
-                "id": g.names[e],
-                "src": g.names[s],
-                "trg": g.names[t],
-                "labels": sorted(g.labels_of(e)),
-                "props": g.props_of(e),
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    for path, ids in ((vertex_file, g.vertices), (edge_file, g.edges)):
+        with open(path, "w", encoding="utf-8") as fh:
+            for i in ids:
+                fh.write(json.dumps(_record(g, i), sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -172,10 +172,6 @@ class Constraint:
             value = tuple(value)
         return Constraint(ConstraintKind.PROP_VALUE, (i,), key=key, op=op, value=value)
 
-    @property
-    def id_set(self) -> frozenset[str]:
-        return frozenset(self.ids)
-
     def sort_key(self) -> tuple:
         return (
             _KIND_ORDER[self.kind],
@@ -318,51 +314,37 @@ def parse_query(doc: Union[str, dict]) -> QueryPattern:
     doc = load_document(doc)
     if doc.get("anyOf"):
         raise QueryFormatError("query contains anyOf groups; expand disjunctions first")
-    for key in ("vertices", "edges"):
-        items = doc.get(key, ())
-        if not isinstance(items, (list, tuple)) or not all(isinstance(i, dict) for i in items):
-            raise QueryFormatError(f"{key!r} must be a list of objects")
-
     vertices: set[str] = set()
     edges: set[str] = set()
     endpoints: dict[str, tuple[str, str]] = {}
     labels: dict[str, frozenset[str]] = {}
     props: list[tuple[str, str, PredicateKind, Any]] = []
-
-    def add_common(item: dict, ident: str) -> None:
-        labs = frozenset(label_list(item.get("labels", ()), ident))
-        if labs:
-            labels[ident] = labs
-        for p in item.get("props", ()):
-            try:
-                key, op, value = p["key"], p["op"], p["value"]
-            except (KeyError, TypeError) as exc:
-                raise QueryFormatError(f"bad property constraint on {ident!r}: {p!r}") from exc
-            kind = PredicateKind.from_op(op)
-            if kind is PredicateKind.IN and not isinstance(value, (list, tuple)):
-                raise QueryFormatError(f"IN predicate on {ident!r} needs a list value")
-            props.append((ident, key, kind, tuple(value) if isinstance(value, list) else value))
-
-    for item in doc.get("vertices", ()):
-        ident = item.get("id")
-        if not ident:
-            raise QueryFormatError("vertex without id")
-        if ident in vertices or ident in edges:
-            raise QueryFormatError(f"duplicate id {ident!r}")
-        vertices.add(ident)
-        add_common(item, ident)
-    for item in doc.get("edges", ()):
-        ident = item.get("id")
-        if not ident:
-            raise QueryFormatError("edge without id")
-        if ident in vertices or ident in edges:
-            raise QueryFormatError(f"duplicate id {ident!r}")
-        src, trg = item.get("src"), item.get("trg")
-        if src not in vertices or trg not in vertices:
-            raise QueryFormatError(f"edge {ident!r} references undeclared vertex")
-        edges.add(ident)
-        endpoints[ident] = (src, trg)
-        add_common(item, ident)
+    # edge endpoints are checked by QueryPattern, once every vertex is known
+    for part, noun, ids in (("vertices", "vertex", vertices), ("edges", "edge", edges)):
+        items = doc.get(part, ())
+        if not isinstance(items, (list, tuple)) or not all(isinstance(i, dict) for i in items):
+            raise QueryFormatError(f"{part!r} must be a list of objects")
+        for item in items:
+            ident = item.get("id")
+            if not ident:
+                raise QueryFormatError(f"{noun} without id")
+            if ident in vertices or ident in edges:
+                raise QueryFormatError(f"duplicate id {ident!r}")
+            ids.add(ident)
+            if ids is edges:
+                endpoints[ident] = (item.get("src"), item.get("trg"))
+            labs = frozenset(label_list(item.get("labels", ()), ident))
+            if labs:
+                labels[ident] = labs
+            for p in item.get("props", ()):
+                try:
+                    key, op, value = p["key"], p["op"], p["value"]
+                except (KeyError, TypeError) as exc:
+                    raise QueryFormatError(f"bad property constraint on {ident!r}: {p!r}") from exc
+                kind = PredicateKind.from_op(op)
+                if kind is PredicateKind.IN and not isinstance(value, (list, tuple)):
+                    raise QueryFormatError(f"IN predicate on {ident!r} needs a list value")
+                props.append((ident, key, kind, tuple(value) if isinstance(value, list) else value))
 
     return QueryPattern(
         vertices=frozenset(vertices),
@@ -467,10 +449,8 @@ def _other_endpoint(q: QueryPattern, e: str, v: str) -> str:
     return t if s == v else s
 
 
-def constraints_for_edges(
-    q: QueryPattern, edges: Iterable[str], with_labels: bool = True
-) -> frozenset[Constraint]:
-    """Topology (+ label) constraints of the subpattern spanned by edges."""
+def constraints_for_edges(q: QueryPattern, edges: Iterable[str]) -> frozenset[Constraint]:
+    """Topology and label constraints of the subpattern spanned by edges."""
     out: set[Constraint] = set()
     ids: set[str] = set()
     for e in edges:
@@ -478,10 +458,9 @@ def constraints_for_edges(
         out.update((Constraint.edge(e), Constraint.src(s, e), Constraint.trg(t, e)))
         out.update((Constraint.vertex(s), Constraint.vertex(t)))
         ids.update((e, s, t))
-    if with_labels:
-        for i in ids:
-            for l in q.labels_of(i):
-                out.add(Constraint.has_label(i, l))
+    for i in ids:
+        for l in q.labels_of(i):
+            out.add(Constraint.has_label(i, l))
     return frozenset(out)
 
 
@@ -521,12 +500,14 @@ def cs_pattern_of(q: QueryPattern, center: str, direction: str = "out") -> Optio
     elements = set(edge_labels) | set(keys)
     if not elements or len(set(edge_labels)) != len(edge_labels):
         return None
-    constraints = set(constraints_for_edges(q, star_edges, with_labels=False))
+    # the star edges keep their labels; the vertices' labels are no part of a CS
+    constraints = {
+        c
+        for c in constraints_for_edges(q, star_edges)
+        if c.kind is not ConstraintKind.HAS_LABEL or c.ids[0] in q.edges
+    }
     constraints.add(Constraint.vertex(center))
-    for e, l in zip(star_edges, edge_labels):
-        constraints.add(Constraint.has_label(e, l))
-    for k in keys:
-        constraints.add(Constraint.has_key(center, k))
+    constraints.update(Constraint.has_key(center, k) for k in keys)
     return {
         "center": center,
         "edge_labels": tuple(edge_labels),

@@ -17,7 +17,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from .graph import PropertyGraph
 from .query import PredicateKind, predicate_holds
@@ -594,14 +594,19 @@ def _is_number(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+# Length of the string prefixes a string histogram buckets by.  Estimates
+# read it back from the stored buckets, so catalogs need not record it.
+PREFIX_LEN = 1
+
+
 def build_histogram(
-    g: PropertyGraph, key: str, kind: str = "equi_depth", n_buckets: int = 10, prefix_len: int = 1
+    g: PropertyGraph, key: str, kind: str = "equi_depth", n_buckets: int = 10
 ) -> Histogram:
     """Summarize the value distribution of one property key.
 
     Numeric values get range buckets (equi-width or equi-depth); if any
-    value is non-numeric the key is summarized by fixed-length string
-    prefixes instead.  An absent key yields an empty histogram.
+    value is non-numeric the key is summarized by PREFIX_LEN-character
+    string prefixes instead.  An absent key yields an empty histogram.
     """
     if kind not in ("equi_width", "equi_depth"):
         raise ValueError(f"unknown histogram kind: {kind!r}")
@@ -613,7 +618,7 @@ def build_histogram(
     strings = sorted(str(v) for v in values)
     groups: dict[str, list[str]] = {}
     for v in strings:
-        groups.setdefault(v[:prefix_len], []).append(v)
+        groups.setdefault(v[:PREFIX_LEN], []).append(v)
     buckets = [
         {"prefix": p, "count": len(vs), "distinct": len(set(vs))} for p, vs in sorted(groups.items())
     ]
@@ -625,24 +630,12 @@ def _numeric_histogram(key: str, kind: str, n_buckets: int, values: list[float])
     total = len(values)
     buckets: list[dict] = []
     if kind == "equi_width":
-        lo, hi = values[0], values[-1]
-        if lo == hi:
-            buckets.append({"lo": lo, "hi": hi, "count": total, "distinct": len(set(values))})
-        else:
-            width = (hi - lo) / n_buckets
-            slots: list[list[float]] = [[] for _ in range(n_buckets)]
-            for v in values:
-                idx = min(int((v - lo) / width), n_buckets - 1)
-                slots[idx].append(v)
-            for i, vs in enumerate(slots):
-                buckets.append(
-                    {
-                        "lo": lo + i * width,
-                        "hi": lo + (i + 1) * width if i < n_buckets - 1 else hi,
-                        "count": len(vs),
-                        "distinct": len(set(vs)),
-                    }
-                )
+        bounds, index = _equi_width(values, n_buckets)
+        slots: list[list[float]] = [[] for _ in bounds[1:]]
+        for v in values:
+            slots[index(v)].append(v)
+        for lo, hi, vs in zip(bounds, bounds[1:], slots):
+            buckets.append({"lo": lo, "hi": hi, "count": len(vs), "distinct": len(set(vs))})
     else:  # equi_depth: quantile slices differing in count by at most one
         n = min(n_buckets, total)
         base, extra = divmod(total, n)
@@ -657,13 +650,27 @@ def _numeric_histogram(key: str, kind: str, n_buckets: int, values: list[float])
     return Histogram(key, kind, "numeric", total, buckets)
 
 
+def _equi_width(values: Sequence[float], n: int) -> tuple[list[float], Callable[[float], int]]:
+    """Bounds of n equal-width buckets spanning the values, and the map
+    from a value in that span to its bucket.  A span of one point (or no
+    values) gets a single bucket."""
+    lo, hi = (min(values), max(values)) if values else (0.0, 0.0)
+    if lo == hi:
+        return [lo, hi], lambda v: 0
+    width = (hi - lo) / n
+    return [lo + i * width for i in range(n)] + [hi], lambda v: min(int((v - lo) / width), n - 1)
+
+
 def histogram_estimate(hist: Histogram, op: PredicateKind, value: Any) -> Optional[float]:
     """Estimated number of elements with the key satisfying ``op value``.
 
     Returns None when the histogram cannot serve the predicate (substring
     matching, domain mismatch).  Numeric buckets follow the bucket model
     of `_bucket_fraction`; a string prefix bucket assumes uniformly
-    frequent distinct values.
+    frequent distinct values.  Cross-type predicates never hold, so a
+    numeric histogram answers `=` and `!=` with a non-number by 0; a
+    string prefix histogram may summarize a key of mixed types, so it
+    has no answer for a non-string `!=`.
     """
     if hist.total == 0:
         return 0.0
@@ -671,7 +678,7 @@ def histogram_estimate(hist: Histogram, op: PredicateKind, value: Any) -> Option
         return None
     if hist.domain == "numeric":
         if op is PredicateKind.CONTAINS or (op is not PredicateKind.IN and not _is_number(value)):
-            return {PredicateKind.EQ: 0.0, PredicateKind.NEQ: float(hist.total)}.get(op)
+            return 0.0 if op in (PredicateKind.EQ, PredicateKind.NEQ) else None
         return sum(
             b["count"] * _bucket_fraction(b["lo"], b["hi"], b["distinct"], op, value)
             for b in hist.buckets
@@ -681,12 +688,11 @@ def histogram_estimate(hist: Histogram, op: PredicateKind, value: Any) -> Option
         if any(p is None for p in parts):
             return None
         return min(float(sum(parts)), float(hist.total))
-    if op is PredicateKind.NEQ:
-        eq = histogram_estimate(hist, PredicateKind.EQ, value)
-        return None if eq is None else hist.total - eq
     # string_prefix domain
     if not isinstance(value, str):
         return 0.0 if op is PredicateKind.EQ else None
+    if op is PredicateKind.NEQ:
+        return hist.total - histogram_estimate(hist, PredicateKind.EQ, value)
     plen = len(hist.buckets[0]["prefix"]) if hist.buckets else 1
     vp = value[:plen]
     if op is PredicateKind.EQ:
@@ -748,33 +754,17 @@ def build_md_histogram(g: PropertyGraph, keys: Sequence[str], n_buckets_per_axis
         if all(k in props and _is_number(props[k]) for k in keys):
             rows.append(tuple(float(props[k]) for k in keys))
     axes: list[dict] = []
-    index_fns = []
+    columns: list[list[int]] = []  # per axis, each row's bucket
     for a in range(len(keys)):
-        vals = [r[a] for r in rows]
-        lo = min(vals) if vals else 0.0
-        hi = max(vals) if vals else 0.0
-        n = n_buckets_per_axis if hi > lo else 1
-        width = (hi - lo) / n if hi > lo else 1.0
-        bounds = [lo + i * width for i in range(n)] + [hi]
-        axes.append({"bounds": bounds, "distincts": [0] * n})
-
-        def make_index(lo=lo, width=width, n=n):
-            def idx(v: float) -> int:
-                return min(int((v - lo) / width), n - 1) if n > 1 else 0
-
-            return idx
-
-        index_fns.append(make_index())
-    grid: dict[tuple[int, ...], int] = {}
-    per_axis_values: list[dict[int, set[float]]] = [dict() for _ in keys]
-    for r in rows:
-        cell = tuple(index_fns[a](r[a]) for a in range(len(keys)))
-        grid[cell] = grid.get(cell, 0) + 1
-        for a in range(len(keys)):
-            per_axis_values[a].setdefault(cell[a], set()).add(r[a])
-    for a, ax in enumerate(axes):
-        for b, vals in per_axis_values[a].items():
-            ax["distincts"][b] = len(vals)
+        values = [r[a] for r in rows]
+        bounds, index = _equi_width(values, n_buckets_per_axis)
+        column = [index(v) for v in values]
+        distinct: list[set[float]] = [set() for _ in bounds[1:]]
+        for b, v in zip(column, values):
+            distinct[b].add(v)
+        axes.append({"bounds": bounds, "distincts": [len(vs) for vs in distinct]})
+        columns.append(column)
+    grid = dict(Counter(zip(*columns)))
     return MDHistogram(keys=keys, axes=axes, grid=grid, total=len(rows))
 
 

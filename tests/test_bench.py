@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -211,3 +212,51 @@ class TestRunWorkload:
         bare = EstimatorConfig(name="bare")
         rows, summary = run_workload(g, queries, [rich, bare], catalog=catalog)
         assert summary.per_config["rich"]["median"] <= summary.per_config["bare"]["median"]
+
+
+def test_csv_golden_digest(tmp_path):
+    """The CSV of a seeded workload, with rows past the oracle budget
+    (empty exact and qerror fields) and an infinite q-error, hashes to a
+    recorded digest."""
+    spec = GraphSpec(
+        n_vertices=40,
+        n_edges=90,
+        vertex_labels=("A", "B"),
+        edge_labels=("a", "b"),
+        degree_exponent=0.8,
+        props=(PropSpec("k", n_values=3, base_prob=0.5),),
+    )
+    g = generate_graph(spec, seed=5)
+    catalog = build_catalog(g, synopses=[("edge", 1), ("chain", 2)], with_sysr=True)
+    doc = {
+        "vertices": [
+            {"id": "u", "labels": ["A"]},
+            {"id": "v", "props": [{"key": "k", "op": "<", "value": 2}]},
+            {"id": "w"},
+            {"id": "x", "labels": ["B"]},
+        ],
+        "edges": [
+            {"id": "e1", "src": "u", "trg": "v", "labels": ["a"]},
+            {"id": "e2", "src": "v", "trg": "w"},
+            {"id": "e3", "src": "w", "trg": "x", "labels": ["b"]},
+        ],
+    }
+    configs = [
+        EstimatorConfig(pets=("EP", "c2"), name="syn"),
+        EstimatorConfig(pets=("SysR",), epests=("implied",), ct="bounds"),
+    ]
+    rows, summary = run_workload(
+        g,
+        [("q", doc)],
+        configs,
+        oracle_budget=500,
+        catalog=catalog,
+        subquery_max_edges=3,
+        props_mode="both",
+    )
+    assert summary.skipped == 2
+    path = tmp_path / "rows.csv"
+    write_csv(rows, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "440fd21a3d94905ccf3ff2f27096be3b1b0409f1b83c00642757b018ff134865"
+    )

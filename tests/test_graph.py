@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from unittest import mock
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardest import graph
+from cardest.bench import GraphSpec, PropSpec, generate_graph
 from cardest.graph import (
     GraphFormatError,
     GraphIntegrityError,
@@ -79,6 +81,37 @@ class TestLoadGraph:
         g2 = load_graph(str(vf), str(ef))
         assert g == g2
         assert g.fingerprint() == g2.fingerprint()
+
+    def test_golden_file_bytes(self, tmp_path):
+        """The fingerprint and the saved files of a seeded graph, plus one
+        two-label vertex and one self-loop edge, match recorded digests:
+        catalogs store the fingerprint, so its bytes must not drift."""
+        spec = GraphSpec(
+            n_vertices=30,
+            n_edges=60,
+            vertex_labels=("A", "B"),
+            edge_labels=("a", "b"),
+            vertex_label_prob=0.7,
+            props=(PropSpec("k", n_values=4), PropSpec("w", n_values=3, on="edge")),
+        )
+        base = generate_graph(spec, seed=2)
+        vertices = [(base.names[v], base.labels_of(v), base.props_of(v)) for v in base.vertices]
+        vertices.append(("both", ["B", "A"], {"s": "xé", "f": 0.5, "t": True}))
+        edges = []
+        for e in base.edges:
+            s, t = (base.names[x] for x in base.endpoints(e))
+            edges.append((base.names[e], s, t, base.labels_of(e), base.props_of(e)))
+        edges.append(("loop", "both", "both", ["b"], {"f": -1.25}))
+        g = PropertyGraph(vertices, edges)
+        vf, ef = tmp_path / "v.jsonl", tmp_path / "e.jsonl"
+        save_graph(g, str(vf), str(ef))
+        assert g.fingerprint() == "e4ec7f59eca9db056e954fda01de22bead7dfcae1c8db80c2395bed8e3cf526e"
+        assert hashlib.sha256(vf.read_bytes()).hexdigest() == (
+            "264e2912d56a8d57446e4f2ee12072e2d63939504fd6dba68092f1521aee0aa8"
+        )
+        assert hashlib.sha256(ef.read_bytes()).hexdigest() == (
+            "a529285e174ef50f77522d44b4bb9f627e4cf70002b05087e0dc01751f3771ec"
+        )
 
 
 class TestCheckConstraint:

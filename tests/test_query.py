@@ -94,6 +94,28 @@ class TestParseQuery:
         with pytest.raises(QueryFormatError, match="list of objects"):
             parse_query(doc)
 
+    @pytest.mark.parametrize(
+        "edges, vertex_props, message",
+        [
+            ([{"src": "a", "trg": "a"}], [], "edge without id"),
+            ([{"id": "a", "src": "a", "trg": "a"}], [], "duplicate id 'a'"),
+            ([{"id": "e", "src": "b", "trg": "a"}], [], "edge 'e' references undeclared vertex"),
+            ([{"id": "e", "src": "a"}], [], "edge 'e' references undeclared vertex"),
+            (
+                [{"id": "e", "src": "a", "trg": "a"}, {"id": "f", "src": "e", "trg": "a"}],
+                [],
+                "edge 'f' references undeclared vertex",
+            ),
+            ([], [{"key": "k"}], "bad property constraint on 'a': {'key': 'k'}"),
+            ([], [{"key": "k", "op": "IN", "value": 1}], "IN predicate on 'a' needs a list value"),
+        ],
+    )
+    def test_single_error_messages(self, edges, vertex_props, message):
+        doc = {"vertices": [{"id": "a", "props": vertex_props}], "edges": edges}
+        with pytest.raises(QueryFormatError) as info:
+            parse_query(doc)
+        assert str(info.value) == message
+
     def test_accepts_json_text(self):
         import json
 

@@ -338,6 +338,39 @@ def test_golden_digest():
     )
 
 
+def test_histogram_golden_digest():
+    """The histogram and grid sections for an equi-width float key, an
+    equi-depth int key, a constant key, a string key, a 2-key and a 3-key
+    grid hash to a recorded digest, so every bound repeats bit for bit."""
+    rng = random.Random(11)
+    vertices = []
+    for i in range(60):
+        props = {
+            "x": rng.uniform(-3.0, 7.0),
+            "y": rng.randint(0, 20),
+            "c": 4,
+            "s": rng.choice(["ant", "bee", "cat", "cow"]),
+        }
+        if i % 7 == 0:
+            del props["y"]
+        vertices.append((f"v{i}", [], props))
+    catalog = build_catalog(
+        PropertyGraph(vertices, []),
+        histogram_keys=[
+            ("x", "equi_width", 7),
+            ("y", "equi_depth", 5),
+            ("c", "equi_width", 4),
+            ("s", "equi_depth", 3),
+        ],
+        md_keys=[("x", "y"), ("x", "y", "c")],
+    ).to_dict()
+    sections = {k: catalog[k] for k in ("histograms", "md_histograms")}
+    blob = json.dumps(sections, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "6045e6030c894255dfc1c0545cd8af2b9a5fe79a7dcd2562cc75a9b3282cb8e4"
+    )
+
+
 class TestSystemR:
     def test_g4(self, g4):
         s = build_system_r(g4)
@@ -566,6 +599,37 @@ class TestHistograms:
         h = build_histogram(PropertyGraph(vertices, []), "x", "equi_depth", 2)
         # buckets [0, 1] and [2, 3] of 10: repeated alternatives fill at most the first
         assert histogram_estimate(h, PredicateKind.IN, [0, 0, 0]) == 10.0
+
+    @staticmethod
+    def cycled(key, values, value):
+        """Nine vertices cycling through values, an equi-depth histogram on
+        the key, and the one-vertex query ``key != value``."""
+        g = PropertyGraph([(f"v{i}", [], {key: values[i % 3]}) for i in range(9)], [])
+        h = build_histogram(g, key, "equi_depth", 10)
+        prop = {"key": key, "op": "!=", "value": value}
+        return g, h, parse_query({"vertices": [{"id": "v", "props": [prop]}]})
+
+    def test_numeric_neq_other_type_is_zero(self):
+        # every element a numeric histogram counts is a number, and no
+        # number differs from a string by the cross-type rule
+        g, h, q = self.cycled("x", [0, 1, 2], "a")
+        assert h.domain == "numeric"
+        assert histogram_estimate(h, PredicateKind.NEQ, "a") == 0.0
+        assert exact_matches(g, q) == 0
+
+    def test_string_neq_number_has_no_answer(self):
+        g, h, q = self.cycled("s", ["p", "q", "r"], 5)
+        assert h.domain == "string_prefix"
+        assert histogram_estimate(h, PredicateKind.NEQ, 5) is None
+        assert exact_matches(g, q) == 0
+
+    def test_mixed_key_neq_number_has_no_answer(self):
+        # the buckets hold the stringified 1 and 2, so the histogram
+        # cannot tell how many elements differ from 5
+        g, h, q = self.cycled("m", [1, 2, "z"], 5)
+        assert h.domain == "string_prefix"
+        assert histogram_estimate(h, PredicateKind.NEQ, 5) is None
+        assert exact_matches(g, q) == 6
 
 
 class TestMDHistogram:
