@@ -15,7 +15,7 @@ from .bench import run_workload, write_csv
 from .engine import ConfigError, EstimatorConfig, ExpansionLimitError, estimate_with_disjunctions
 from .graph import load_graph
 from .query import QueryFormatError
-from .stats import build_catalog, load_catalog, save_catalog
+from .stats import SAMPLE_TYPE_ALIASES, build_catalog, load_catalog, save_catalog
 
 VERTEX_FILE = "vertices.jsonl"
 EDGE_FILE = "edges.jsonl"
@@ -39,7 +39,7 @@ def _parse_sample_token(token: str) -> tuple[str, float, int]:
     parts = token.split(":")
     if len(parts) not in (2, 3):
         raise ValueError("want pt:probability[:seed]")
-    pt = {"ep": "edge_pattern"}.get(parts[0], parts[0])
+    pt = SAMPLE_TYPE_ALIASES.get(parts[0], parts[0])
     seed = int(parts[2]) if len(parts) == 3 else 0
     return (pt, float(parts[1]), seed)
 

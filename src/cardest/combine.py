@@ -28,6 +28,7 @@ from .stats import StatisticsCatalog
 SORT_STRATEGIES = ("SaNd", "Sd", "NdSa", "NdSd", "NaSd", "NaSa", "Di", "MoNd", "MoDi")
 
 RECURSION_LIMIT = 2
+DEFAULT_MPS = 8
 MPS_HARD_CAP = 20
 IPF_TOL = 1e-9
 IPF_MAX_ITER = 10000
@@ -76,22 +77,19 @@ def make_complete(
 def _singleton_resolver(
     pes: Iterable[PartialEstimate], catalog: Optional[StatisticsCatalog]
 ) -> Callable[[Constraint], float]:
+    """Singleton selectivity of a constraint: its first singleton estimate,
+    else its individual estimate from the catalog, memoized."""
     singles: dict[Constraint, float] = {}
     for pe in pes:
         if len(pe.constraints) == 1:
-            c = next(iter(pe.constraints))
-            singles.setdefault(c, pe.selectivity)
-    cache: dict[Constraint, float] = {}
+            singles.setdefault(next(iter(pe.constraints)), pe.selectivity)
 
     def resolve(c: Constraint) -> float:
-        if c in singles:
-            return singles[c]
-        if c in cache:
-            return cache[c]
-        if catalog is None or catalog.basic is None:
-            raise ValueError(f"no singleton selectivity available for {c!r}")
-        s = individual_estimate(c, catalog).selectivity
-        cache[c] = s
+        s = singles.get(c)
+        if s is None:
+            if catalog is None or catalog.basic is None:
+                raise ValueError(f"no singleton selectivity available for {c!r}")
+            s = singles[c] = individual_estimate(c, catalog).selectivity
         return s
 
     return resolve
@@ -379,7 +377,7 @@ def _bits(constraints: Iterable[Constraint], index: dict[Constraint, int]) -> in
 def combine_max_ent(
     cpes: Iterable[PartialEstimate],
     q: QueryPattern,
-    mps: int = 8,
+    mps: int = DEFAULT_MPS,
     tol: float = IPF_TOL,
     max_iter: int = IPF_MAX_ITER,
     trace: Optional[list] = None,
@@ -436,9 +434,7 @@ _EXACT_ENUM_LIMIT = 20
 _ENUM_WORK_BUDGET = 200000
 
 
-def combine_bounds(
-    cpes: Iterable[PartialEstimate], q: QueryPattern, exact_limit: int = _EXACT_ENUM_LIMIT
-) -> BoundsResult:
+def combine_bounds(cpes: Iterable[PartialEstimate], q: QueryPattern) -> BoundsResult:
     """Upper and lower selectivity bounds from the estimate set.
 
     Upper: minimum product over subsets of estimates with pairwise
@@ -452,7 +448,7 @@ def combine_bounds(
 
     id_sets = [pe.id_set for pe in pes]
     best = {"upper": 1.0, "chosen": []}
-    exact = len(pes) <= exact_limit
+    exact = len(pes) <= _EXACT_ENUM_LIMIT
     if exact:
         work = 0
 

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
-from . import combine, estimators
+from . import combine, estimators, implications, stats
 from .combine import (
     CombineStep,
     MaxEntError,
@@ -67,12 +67,16 @@ def _split_tags(value: str) -> tuple[str, ...]:
     return tuple(t.strip() for t in tags if t.strip())
 
 
+# a synopsis tag's size lands in the group named after its synopsis class
 _PET_RE = re.compile(
-    r"^(EP|c(\d+)|s(\d+)|t(\d+)|SysR|CS|BS|MDH|defaults"
-    r"|S\((id|vertex|ep|edge_pattern),((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\)"
-    r"|WJ\((\d+)\))$"
+    r"^(?:EP|c(?P<chain>\d+)|s(?P<source_star>\d+)|t(?P<target_star>\d+)|SysR|CS|BS|MDH|defaults"
+    rf"|S\((?P<sample>{'|'.join((*stats.SAMPLE_TYPES, *stats.SAMPLE_TYPE_ALIASES))}),"
+    r"(?P<pr>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\)"
+    r"|WJ\((?P<walks>\d+)\))$"
 )
-_IP_RE = re.compile(r"^IP\((id|ep),(pv|p|a)\)$")
+_IP_RE = re.compile(
+    rf"^IP\(({'|'.join(implications.PATTERN_CLASSES)}),({'|'.join(implications.CONSTRAINT_CLASSES)})\)$"
+)
 _CT_RE = re.compile(
     rf"^(condIndep\(({'|'.join(combine.SORT_STRATEGIES)})\)"
     r"|maxEnt\((?:mps=)?(0*[1-9]\d*)\)|maxEnt|bounds)$"
@@ -94,7 +98,7 @@ class EstimatorConfig:
             m = _PET_RE.match(tag)
             if not m:
                 raise ConfigError(f"unknown technique tag: {tag!r}")
-            if m.group(6) is not None and not 0.0 < float(m.group(6)) <= 1.0:
+            if m["pr"] is not None and not 0.0 < float(m["pr"]) <= 1.0:
                 raise ConfigError(f"sample probability in {tag!r} must be in (0, 1]")
         for tag in self.epests:
             if tag != "implied" and not _IP_RE.match(tag):
@@ -197,14 +201,11 @@ def run_techniques(
     synopsis_classes: dict[str, int] = {}
     wanted_samples: list[tuple[str, float]] = []
     for tag in config.pets:
+        m = _PET_RE.match(tag)
         if tag == "EP":
             synopsis_classes["edge"] = 1
-        elif tag.startswith("c") and tag[1:].isdigit():
-            synopsis_classes["chain"] = int(tag[1:])
-        elif tag.startswith("s") and tag[1:].isdigit():
-            synopsis_classes["source_star"] = int(tag[1:])
-        elif tag.startswith("t") and tag[1:].isdigit():
-            synopsis_classes["target_star"] = int(tag[1:])
+        elif m.lastgroup in ("chain", "source_star", "target_star"):
+            synopsis_classes[m.lastgroup] = int(m[m.lastgroup])
         elif tag == "SysR":
             pes.extend(estimators.system_r_estimates(q, catalog))
         elif tag == "CS":
@@ -213,16 +214,13 @@ def run_techniques(
             pes.extend(estimators.bound_sketch_estimates(q, catalog))
         elif tag == "MDH":
             pes.extend(estimators.md_histogram_estimates(q, catalog))
-        elif tag.startswith("S("):
-            pt, pr = tag[2:-1].split(",")
-            pt = {"ep": "edge_pattern"}.get(pt, pt)
-            wanted_samples.append((pt, float(pr)))
-        elif tag.startswith("WJ("):
-            if g is not None:
-                walks = int(tag[3:-1])
-                pe = estimators.wander_join_estimate(q, g, walks, config.seed)
-                if pe is not None:
-                    pes.append(pe)
+        elif m["sample"]:
+            pt = m["sample"]
+            wanted_samples.append((stats.SAMPLE_TYPE_ALIASES.get(pt, pt), float(m["pr"])))
+        elif m["walks"] and g is not None:
+            pe = estimators.wander_join_estimate(q, g, int(m["walks"]), config.seed)
+            if pe is not None:
+                pes.append(pe)
         # 'defaults' adds nothing: the individual fallback chain covers it
     if wanted_samples:
         pes.extend(estimators.sample_estimates(q, catalog, wanted_samples))
@@ -281,7 +279,7 @@ def estimate(
     if m.group(1).startswith("condIndep"):
         sel = combine_cond_indep(cpes, q, m.group(2), catalog, trace)
     elif m.group(1).startswith("maxEnt"):
-        mps = int(m.group(3)) if m.group(3) else 8
+        mps = int(m.group(3)) if m.group(3) else combine.DEFAULT_MPS
         dropped: list[PartialEstimate] = []
         try:
             # positional: perfbench/spans.py reads mps and trace by position

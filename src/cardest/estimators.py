@@ -38,18 +38,23 @@ from .stats import (
 DEFAULT_EQ_SELECTIVITY = 1.0 / 10.0
 DEFAULT_NEQ_SELECTIVITY = 9.0 / 10.0
 DEFAULT_OTHER_SELECTIVITY = 1.0 / 3.0
+_DEFAULT_SELECTIVITY = {PredicateKind.EQ: DEFAULT_EQ_SELECTIVITY, PredicateKind.NEQ: DEFAULT_NEQ_SELECTIVITY}
 
 MAX_STAR_SIZE = 5
 
 # Preference order when two techniques produce estimates for the same
-# constraint set: keep the most trusted one.
+# constraint set: keep the most trusted one.  Keys are the technique a
+# provenance starts with, or the fallback step of an "individual:" one.
 _TRUST = {
     "exact": 0,
     "synopsis": 1,
     "cs": 2,
     "sysr": 3,
     "sampling": 4,
+    "sample": 4,
+    "wj": 4,
     "histogram": 5,
+    "mdh": 5,
     "sketch": 6,
     "default": 7,
     "ip": 8,
@@ -60,14 +65,7 @@ def trust_rank(provenance: str) -> int:
     head = provenance.split(":", 1)
     base = head[0].split("(", 1)[0]
     if base == "individual" and len(head) > 1:
-        tag = {"exact": "exact", "histogram": "histogram", "sample": "sampling", "default": "default"}[
-            head[1].split(":")[0]
-        ]
-        return _TRUST[tag]
-    if base in ("wj", "sampling"):
-        return _TRUST["sampling"]
-    if base == "mdh":
-        return _TRUST["histogram"]
+        base = head[1].split(":")[0]
     return _TRUST.get(base, 9)
 
 
@@ -91,6 +89,12 @@ def _clamp(s: float) -> float:
     return min(max(s, 0.0), 1.0)
 
 
+def _count_sel(count: float, n_ids: int, k: int) -> float:
+    """Selectivity of `count` matches over k query ids on a graph of
+    n_ids ids: count / n_ids^k, clamped; 0 on an empty graph."""
+    return _clamp(count / float(n_ids**k)) if n_ids else 0.0
+
+
 # ---------------------------------------------------------------------------
 # Individual constraints
 
@@ -105,21 +109,17 @@ def individual_prop_estimate(
     if basic and n_ids:
         exact = basic.prop_exact.get((c.key, c.op.value, c.value))
         if exact is not None:
-            return exact / n_ids, "individual:exact"
+            return _count_sel(exact, n_ids, 1), "individual:exact"
         hist = catalog.histogram(c.key)
         if hist is not None:
             est = histogram_estimate(hist, c.op, c.value)
             if est is not None:
-                return _clamp(est / n_ids), "individual:histogram"
+                return _count_sel(est, n_ids, 1), "individual:histogram"
         sample = catalog.sample("id")
         if sample is not None and sample.members:
             hits = sum(1 for m in sample.members if satisfies((c,), m["labels"], m["props"]))
             return hits / len(sample.members), "individual:sample"
-    if c.op is PredicateKind.EQ:
-        return DEFAULT_EQ_SELECTIVITY, "individual:default"
-    if c.op is PredicateKind.NEQ:
-        return DEFAULT_NEQ_SELECTIVITY, "individual:default"
-    return DEFAULT_OTHER_SELECTIVITY, "individual:default"
+    return _DEFAULT_SELECTIVITY.get(c.op, DEFAULT_OTHER_SELECTIVITY), "individual:default"
 
 
 def individual_estimate(c: Constraint, catalog: StatisticsCatalog) -> PartialEstimate:
@@ -127,20 +127,20 @@ def individual_estimate(c: Constraint, catalog: StatisticsCatalog) -> PartialEst
     basic = catalog.basic
     if basic is None:
         raise ValueError("individual estimation requires basic statistics")
-    n = basic.n_ids
     if c.kind is ConstraintKind.VERTEX:
-        s, prov = (basic.n_vertices / n if n else 0.0), "individual:exact"
+        count, k = basic.n_vertices, 1
     elif c.kind is ConstraintKind.EDGE:
-        s, prov = (basic.n_edges / n if n else 0.0), "individual:exact"
+        count, k = basic.n_edges, 1
     elif c.kind in (ConstraintKind.SRC, ConstraintKind.TRG):
-        s, prov = (basic.n_edges / (n * n) if n else 0.0), "individual:exact"
+        count, k = basic.n_edges, 2
     elif c.kind is ConstraintKind.HAS_LABEL:
-        s, prov = (basic.label_count(c.label) / n if n else 0.0), "individual:exact"
+        count, k = basic.label_count(c.label), 1
     elif c.kind is ConstraintKind.HAS_KEY:
-        s, prov = (basic.key_sel.get(c.key, 0) / n if n else 0.0), "individual:exact"
+        count, k = basic.key_sel.get(c.key, 0), 1
     else:
         s, prov = individual_prop_estimate(c, catalog)
-    return PartialEstimate(frozenset({c}), _clamp(s), prov)
+        return PartialEstimate(frozenset({c}), _clamp(s), prov)
+    return PartialEstimate(frozenset({c}), _count_sel(count, basic.n_ids, k), "individual:exact")
 
 
 def individual_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[PartialEstimate]:
@@ -155,20 +155,15 @@ def individual_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[Pa
 # Labeled topological synopsis lookups
 
 
-class _MultiLabel(Exception):
-    pass
-
-
-def _slot_label(q: QueryPattern, i: str) -> str:
+def _slot_label(q: QueryPattern, i: str) -> Optional[str]:
+    """The one label of a query id, WILDCARD for none, None for several."""
     labs = q.labels_of(i)
     if not labs:
         return WILDCARD
-    if len(labs) > 1:
-        raise _MultiLabel(i)
-    return next(iter(labs))
+    return next(iter(labs)) if len(labs) == 1 else None
 
 
-def _edge_pattern_labels(q: QueryPattern, e: str) -> tuple[str, str, str]:
+def _edge_pattern_labels(q: QueryPattern, e: str) -> tuple[Optional[str], ...]:
     s, t = q.endpoints[e]
     return (_slot_label(q, s), _slot_label(q, e), _slot_label(q, t))
 
@@ -177,27 +172,21 @@ def _edge_patterns(q: QueryPattern) -> Iterator[tuple[tuple[str, str, str], froz
     """Slot labels and constraints of each query edge but self-loops and multi-labelled ones."""
     for e in sorted(q.edges):
         s, t = q.endpoints[e]
-        if s == t:
-            continue
-        try:
-            ep = _edge_pattern_labels(q, e)
-        except _MultiLabel:
-            continue
-        yield ep, constraints_for_edges(q, (e,))
+        ep = _edge_pattern_labels(q, e)
+        if s != t and None not in ep:
+            yield ep, constraints_for_edges(q, (e,))
 
 
 def _labeled_stars(
     q: QueryPattern,
-) -> Iterator[tuple[list[tuple[tuple[str, str, str], bool]], frozenset[Constraint]]]:
-    """Branches (slot labels, leaves the center?) and constraints of each star of 2 to
+) -> Iterator[tuple[list[tuple[tuple[str, str, str], bool]], tuple[str, ...]]]:
+    """Branches (slot labels, leaves the center?) and edges of each star of 2 to
     MAX_STAR_SIZE edges in any direction, skipping stars with multi-labelled ids."""
     for size in range(2, min(MAX_STAR_SIZE, len(q.edges)) + 1):
         for center, edges in iter_stars(q, size):
-            try:
-                branches = [(_edge_pattern_labels(q, e), q.endpoints[e][0] == center) for e in edges]
-            except _MultiLabel:
-                continue
-            yield branches, constraints_for_edges(q, edges)
+            branches = [(_edge_pattern_labels(q, e), q.endpoints[e][0] == center) for e in edges]
+            if all(None not in ep for ep, _ in branches):
+                yield branches, edges
 
 
 def _labeled_chains(q: QueryPattern, m: int) -> Iterator[tuple[list[str], frozenset[Constraint]]]:
@@ -205,13 +194,11 @@ def _labeled_chains(q: QueryPattern, m: int) -> Iterator[tuple[list[str], frozen
     directed m-chain, skipping chains with multi-labelled ids; edge i's
     pattern is slots[2 * i : 2 * i + 3]."""
     for chain in iter_chains(q, m):
-        try:
-            slots = [_slot_label(q, q.endpoints[chain[0]][0])]
-            for e in chain:
-                slots += (_slot_label(q, e), _slot_label(q, q.endpoints[e][1]))
-        except _MultiLabel:
-            continue
-        yield slots, constraints_for_edges(q, chain)
+        slots = [_slot_label(q, q.endpoints[chain[0]][0])]
+        for e in chain:
+            slots += (_slot_label(q, e), _slot_label(q, q.endpoints[e][1]))
+        if None not in slots:
+            yield slots, constraints_for_edges(q, chain)
 
 
 def synopsis_estimates(
@@ -233,10 +220,6 @@ def synopsis_estimates(
     n_ids_g = basic.n_ids
     out: list[PartialEstimate] = []
     stars: Optional[list] = None  # walked once, for the first star synopsis
-
-    def sel_from_count(count: int, k: int) -> float:
-        return _clamp(count / float(n_ids_g**k))
-
     for syn in catalog.synopses:
         if classes is not None and syn.klass not in classes:
             continue
@@ -247,12 +230,12 @@ def synopsis_estimates(
                 count = syn.count_edge(*ep)
                 if count is None:
                     continue
-                out.append(PartialEstimate(cs, sel_from_count(count, 3), "synopsis:EP"))
+                out.append(PartialEstimate(cs, _count_sel(count, n_ids_g, 3), "synopsis:EP"))
 
         elif syn.klass == "chain":
             for m in range(2, len(q.edges) + 1):
                 for slots, cs in _labeled_chains(q, m):
-                    sel = _chain_sel(syn, basic, slots, m, use_size, n_ids_g)
+                    sel = _chain_sel(syn, basic, slots, m, use_size)
                     if sel is None:
                         continue
                     out.append(PartialEstimate(cs, _clamp(sel), f"synopsis:c{use_size}"))
@@ -262,7 +245,7 @@ def synopsis_estimates(
             tag = "s" if outgoing else "t"
             if stars is None:
                 stars = list(_labeled_stars(q))
-            for branches, cs in stars:
+            for branches, edges in stars:
                 if len(branches) > use_size or any(o != outgoing for _, o in branches):
                     continue
                 # each branch is (ls, le, lt): the center is ls on a source star, lt on a target star
@@ -271,32 +254,26 @@ def synopsis_estimates(
                 count = syn.count_star(center, leaves)
                 if count is None:
                     continue
-                out.append(
-                    PartialEstimate(
-                        cs, sel_from_count(count, 2 * len(branches) + 1), f"synopsis:{tag}{use_size}"
-                    )
-                )
+                cs = constraints_for_edges(q, edges)
+                sel = _count_sel(count, n_ids_g, 2 * len(branches) + 1)
+                out.append(PartialEstimate(cs, sel, f"synopsis:{tag}{use_size}"))
     return out
 
 
-def _chain_sel(
-    syn, basic, slots: list[str], m: int, max_size: int, n_ids_g: int
-) -> Optional[float]:
+def _chain_sel(syn, basic, slots: list[str], m: int, max_size: int) -> Optional[float]:
     """Selectivity of a labeled m-chain from a synopsis of size max_size."""
 
     def window_sel(start_edge: int, length: int) -> Optional[float]:
         # slots for edges [start_edge, start_edge+length): 2*length+1 slots
         if length == 0:
             lv = slots[2 * start_edge]
-            count = (
-                basic.n_vertices if lv == WILDCARD else basic.label_sel.get(lv, (0, 0))[0]
-            )
-            return count / n_ids_g
+            count = basic.n_vertices if lv == WILDCARD else basic.label_sel.get(lv, (0, 0))[0]
+            return _count_sel(count, basic.n_ids, 1)
         window = slots[2 * start_edge : 2 * (start_edge + length) + 1]
         count = syn.count_chain(window)
         if count is None:
             return None
-        return count / float(n_ids_g ** (2 * length + 1))
+        return _count_sel(count, basic.n_ids, 2 * length + 1)
 
     if m <= max_size:
         return window_sel(0, m)
@@ -310,10 +287,8 @@ def _chain_sel(
         den = window_sel(i, n - 1)
         if num is None or den is None:
             return None
-        if num == 0.0:
-            return 0.0
-        if den == 0.0:
-            return 0.0  # sub-pattern empty forces the longer chain empty
+        if num == 0.0 or den == 0.0:
+            return 0.0  # an empty sub-pattern forces the longer chain empty
         sel *= num / den
     return sel
 
@@ -330,21 +305,20 @@ def system_r_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[Part
         return []
     n_ids_g = catalog.basic.n_ids
     out: list[PartialEstimate] = []
-    for branches, cs in _labeled_stars(q):
+    for branches, edges in _labeled_stars(q):
         cards: list[int] = []
         distincts: list[int] = []
         for ep, outgoing in branches:
             n, ds, dt = catalog.sysr.lookup(*ep)
             cards.append(n)
             distincts.append(ds if outgoing else dt)
-        if any(n == 0 for n in cards):
-            out.append(PartialEstimate(cs, 0.0, "sysr"))
-            continue
-        est = float(min(distincts))
-        for n, d in zip(cards, distincts):
-            est *= n / d
-        k = len(ids_of(cs))
-        out.append(PartialEstimate(cs, _clamp(est / n_ids_g**k), "sysr"))
+        est = 0.0
+        if all(cards):
+            est = float(min(distincts))
+            for n, d in zip(cards, distincts):
+                est *= n / d
+        cs = constraints_for_edges(q, edges)
+        out.append(PartialEstimate(cs, _count_sel(est, n_ids_g, len(ids_of(cs))), "sysr"))
     return out
 
 
@@ -385,18 +359,17 @@ def bound_sketch_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[
     # single edges: the sketch stores exact per-pattern counts
     for ep, cs in _edge_patterns(q):
         count = sum(c for c, _ in sketch.partition(*ep, "src").values())
-        out.append(PartialEstimate(cs, _clamp(count / n_ids_g**3), "sketch"))
+        out.append(PartialEstimate(cs, _count_sel(count, n_ids_g, 3), "sketch"))
 
     for slots, cs in _labeled_chains(q, 2):
         parts = [sketch.partition(*slots[0:3], "trg"), sketch.partition(*slots[2:5], "src")]
-        bound = joined_bound(parts)
-        out.append(PartialEstimate(cs, _clamp(bound / n_ids_g**5), "sketch"))
+        out.append(PartialEstimate(cs, _count_sel(joined_bound(parts), n_ids_g, 5), "sketch"))
 
-    for branches, cs in _labeled_stars(q):
+    for branches, edges in _labeled_stars(q):
         parts = [sketch.partition(*ep, "src" if outgoing else "trg") for ep, outgoing in branches]
-        bound = joined_bound(parts)
-        k = len(ids_of(cs))
-        out.append(PartialEstimate(cs, _clamp(bound / n_ids_g**k), "sketch"))
+        cs = constraints_for_edges(q, edges)
+        sel = _count_sel(joined_bound(parts), n_ids_g, len(ids_of(cs)))
+        out.append(PartialEstimate(cs, sel, "sketch"))
     return out
 
 
@@ -432,10 +405,8 @@ def char_set_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[Part
                 for l in info["edge_labels"]:
                     contribution *= entry.label_counts.get(l, 0) / entry.count
                 card += contribution
-            k = len(ids_of(info["constraints"]))
-            out.append(
-                PartialEstimate(info["constraints"], _clamp(card / n_ids_g**k), "cs")
-            )
+            cs = info["constraints"]
+            out.append(PartialEstimate(cs, _count_sel(card, n_ids_g, len(ids_of(cs))), "cs"))
     return out
 
 
@@ -482,7 +453,7 @@ def sample_estimates(
                     continue
                 hits = sum(1 for m in members if satisfies(groups[i], m["labels"], m["props"]))
                 population = basic.n_vertices if is_vertex else basic.n_edges
-                sel = (hits / len(members)) * (population / n_ids_g)
+                sel = (hits / len(members)) * _count_sel(population, n_ids_g, 1)
                 membership = Constraint.vertex(i) if is_vertex else Constraint.edge(i)
                 cs = groups[i] | {membership}
                 out.append(PartialEstimate(cs, _clamp(sel), tag))
@@ -507,7 +478,7 @@ def sample_estimates(
                     if not loop and not satisfies(data_t, m["trg"]["labels"], m["trg"]["props"]):
                         continue
                     hits += 1
-                sel = (hits / len(sample.members)) * (basic.n_edges / float(n_ids_g ** len(ids)))
+                sel = (hits / len(sample.members)) * _count_sel(basic.n_edges, n_ids_g, len(ids))
                 out.append(PartialEstimate(cs, _clamp(sel), tag))
     return out
 
@@ -606,8 +577,7 @@ def wander_join_estimate(
             else:
                 total += inv_prob
                 successes += 1
-    estimate = total / walks
-    sel = _clamp(estimate / float(g.n_ids ** len(covered_ids)))
+    sel = _count_sel(total / walks, g.n_ids, len(covered_ids))
     provenance = "wj" if successes else "wj:low_confidence"
     return PartialEstimate(constraints, sel, provenance)
 
@@ -648,7 +618,7 @@ def md_histogram_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[
             if not keys <= set(mdh.keys):
                 continue
             frac = md_fraction(mdh, preds)
-            sel = frac * (mdh.total / n_ids_g)
+            sel = frac * _count_sel(mdh.total, n_ids_g, 1)
             values = frozenset(c for c in data[i] if c.kind is ConstraintKind.PROP_VALUE)
             out.append(PartialEstimate(values, _clamp(sel), "mdh"))
             break

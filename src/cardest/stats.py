@@ -496,6 +496,8 @@ def build_bound_sketch(g: PropertyGraph, n_buckets: int = 16, hash_seed: int = 0
 # Samples
 
 SAMPLE_TYPES = ("id", "vertex", "edge_pattern")
+# short names a sample tag or token may use for a pattern type
+SAMPLE_TYPE_ALIASES = {"ep": "edge_pattern"}
 
 
 @dataclass
@@ -610,6 +612,8 @@ def build_histogram(
     """
     if kind not in ("equi_width", "equi_depth"):
         raise ValueError(f"unknown histogram kind: {kind!r}")
+    if n_buckets < 1:
+        raise ValueError("n_buckets must be >= 1")
     values = [g.prop(i, key) for i in range(g.n_ids) if key in g.props_of(i)]
     if not values:
         return Histogram(key, kind, "numeric", 0, [])
@@ -670,7 +674,7 @@ def histogram_estimate(hist: Histogram, op: PredicateKind, value: Any) -> Option
     frequent distinct values.  Cross-type predicates never hold, so a
     numeric histogram answers `=` and `!=` with a non-number by 0; a
     string prefix histogram may summarize a key of mixed types, so it
-    has no answer for a non-string `!=`.
+    has no answer for a non-string value, alone or in an `IN` list.
     """
     if hist.total == 0:
         return 0.0
@@ -690,7 +694,7 @@ def histogram_estimate(hist: Histogram, op: PredicateKind, value: Any) -> Option
         return min(float(sum(parts)), float(hist.total))
     # string_prefix domain
     if not isinstance(value, str):
-        return 0.0 if op is PredicateKind.EQ else None
+        return None
     if op is PredicateKind.NEQ:
         return hist.total - histogram_estimate(hist, PredicateKind.EQ, value)
     plen = len(hist.buckets[0]["prefix"]) if hist.buckets else 1

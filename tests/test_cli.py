@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import cardest
 from cardest.cli import main
 from cardest.graph import PropertyGraph, save_graph
 from cardest.stats import load_catalog
@@ -94,12 +95,15 @@ class TestStatsBuild:
             ("--cs", "0", "max_entries must be >= 1"),
             ("--sketch", "0", "n_buckets must be >= 1"),
             ("--histogram", "k1:bogus", "unknown histogram kind: 'bogus'"),
+            ("--histogram", "k1:equi_width:0", "n_buckets must be >= 1"),
             ("--md-histogram", "k1", "md histogram takes 2..3 keys"),
         ],
     )
-    def test_builder_rejection_reported(self, graph_dir, tmp_path, capsys, flag, value, message):
+    def test_builder_rejection_reported(self, rich_graph_dir, tmp_path, capsys, flag, value, message):
+        # k1 holds several numbers on this graph, so a histogram builder
+        # reaches its bucket split
         out = tmp_path / "catalog.json"
-        rc = main(["stats", "build", "--graph", str(graph_dir), "--out", str(out), flag, value])
+        rc = main(["stats", "build", "--graph", str(rich_graph_dir), "--out", str(out), flag, value])
         assert rc == 2
         assert capsys.readouterr().err == f"cardest: error: {message}\n"
         assert not out.exists()
@@ -263,10 +267,13 @@ class TestBenchCommand:
                 "id:0.5:3",
             ]
         )
+        # the child imports the cardest this process imported, installed or not
+        src = os.path.dirname(os.path.dirname(cardest.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         outputs = []
         for hash_seed, name in (("1", "a.csv"), ("12345", "b.csv")):
             out = tmp_path / name
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
             proc = subprocess.run(
                 [
                     sys.executable,

@@ -583,7 +583,7 @@ class TestBounds:
 
     def test_greedy_fallback_flagged(self, one_edge_query):
         pes = [self.mk(f"v{i}", 0.9) for i in range(30)]
-        res = combine_bounds(pes, one_edge_query, exact_limit=10)
+        res = combine_bounds(pes, one_edge_query)
         assert not res.exact_upper
         assert res.upper == pytest.approx(0.9**30)
 

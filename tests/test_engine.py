@@ -15,7 +15,15 @@ from cardest.engine import (
     expand_disjunctions,
 )
 from cardest.graph import PropertyGraph, exact_matches, exact_selectivity
-from cardest.query import Constraint, PartialEstimate, QueryFormatError, parse_query
+from cardest.estimators import individual_estimate
+from cardest.query import (
+    Constraint,
+    ConstraintKind,
+    PartialEstimate,
+    QueryFormatError,
+    extract_constraints,
+    parse_query,
+)
 from cardest.stats import StaleCatalogWarning, build_catalog
 
 from conftest import ONE_EDGE_DOC, random_graph, random_query
@@ -478,3 +486,33 @@ def test_estimates_golden_digest():
     assert h.hexdigest() == (
         "864013a31c83b796bdbde5169e59060f634c91e1371e97b27bce63762b920b03"
     )
+
+
+def test_empty_graph_estimates_zero():
+    """On a graph with no ids every configuration estimates 0 matches, and
+    every topology, label and key singleton reads 0."""
+    g = PropertyGraph([], [])
+    catalog = build_catalog(
+        g,
+        synopses=[("edge", 1), ("chain", 2), ("source_star", 3), ("target_star", 2)],
+        with_sysr=True,
+        cs_max=1000,
+        sketch_buckets=16,
+        samples=[("id", 0.05, 3), ("edge_pattern", 0.05, 3)],
+        histogram_keys=[("k1", "equi_depth", 10)],
+        md_keys=[("k1", "k2")],
+    )
+    k1 = {"key": "k1", "op": "=", "value": 1}
+    k2 = {"key": "k2", "op": "<", "value": 2}
+    q = parse_query(
+        {
+            "vertices": [{"id": "a", "labels": ["A"], "props": [k1, k2]}, {"id": "b", "labels": ["B"]}],
+            "edges": [{"id": "e", "src": "a", "trg": "b", "labels": ["A"], "props": [k1]}],
+        }
+    )
+    for config in GOLDEN_CONFIGS:
+        assert estimate(q, g, catalog, config).cardinality == 0.0, config.label
+    singletons = [c for c in extract_constraints(q) if c.kind is not ConstraintKind.PROP_VALUE]
+    assert len(singletons) == 11  # 3 memberships, src, trg, 3 labels, 3 keys
+    for c in singletons:
+        assert individual_estimate(c, catalog).selectivity == 0.0, c

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardest.bench import GraphSpec, generate_graph
-from cardest.estimators import sample_estimates
+from cardest.estimators import individual_estimate, sample_estimates
 from cardest.graph import PropertyGraph, exact_matches, exact_selectivity
-from cardest.query import PredicateKind, parse_query, predicate_holds
+from cardest.query import ConstraintKind, PredicateKind, extract_constraints, parse_query, predicate_holds
 from cardest.stats import (
     WILDCARD,
     BoundSketch,
@@ -601,12 +601,12 @@ class TestHistograms:
         assert histogram_estimate(h, PredicateKind.IN, [0, 0, 0]) == 10.0
 
     @staticmethod
-    def cycled(key, values, value):
+    def cycled(key, values, value, op="!="):
         """Nine vertices cycling through values, an equi-depth histogram on
-        the key, and the one-vertex query ``key != value``."""
+        the key, and the one-vertex query ``key op value``."""
         g = PropertyGraph([(f"v{i}", [], {key: values[i % 3]}) for i in range(9)], [])
         h = build_histogram(g, key, "equi_depth", 10)
-        prop = {"key": key, "op": "!=", "value": value}
+        prop = {"key": key, "op": op, "value": value}
         return g, h, parse_query({"vertices": [{"id": "v", "props": [prop]}]})
 
     def test_numeric_neq_other_type_is_zero(self):
@@ -630,6 +630,24 @@ class TestHistograms:
         assert h.domain == "string_prefix"
         assert histogram_estimate(h, PredicateKind.NEQ, 5) is None
         assert exact_matches(g, q) == 6
+
+    @pytest.mark.parametrize("op, value, exact", [("=", 1, 3), ("IN", [1, 2], 6)])
+    def test_mixed_key_number_falls_back(self, op, value, exact):
+        # the buckets hold the stringified 1 and 2, so the histogram cannot
+        # count the numbers; the singleton comes from the operator default
+        g, h, q = self.cycled("m", [1, 2, "z"], value, op)
+        assert h.domain == "string_prefix"
+        assert histogram_estimate(h, PredicateKind.from_op(op), value) is None
+        catalog = build_catalog(g, histogram_keys=[("m", "equi_depth", 10)])
+        (c,) = [c for c in extract_constraints(q) if c.kind is ConstraintKind.PROP_VALUE]
+        assert individual_estimate(c, catalog).provenance == "individual:default"
+        assert exact_matches(g, q) == exact
+
+    @pytest.mark.parametrize("kind, n_buckets", [("equi_width", 0), ("equi_depth", 0), ("equi_width", -2)])
+    def test_fewer_than_one_bucket_rejected(self, kind, n_buckets):
+        g = PropertyGraph([("a", [], {"x": 1}), ("b", [], {"x": 2})], [])
+        with pytest.raises(ValueError, match="n_buckets must be >= 1"):
+            build_histogram(g, "x", kind, n_buckets)
 
 
 class TestMDHistogram:
