@@ -13,9 +13,9 @@ from typing import Optional
 
 from .bench import run_workload, write_csv
 from .engine import ConfigError, EstimatorConfig, ExpansionLimitError, estimate_with_disjunctions
-from .graph import load_graph
+from .graph import GraphFormatError, GraphIntegrityError, load_graph
 from .query import QueryFormatError
-from .stats import SAMPLE_TYPE_ALIASES, build_catalog, load_catalog, save_catalog
+from .stats import SAMPLE_TYPE_ALIASES, CatalogFormatError, build_catalog, load_catalog, save_catalog
 
 VERTEX_FILE = "vertices.jsonl"
 EDGE_FILE = "edges.jsonl"
@@ -142,7 +142,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     g = _load_graph_dir(args.graph)
     catalog = load_catalog(args.stats) if args.stats else build_catalog(g)
     with open(args.workload, "r", encoding="utf-8") as fh:
-        workload = json.load(fh)
+        try:
+            workload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise QueryFormatError(f"{args.workload}: {exc}") from None
+    if not isinstance(workload, list) or not all(
+        isinstance(item, dict) and "id" in item and isinstance(item.get("query"), dict) for item in workload
+    ):
+        raise QueryFormatError(f"{args.workload}: workload must be a JSON list of {{id, query}} objects")
     queries = [(item["id"], item["query"]) for item in workload]
     configs = []
     with open(args.configs, "r", encoding="utf-8") as fh:
@@ -228,7 +235,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (QueryFormatError, ExpansionLimitError, ConfigError) as exc:
+    except (QueryFormatError, ExpansionLimitError, ConfigError, GraphFormatError, GraphIntegrityError,
+            CatalogFormatError, OSError) as exc:  # malformed input, or a file that cannot be opened
         print(f"cardest: error: {exc}", file=sys.stderr)
         return 2
 

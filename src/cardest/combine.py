@@ -9,7 +9,7 @@ iterative proportional fitting, and upper/lower selectivity bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -65,13 +65,23 @@ def make_complete(
     """Ensure every query constraint occurs in at least one estimate by
     adding singleton estimates (individual fallback chain) for the rest."""
     pes = list(pes)
-    covered: set[Constraint] = set()
-    for pe in pes:
-        covered |= pe.constraints
-    missing = extract_constraints(q) - covered
-    for c in sorted(missing, key=lambda c: c.sort_key()):
-        pes.append(individual_estimate(c, catalog))
-    return pes
+    return pes + [individual_estimate(c, catalog) for c in _uncovered(extract_constraints(q), pes)]
+
+
+def _uncovered(
+    constraints: frozenset[Constraint], pes: Iterable[PartialEstimate]
+) -> list[Constraint]:
+    """The constraints that no estimate covers, in canonical order."""
+    covered = set().union(*(pe.constraints for pe in pes))
+    return sorted(constraints - covered, key=lambda c: c.sort_key())
+
+
+def _singleton_product(
+    constraints: Iterable[Constraint], resolve: Callable[[Constraint], float]
+) -> float:
+    """Product of the constraints' singleton selectivities, in canonical
+    order: float products must not depend on set iteration order."""
+    return math.prod((resolve(c) for c in sorted(constraints, key=lambda c: c.sort_key())), start=1.0)
 
 
 def _singleton_resolver(
@@ -103,10 +113,7 @@ def deviation_from_independence(
     independent, +inf a hard conflict."""
     if len(pe.constraints) == 1:
         return 1.0
-    prod = 1.0
-    # canonical order: float products must not depend on set iteration order
-    for c in sorted(pe.constraints, key=lambda c: c.sort_key()):
-        prod *= resolve(c)
+    prod = _singleton_product(pe.constraints, resolve)
     s = pe.selectivity
     if prod == 0.0 and s == 0.0:
         return 1.0
@@ -119,8 +126,9 @@ def _order_estimates(
     pes: list[PartialEstimate],
     strategy: str,
     resolve: Callable[[Constraint], float],
-) -> list[PartialEstimate]:
-    """The estimates in the processing order of a sort strategy.
+) -> list[tuple[frozenset[Constraint], PartialEstimate]]:
+    """The estimates in the processing order of a sort strategy, each
+    with its implied closure.
 
     The maximum-overlap strategies (MoNd, MoDi) pick greedily: next comes
     the estimate whose implied closure shares the most constraints with
@@ -138,7 +146,7 @@ def _order_estimates(
     def final(pe: PartialEstimate) -> tuple:
         return (len(pe.constraints), pe.key())
 
-    static = {
+    rank = {
         "SaNd": lambda pe: (pe.selectivity, -len(pe.constraints)),
         "Sd": lambda pe: (-pe.selectivity,),
         "NdSa": lambda pe: (-len(pe.constraints), pe.selectivity),
@@ -146,30 +154,26 @@ def _order_estimates(
         "NaSd": lambda pe: (len(pe.constraints), -pe.selectivity),
         "NaSa": lambda pe: (len(pe.constraints), pe.selectivity),
         "Di": lambda pe: (-deviation_from_independence(pe, resolve), pe.selectivity),
-    }
-    if strategy in static:
-        key = static[strategy]
-        return sorted(pes, key=lambda pe: key(pe) + final(pe))
+        # the maximum-overlap strategies' secondary rank
+        "MoNd": lambda pe: (-len(pe.constraints),),
+        "MoDi": lambda pe: (-deviation_from_independence(pe, resolve),),
+    }[strategy]
+    ranked = [
+        (implied_closure(pe.constraints), pe)
+        for pe in sorted(pes, key=lambda pe: rank(pe) + final(pe))
+    ]
+    if strategy not in ("MoNd", "MoDi"):
+        return ranked
 
     # maximum-overlap strategies pick greedily against the constraints
-    # already processed
-    secondary = (
-        (lambda pe: (-len(pe.constraints),))
-        if strategy == "MoNd"
-        else (lambda pe: (-deviation_from_independence(pe, resolve),))
-    )
-    # sorted by rank, so the first estimate of largest overlap is the one
-    # the rank prefers
-    remaining = [
-        (implied_closure(pe.constraints), pe)
-        for pe in sorted(pes, key=lambda pe: secondary(pe) + final(pe))
-    ]
-    ordered: list[PartialEstimate] = []
+    # already processed; `ranked` is sorted by rank, so the first estimate
+    # of largest overlap is the one the rank prefers
+    ordered: list[tuple[frozenset[Constraint], PartialEstimate]] = []
     done_impl: frozenset[Constraint] = frozenset()
-    while remaining:
-        best = max(range(len(remaining)), key=lambda i: len(done_impl & remaining[i][0]))
-        closure, pe = remaining.pop(best)
-        ordered.append(pe)
+    while ranked:
+        best = max(range(len(ranked)), key=lambda i: len(done_impl & ranked[i][0]))
+        closure, pe = ranked.pop(best)
+        ordered.append((closure, pe))
         done_impl |= closure
     return ordered
 
@@ -200,13 +204,11 @@ def combine_cond_indep(
     """
     pes = list(cpes)
     resolve = _singleton_resolver(pes, catalog)
-    ordered = _order_estimates(pes, strategy, resolve)
     # the closure of the processed constraints, grown by union as in
     # _order_estimates
     done_impl: frozenset[Constraint] = frozenset()
     result = 1.0
-    for pe in ordered:
-        c_impl = implied_closure(pe.constraints)
+    for c_impl, pe in _order_estimates(pes, strategy, resolve):
         intersection = done_impl & c_impl
         factor: Optional[float]
         if not intersection:
@@ -245,16 +247,9 @@ def _estimate_subset(
 ) -> float:
     """Selectivity of a constraint subset, for the conditioning step."""
     if depth >= RECURSION_LIMIT:
-        prod = 1.0
-        for c in sorted(constraints, key=lambda c: c.sort_key()):
-            prod *= resolve(c)
-        return prod
+        return _singleton_product(constraints, resolve)
     sub = [pe for pe in pes if pe.constraints <= constraints]
-    covered: set[Constraint] = set()
-    for pe in sub:
-        covered |= pe.constraints
-    for c in sorted(constraints - covered, key=lambda c: c.sort_key()):
-        sub.append(PartialEstimate(frozenset({c}), resolve(c), "singleton"))
+    sub += [PartialEstimate(frozenset({c}), resolve(c), "singleton") for c in _uncovered(constraints, sub)]
     return combine_cond_indep(sub, q, strategy, catalog, None, depth + 1)
 
 
@@ -396,10 +391,8 @@ def combine_max_ent(
         raise ValueError("mps must be >= 1")
     mps = min(mps, MPS_HARD_CAP)
     pes = list(cpes)
-    all_constraints: set[Constraint] = set()
-    for pe in pes:
-        all_constraints |= pe.constraints
-    parts = _greedy_partitions(pes, sorted(all_constraints, key=lambda c: c.sort_key()), mps)
+    all_constraints = sorted(set().union(*(pe.constraints for pe in pes)), key=lambda c: c.sort_key())
+    parts = _greedy_partitions(pes, all_constraints, mps)
     placed: set[int] = set()
     result = 1.0
     for part in parts:
@@ -427,45 +420,51 @@ class BoundsResult:
     lower: float
     upper: float
     exact_upper: bool
-    chosen: list[tuple] = field(default_factory=list)
 
 
 _EXACT_ENUM_LIMIT = 20
 _ENUM_WORK_BUDGET = 200000
 
 
-def combine_bounds(cpes: Iterable[PartialEstimate], q: QueryPattern) -> BoundsResult:
+def combine_bounds(
+    cpes: Iterable[PartialEstimate],
+    q: QueryPattern,
+    trace: Optional[list[CombineStep]] = None,
+) -> BoundsResult:
     """Upper and lower selectivity bounds from the estimate set.
 
     Upper: minimum product over subsets of estimates with pairwise
     disjoint id sets (exact enumeration for small sets, greedy beyond).
+    Each estimate of the chosen product is appended to `trace`, in input
+    order, as an "upper-factor" step.
     Lower: one minus the summed miss mass, after discarding estimates
     whose constraint set is contained in another's.
     """
-    pes = sorted(cpes, key=lambda pe: (pe.selectivity, pe.key()))
-    if not pes:
+    given = list(cpes)
+    if not given:
         return BoundsResult(0.0, 1.0, True)
+    rank = sorted(range(len(given)), key=lambda i: (given[i].selectivity, given[i].key()))
+    pes = [given[i] for i in rank]
 
     id_sets = [pe.id_set for pe in pes]
-    best = {"upper": 1.0, "chosen": []}
+    upper, chosen = 1.0, []
     exact = len(pes) <= _EXACT_ENUM_LIMIT
     if exact:
         work = 0
 
-        def dfs(start: int, ids: frozenset, prod: float, chosen: list[int]) -> bool:
-            nonlocal work
-            if chosen and prod < best["upper"]:
-                best["upper"] = prod
-                best["chosen"] = list(chosen)
+        def dfs(start: int, ids: frozenset, prod: float, picked: list[int]) -> bool:
+            nonlocal work, upper, chosen
+            if picked and prod < upper:
+                upper, chosen = prod, list(picked)
             for j in range(start, len(pes)):
                 work += 1
                 if work > _ENUM_WORK_BUDGET:
                     return False
                 if ids & id_sets[j]:
                     continue
-                chosen.append(j)
-                ok = dfs(j + 1, ids | id_sets[j], prod * pes[j].selectivity, chosen)
-                chosen.pop()
+                picked.append(j)
+                ok = dfs(j + 1, ids | id_sets[j], prod * pes[j].selectivity, picked)
+                picked.pop()
                 if not ok:
                     return False
             return True
@@ -473,41 +472,32 @@ def combine_bounds(cpes: Iterable[PartialEstimate], q: QueryPattern) -> BoundsRe
         exact = dfs(0, frozenset(), 1.0, [])
     if not exact:
         # greedy: smallest selectivities first, keep id-disjoint ones
-        best = {"upper": 1.0, "chosen": []}
+        upper, chosen = 1.0, []
         ids: frozenset = frozenset()
-        prod = 1.0
         for j, pe in enumerate(pes):
             if ids & id_sets[j]:
                 continue
-            prod *= pe.selectivity
+            upper *= pe.selectivity
             ids |= id_sets[j]
-            best["chosen"].append(j)
-        best["upper"] = prod
+            chosen.append(j)
+    if trace is not None:
+        for i in sorted(rank[j] for j in chosen):
+            pe = given[i]
+            trace.append(CombineStep(pe.key(), pe.provenance, pe.selectivity, pe.selectivity, "upper-factor"))
 
-    # lower bound: drop estimates subsumed by a larger one
-    pruned: list[PartialEstimate] = []
-    for i, pe in enumerate(pes):
-        subsumed = False
-        for j, other in enumerate(pes):
-            if i == j:
-                continue
-            if pe.constraints < other.constraints or (
-                pe.constraints == other.constraints and j < i
-            ):
-                subsumed = True
-                break
-        if not subsumed:
-            pruned.append(pe)
-    lb = 1.0 - sum(1.0 - pe.selectivity for pe in pruned)
-    lower = max(0.0, lb)
-
-    upper = min(max(best["upper"], 0.0), 1.0)
-    return BoundsResult(
-        lower=min(lower, upper) if lower > upper else lower,
-        upper=upper,
-        exact_upper=exact,
-        chosen=[pes[j].key() for j in best["chosen"]],
-    )
+    # lower bound: drop estimates subsumed by a larger one; of equal sets
+    # the first copy stays
+    pruned = [
+        pe
+        for i, pe in enumerate(pes)
+        if not any(
+            pe.constraints < other.constraints or (pe.constraints == other.constraints and j < i)
+            for j, other in enumerate(pes)
+        )
+    ]
+    lower = max(0.0, 1.0 - sum(1.0 - pe.selectivity for pe in pruned))
+    upper = min(max(upper, 0.0), 1.0)
+    return BoundsResult(lower=min(lower, upper), upper=upper, exact_upper=exact)
 
 
 def selectivity_to_cardinality(s: float, q: QueryPattern, catalog: StatisticsCatalog) -> float:

@@ -75,11 +75,12 @@ _PET_RE = re.compile(
     r"|WJ\((?P<walks>\d+)\))$"
 )
 _IP_RE = re.compile(
-    rf"^IP\(({'|'.join(implications.PATTERN_CLASSES)}),({'|'.join(implications.CONSTRAINT_CLASSES)})\)$"
+    rf"^IP\((?P<pattern_class>{'|'.join(implications.PATTERN_CLASSES)}),"
+    rf"(?P<constraint_class>{'|'.join(implications.CONSTRAINT_CLASSES)})\)$"
 )
 _CT_RE = re.compile(
-    rf"^(condIndep\(({'|'.join(combine.SORT_STRATEGIES)})\)"
-    r"|maxEnt\((?:mps=)?(0*[1-9]\d*)\)|maxEnt|bounds)$"
+    rf"^(?:condIndep\((?P<strategy>{'|'.join(combine.SORT_STRATEGIES)})\)"
+    r"|maxEnt\((?:mps=)?(?P<mps>0*[1-9]\d*)\)|maxEnt|bounds)$"
 )
 
 
@@ -239,7 +240,7 @@ def extend_estimates(
             out.extend(add_implied_closures(out))
             continue
         m = _IP_RE.match(tag)
-        out.extend(add_implication_unions(out, q, m.group(1), m.group(2)))
+        out.extend(add_implication_unions(out, q, m["pattern_class"], m["constraint_class"]))
     return dedup_estimates(out)
 
 
@@ -276,10 +277,16 @@ def estimate(
     trace: list = []
     lower = upper = None
     m = _CT_RE.match(config.ct)
-    if m.group(1).startswith("condIndep"):
-        sel = combine_cond_indep(cpes, q, m.group(2), catalog, trace)
-    elif m.group(1).startswith("maxEnt"):
-        mps = int(m.group(3)) if m.group(3) else combine.DEFAULT_MPS
+    if m["strategy"]:
+        sel = combine_cond_indep(cpes, q, m["strategy"], catalog, trace)
+    elif config.ct == "bounds":  # report the upper bound as the point estimate
+        bounds = combine_bounds(cpes, q, trace)
+        sel = bounds.upper
+        lower, upper = bounds.lower, bounds.upper
+        if not bounds.exact_upper:
+            flags.append("bounds-greedy")
+    else:
+        mps = int(m["mps"]) if m["mps"] else combine.DEFAULT_MPS
         dropped: list[PartialEstimate] = []
         try:
             # positional: perfbench/spans.py reads mps and trace by position
@@ -291,18 +298,6 @@ def estimate(
         else:
             if dropped:
                 flags.append(f"maxent-dropped({len(dropped)})")
-    else:  # bounds: report the upper bound as the point estimate
-        bounds = combine_bounds(cpes, q)
-        sel = bounds.upper
-        lower, upper = bounds.lower, bounds.upper
-        if not bounds.exact_upper:
-            flags.append("bounds-greedy")
-        chosen_keys = set(bounds.chosen)
-        trace = [
-            CombineStep(pe.key(), pe.provenance, pe.selectivity, pe.selectivity, "upper-factor")
-            for pe in cpes
-            if pe.key() in chosen_keys
-        ]
 
     card = selectivity_to_cardinality(sel, q, catalog)
     return EstimateReport(

@@ -17,7 +17,6 @@ from .query import (
     PROP_KINDS,
     PartialEstimate,
     QueryPattern,
-    constraint_set_key,
     implied_closure,
 )
 
@@ -43,20 +42,12 @@ def add_implied_closures(pes: Iterable[PartialEstimate]) -> list[PartialEstimate
     constraint sets are not already present.
     """
     pes = list(pes)
-    present = {pe.key() for pe in pes}
-    out: list[PartialEstimate] = []
-    for pe in pes:
-        if not any(c.kind in _TRIGGER_KINDS for c in pe.constraints):
-            continue
-        closed = implied_closure(pe.constraints)
-        if closed == pe.constraints:
-            continue
-        key = constraint_set_key(closed)
-        if key in present:
-            continue
-        present.add(key)
-        out.append(PartialEstimate(closed, pe.selectivity, pe.provenance))
-    return out
+    closures = (
+        PartialEstimate(implied_closure(pe.constraints), pe.selectivity, pe.provenance)
+        for pe in pes
+        if any(c.kind in _TRIGGER_KINDS for c in pe.constraints)
+    )
+    return _new_sets(pes, closures)
 
 
 def add_implication_unions(
@@ -83,15 +74,11 @@ def add_implication_unions(
     if pattern_class == "id":
         instances = [frozenset({i}) for i in sorted(q.ids)]
     else:
-        instances = []
-        for e in sorted(q.edges):
-            s, t = q.endpoints[e]
-            instances.append(frozenset({e, s, t}))
+        instances = [frozenset({e, *q.endpoints[e]}) for e in sorted(q.edges)]
 
     pes = list(pes)
-    present = {pe.key() for pe in pes}
     tag = f"ip({pattern_class},{constraint_class})"
-    out: list[PartialEstimate] = []
+    unions: list[PartialEstimate] = []
     for ids in instances:
         group = [
             pe
@@ -104,9 +91,17 @@ def add_implication_unions(
         # lowest selectivity wins; ties prefer the more informative
         # implicant, then the canonical key
         chosen = min(group, key=lambda pe: (pe.selectivity, -len(pe.constraints), pe.key()))
-        key = constraint_set_key(union)
-        if key in present:
-            continue
-        present.add(key)
-        out.append(PartialEstimate(union, chosen.selectivity, tag))
+        unions.append(PartialEstimate(union, chosen.selectivity, tag))
+    return _new_sets(pes, unions)
+
+
+def _new_sets(pes: list[PartialEstimate], derived: Iterable[PartialEstimate]) -> list[PartialEstimate]:
+    """The derived estimates whose constraint sets neither `pes` nor an
+    earlier derived estimate holds."""
+    present = {pe.key() for pe in pes}
+    out: list[PartialEstimate] = []
+    for pe in derived:
+        if pe.key() not in present:
+            present.add(pe.key())
+            out.append(pe)
     return out

@@ -752,6 +752,8 @@ def build_md_histogram(g: PropertyGraph, keys: Sequence[str], n_buckets_per_axis
     keys = list(keys)
     if not (2 <= len(keys) <= 3):
         raise ValueError("md histogram takes 2..3 keys")
+    if n_buckets_per_axis < 1:
+        raise ValueError("n_buckets_per_axis must be >= 1")
     rows: list[tuple[float, ...]] = []
     for i in range(g.n_ids):
         props = g.props_of(i)
@@ -920,7 +922,11 @@ def load_catalog(path: str) -> StatisticsCatalog:
         raise CatalogFormatError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise CatalogFormatError(f"{path}: catalog must be a JSON object")
-    return StatisticsCatalog.from_dict(data)
+    try:
+        return StatisticsCatalog.from_dict(data)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        # a section missing a key or holding a value of the wrong shape
+        raise CatalogFormatError(f"{path}: malformed catalog ({type(exc).__name__}: {exc})") from exc
 
 
 def build_catalog(

@@ -187,6 +187,47 @@ class TestEstimateCommand:
         assert "selectivity" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("edges", '{"id": "e9", "src": "g1", "trg": "gone"}', "edge 'e9' references missing vertex 'gone'"),
+        ("vertices", "not json", "vertices.jsonl:3: Expecting value"),
+        ("stats", "{not json", "stats.json: Expecting property name"),
+        ("stats", '{"version": 1, "basic": {"n_vertices": 2}}', "malformed catalog (KeyError: 'n_edges')"),
+        ("stats", '{"version": 1, "synopses": [{"class": "chain"}]}', "malformed catalog (KeyError: 'max_size')"),
+        ("stats", None, "No such file or directory"),
+        ("workload", "[oops", "workload.json: Expecting value"),
+        ("workload", json.dumps([{"query": ONE_EDGE_DOC}]), "workload must be a JSON list of {id, query} objects"),
+    ],
+    ids=["edge-to-missing-vertex", "graph-line-not-json", "catalog-not-json", "basic-without-key",
+         "synopsis-without-key", "catalog-missing", "workload-not-json", "workload-item-without-id"],  # fmt: skip
+)
+def test_malformed_input_file_rejected(graph_dir, tmp_path, capsys, kind, text, message):
+    """A malformed graph, catalog or workload file, or a missing one, ends
+    in one `cardest: error:` line and exit code 2."""
+    qfile = tmp_path / "q.json"
+    qfile.write_text(json.dumps(ONE_EDGE_DOC), encoding="utf-8")
+    argv = ["estimate", "--graph", str(graph_dir), "--query", str(qfile)]
+    if kind in ("edges", "vertices"):
+        with open(graph_dir / f"{kind}.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        path = tmp_path / f"{kind}.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        if kind == "stats":
+            argv += ["--stats", str(path)]
+        else:
+            configs = tmp_path / "configs.txt"
+            configs.write_text("ct=bounds\n", encoding="utf-8")
+            argv = ["bench", "--graph", str(graph_dir), "--workload", str(path), "--configs", str(configs),
+                    "--out", str(tmp_path / "out.csv")]  # fmt: skip
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cardest: error: ") and message in err
+    assert err.count("\n") == 1
+
+
 class TestBenchCommand:
     def write_inputs(self, tmp_path):
         workload = tmp_path / "workload.json"

@@ -232,7 +232,8 @@ def test_order_and_cond_indep_match_reference(seed, shape, n_subsets, with_closu
     resolve = _singleton_resolver(pes, None)
     for strategy in SORT_STRATEGIES:
         got = _order_estimates(pes, strategy, resolve)
-        assert got == reference_order_estimates(pes, strategy, resolve), strategy
+        assert [pe for _, pe in got] == reference_order_estimates(pes, strategy, resolve), strategy
+        assert all(closure == implied_closure(pe.constraints) for closure, pe in got), strategy
         sel = combine_cond_indep(pes, q, strategy)
         assert sel.hex() == reference_cond_indep(pes, q, strategy).hex(), strategy
 

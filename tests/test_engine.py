@@ -1,11 +1,12 @@
 import hashlib
+import itertools
 import random
 
 import pytest
 
 import cardest.engine as engine_mod
 from cardest.bench import GraphSpec, PropSpec, enumerate_subqueries, generate_graph
-from cardest.combine import MaxEntError
+from cardest.combine import _EXACT_ENUM_LIMIT, MaxEntError
 from cardest.engine import (
     ConfigError,
     EstimatorConfig,
@@ -201,6 +202,52 @@ class TestEstimate:
         assert report.upper is not None and report.lower is not None
         assert report.lower <= exact_selectivity(g4, one_edge_query) <= report.upper
         assert report.selectivity == report.upper
+
+    @staticmethod
+    def bounds_report(report):
+        d = report.to_dict()
+        return d["factors"], d["lower"], d["upper"], d["flags"]
+
+    def test_bounds_report_factors(self, g4, one_edge_query):
+        # an incidence estimate (1/8) times the other endpoint's vertex
+        # estimate (1/2) is the smallest id-disjoint product; the factors
+        # come in input order, not by selectivity
+        catalog = build_catalog(g4)
+        report = estimate(one_edge_query, g4, catalog, EstimatorConfig(ct="bounds"))
+        assert self.bounds_report(report) == (
+            [
+                {"technique": "individual:exact", "selectivity": 0.5, "factor": 0.5, "reason": "upper-factor"},
+                {"technique": "individual:exact", "selectivity": 0.125, "factor": 0.125, "reason": "upper-factor"},
+            ],
+            0.0,
+            0.0625,
+            [],
+        )
+
+    def test_bounds_report_greedy_factors(self, g4, one_edge_query, monkeypatch):
+        """More estimates than `_EXACT_ENUM_LIMIT` take the greedy path: the
+        smallest selectivity first, then the smallest id-disjoint ones."""
+        catalog = build_catalog(g4)
+        constraints = sorted(extract_constraints(one_edge_query), key=lambda c: c.sort_key())
+        subsets = [*itertools.combinations(constraints, 2), *itertools.combinations(constraints, 3)]
+        extra = [PartialEstimate(frozenset(s), (k + 1) / 64, f"x{k}") for k, s in enumerate(subsets)]
+        run_techniques = engine_mod.run_techniques
+
+        def with_extra(q, g, catalog, config):
+            return run_techniques(q, g, catalog, config) + extra
+
+        monkeypatch.setattr(engine_mod, "run_techniques", with_extra)
+        report = estimate(one_edge_query, g4, catalog, EstimatorConfig(ct="bounds"))
+        assert len(report.estimates) > _EXACT_ENUM_LIMIT
+        assert self.bounds_report(report) == (
+            [
+                {"technique": "individual:exact", "selectivity": 0.5, "factor": 0.5, "reason": "upper-factor"},
+                {"technique": "x0", "selectivity": 1 / 64, "factor": 1 / 64, "reason": "upper-factor"},
+            ],
+            0.0,
+            1 / 128,
+            ["bounds-greedy"],
+        )
 
     def test_report_dict_is_json_ready(self, g4, one_edge_query):
         import json

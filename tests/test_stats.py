@@ -688,6 +688,12 @@ class TestMDHistogram:
         mdh = build_md_histogram(g, ["x", "y"], 3)
         assert md_fraction(mdh, [("x", PredicateKind.EQ, 99)]) == 0.0
 
+    @pytest.mark.parametrize("n_buckets", [0, -2])
+    def test_fewer_than_one_bucket_rejected(self, n_buckets):
+        g = PropertyGraph([("a", [], {"x": 1, "y": 1}), ("b", [], {"x": 2, "y": 2})], [])
+        with pytest.raises(ValueError, match="n_buckets_per_axis must be >= 1"):
+            build_md_histogram(g, ["x", "y"], n_buckets)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
         xs=st.lists(st.integers(0, 9), min_size=1, max_size=12),
