@@ -25,6 +25,15 @@ def _load_graph_dir(path: str):
     return load_graph(os.path.join(path, VERTEX_FILE), os.path.join(path, EDGE_FILE))
 
 
+def _read_text(path: str, error: type[Exception]) -> str:
+    """An input file's text; bytes that are not UTF-8 raise `error` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from None
+
+
 def _parse_synopsis_token(token: str) -> tuple[str, int]:
     token = token.strip()
     if token == "edge":
@@ -117,8 +126,7 @@ def _config_from_args(args: argparse.Namespace) -> EstimatorConfig:
 def cmd_estimate(args: argparse.Namespace) -> int:
     g = _load_graph_dir(args.graph)
     catalog = load_catalog(args.stats) if args.stats else build_catalog(g)
-    with open(args.query, "r", encoding="utf-8") as fh:
-        doc = fh.read()
+    doc = _read_text(args.query, QueryFormatError)
     config = _config_from_args(args)
     report = estimate_with_disjunctions(doc, g, catalog, config)
     if args.json:
@@ -141,22 +149,20 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     g = _load_graph_dir(args.graph)
     catalog = load_catalog(args.stats) if args.stats else build_catalog(g)
-    with open(args.workload, "r", encoding="utf-8") as fh:
-        try:
-            workload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise QueryFormatError(f"{args.workload}: {exc}") from None
+    try:
+        workload = json.loads(_read_text(args.workload, QueryFormatError))
+    except json.JSONDecodeError as exc:
+        raise QueryFormatError(f"{args.workload}: {exc}") from None
     if not isinstance(workload, list) or not all(
         isinstance(item, dict) and "id" in item and isinstance(item.get("query"), dict) for item in workload
     ):
         raise QueryFormatError(f"{args.workload}: workload must be a JSON list of {{id, query}} objects")
     queries = [(item["id"], item["query"]) for item in workload]
     configs = []
-    with open(args.configs, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                configs.append(EstimatorConfig.parse(line))
+    for line in _read_text(args.configs, ConfigError).splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            configs.append(EstimatorConfig.parse(line))
     rows, summary = run_workload(
         g,
         queries,

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, TypedDict
 
+from .fileform import FormError, MissingKey, codec
 from .query import QueryPattern, Scalar, data_constraints_by_id, satisfies
 
 
@@ -177,30 +178,71 @@ def _record(g: PropertyGraph, i: int) -> dict[str, Any]:
 # File I/O: one JSON record per line, vertices and edges in separate files.
 
 
-def _parse_lines(path: str, required: tuple[str, ...]) -> Iterable[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise GraphFormatError(f"{path}:{lineno}: {exc}") from exc
-            if not isinstance(rec, dict) or any(k not in rec for k in required):
-                raise GraphFormatError(f"{path}:{lineno}: record missing {required}")
-            yield rec
+class _Named(TypedDict):
+    id: str
+
+
+class VertexRecord(_Named, total=False):
+    """One line of a vertex file."""
+
+    labels: list[str]
+    props: dict[str, Optional[Scalar]]
+
+
+class EdgeRecord(VertexRecord):
+    """One line of an edge file."""
+
+    src: str
+    trg: str
+
+
+_CHUNK = 128
+
+
+def _read_records(path: str, form: type) -> Iterable[dict]:
+    """The records of one line-delimited JSON file, each checked against
+    `form`; a malformed line raises GraphFormatError naming it.  Records
+    are checked _CHUNK at a time: holding every parsed line until the end
+    made the garbage collector's passes cost more than the check."""
+    chunk: list = []
+    linenos: list[int] = []
+
+    def checked() -> list:
+        try:
+            return codec(form).decode(chunk)
+        except FormError as exc:
+            raise GraphFormatError(f"{path}:{linenos[exc.row]}: {exc}") from None
+        except MissingKey as exc:
+            raise GraphFormatError(f"{path}:{linenos[exc.row]}: record missing {exc}") from None
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    chunk.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise GraphFormatError(f"{path}:{lineno}: {exc}") from exc
+                linenos.append(lineno)
+                if len(chunk) == _CHUNK:
+                    yield from checked()
+                    chunk, linenos = [], []
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from exc
+    yield from checked()
 
 
 def load_graph(vertex_file: str, edge_file: str) -> PropertyGraph:
     """Load a graph from line-delimited JSON vertex and edge files."""
     vertices = [
         (rec["id"], rec.get("labels", ()), rec.get("props", {}))
-        for rec in _parse_lines(vertex_file, ("id",))
+        for rec in _read_records(vertex_file, VertexRecord)
     ]
     edges = [
         (rec["id"], rec["src"], rec["trg"], rec.get("labels", ()), rec.get("props", {}))
-        for rec in _parse_lines(edge_file, ("id", "src", "trg"))
+        for rec in _read_records(edge_file, EdgeRecord)
     ]
     return PropertyGraph(vertices, edges)
 

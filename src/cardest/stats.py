@@ -6,6 +6,13 @@ characteristic sets, bound sketches, samples, and histograms.  The whole
 bundle persists as a single JSON file tied to the source graph by a
 content fingerprint.
 
+Each section is a dataclass whose file form follows its field
+annotations: `to_dict` and `from_dict` come from one codec
+(`fileform.codec`), which checks the type of every value it reads, so a
+wrong-typed value raises CatalogFormatError naming its path.  A field
+whose file form differs from its annotation's declares it with
+`fileform.stored`, next to the field.
+
 Wildcard label slots are encoded as "*"; synopsis/sketch keys are compact
 JSON arrays so arbitrary label strings stay unambiguous.
 """
@@ -17,10 +24,11 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, TypedDict, Union
 
+from .fileform import FormError, codec, stored
 from .graph import PropertyGraph
-from .query import PredicateKind, predicate_holds
+from .query import PredicateKind, Scalar, predicate_holds
 
 WILDCARD = "*"
 CATALOG_VERSION = 1
@@ -32,6 +40,20 @@ class CatalogFormatError(ValueError):
 
 class StaleCatalogWarning(UserWarning):
     """Catalog fingerprint does not match the graph it is used with."""
+
+
+class _Section:
+    """A catalog section: its file form follows its field annotations."""
+
+    def to_dict(self) -> dict:
+        return codec(type(self)).encode(self)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        try:
+            return codec(cls).decode([d])[0]
+        except FormError as exc:
+            raise CatalogFormatError(str(exc)) from None
 
 
 def _label_options(labels: frozenset[str]) -> list[str]:
@@ -55,49 +77,34 @@ def star_key(center: str, branches: Iterable[tuple[str, str]]) -> str:
 # Basic statistics
 
 
+# an exact triple's value: a scalar, or the list of an IN predicate (a tuple)
+_Value = Union[Optional[Scalar], tuple[Optional[Scalar], ...]]
+
+
 @dataclass
-class BasicStats:
+class BasicStats(_Section):
     n_vertices: int
     n_edges: int
     n_ids: int
     label_sel: dict[str, tuple[int, int]] = field(default_factory=dict)
     key_sel: dict[str, int] = field(default_factory=dict)
-    prop_exact: dict[tuple[str, str, Any], int] = field(default_factory=dict)
+    # stored as [key, op, value, count] rows, in repr order
+    prop_exact: dict[tuple[str, str, _Value], int] = field(
+        default_factory=dict,
+        metadata=stored(
+            list[tuple[str, str, _Value, int]],
+            out=lambda m: [(*t, n) for t, n in sorted(m.items(), key=repr)],
+            back=lambda rows: {(k, op, v): n for k, op, v, n in rows},
+        ),
+    )
 
     def label_count(self, label: str) -> int:
         v, e = self.label_sel.get(label, (0, 0))
         return v + e
 
-    def to_dict(self) -> dict:
-        return {
-            "n_vertices": self.n_vertices,
-            "n_edges": self.n_edges,
-            "n_ids": self.n_ids,
-            "label_sel": {l: list(c) for l, c in sorted(self.label_sel.items())},
-            "key_sel": dict(sorted(self.key_sel.items())),
-            "prop_exact": [
-                [k, op, _plain(v), n] for (k, op, v), n in sorted(self.prop_exact.items(), key=repr)
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BasicStats":
-        return cls(
-            n_vertices=d["n_vertices"],
-            n_edges=d["n_edges"],
-            n_ids=d["n_ids"],
-            label_sel={l: (c[0], c[1]) for l, c in d["label_sel"].items()},
-            key_sel=dict(d["key_sel"]),
-            prop_exact={(k, op, _freeze(v)): n for k, op, v, n in d["prop_exact"]},
-        )
-
 
 def _freeze(v: Any) -> Any:
     return tuple(v) if isinstance(v, list) else v
-
-
-def _plain(v: Any) -> Any:
-    return list(v) if isinstance(v, tuple) else v
 
 
 def build_basic(
@@ -143,7 +150,7 @@ SYNOPSIS_CLASSES = ("edge", "chain", "source_star", "target_star")
 
 
 @dataclass
-class LabeledTopoSynopsis:
+class LabeledTopoSynopsis(_Section):
     """Exact cardinalities of small labeled patterns of one class.
 
     Counts cover every label combination that occurs, including wildcard
@@ -151,7 +158,7 @@ class LabeledTopoSynopsis:
     labels is the purely topological cardinality.
     """
 
-    klass: str
+    klass: str = field(metadata=stored(key="class"))
     max_size: int
     counts: dict[str, int] = field(default_factory=dict)
 
@@ -163,17 +170,6 @@ class LabeledTopoSynopsis:
 
     def count_star(self, center: str, branches: Iterable[tuple[str, str]]) -> Optional[int]:
         return self.counts.get(star_key(center, branches))
-
-    def to_dict(self) -> dict:
-        return {
-            "class": self.klass,
-            "max_size": self.max_size,
-            "counts": dict(sorted(self.counts.items())),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LabeledTopoSynopsis":
-        return cls(klass=d["class"], max_size=d["max_size"], counts=dict(d["counts"]))
 
 
 def _by_key(signatures: Iterable[tuple[frozenset[str], ...]]) -> dict[tuple[str, ...], list]:
@@ -271,20 +267,13 @@ def build_labeled_synopsis(g: PropertyGraph, klass: str, max_size: int = 1) -> L
 
 
 @dataclass
-class SysRStats:
+class SysRStats(_Section):
     """Per labeled edge pattern: cardinality and distinct endpoint counts."""
 
     entries: dict[str, tuple[int, int, int]] = field(default_factory=dict)
 
     def lookup(self, ls: str, le: str, lt: str) -> tuple[int, int, int]:
         return self.entries.get(edge_key(ls, le, lt), (0, 0, 0))
-
-    def to_dict(self) -> dict:
-        return {"entries": {k: list(v) for k, v in sorted(self.entries.items())}}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SysRStats":
-        return cls(entries={k: (v[0], v[1], v[2]) for k, v in d["entries"].items()})
 
 
 def build_system_r(g: PropertyGraph) -> SysRStats:
@@ -310,8 +299,13 @@ class CSEntry:
     label_counts: dict[str, int] = field(default_factory=dict)
 
 
+def _cs_rank(e: CSEntry) -> tuple:
+    """Most frequent first, then by sorted labels."""
+    return (-e.count, sorted(e.cs))
+
+
 @dataclass
-class CharacteristicSetStore:
+class CharacteristicSetStore(_Section):
     """Counts of vertices per characteristic set.
 
     The characteristic set of a vertex is the set of labels on its
@@ -320,37 +314,12 @@ class CharacteristicSetStore:
     equals the vertex count of the entry.
     """
 
-    entries: list[CSEntry] = field(default_factory=list)
+    entries: list[CSEntry] = field(default_factory=list, metadata=stored(out=lambda es: sorted(es, key=_cs_rank)))
     max_entries: int = 10000
     direction: str = "out"
 
     def supersets(self, elements: frozenset[str]) -> list[CSEntry]:
         return [e for e in self.entries if e.cs >= elements]
-
-    def to_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "max_entries": self.max_entries,
-            "entries": [
-                {
-                    "cs": sorted(e.cs),
-                    "count": e.count,
-                    "label_counts": dict(sorted(e.label_counts.items())),
-                }
-                for e in sorted(self.entries, key=lambda e: (-e.count, sorted(e.cs)))
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CharacteristicSetStore":
-        return cls(
-            entries=[
-                CSEntry(frozenset(e["cs"]), e["count"], dict(e["label_counts"]))
-                for e in d["entries"]
-            ],
-            max_entries=d["max_entries"],
-            direction=d["direction"],
-        )
 
 
 def build_char_sets(
@@ -379,7 +348,7 @@ def build_char_sets(
         for l in labels:
             entry.label_counts[l] = entry.label_counts.get(l, 0) + 1
 
-    entries = sorted(by_cs.values(), key=lambda e: (-e.count, sorted(e.cs)))
+    entries = sorted(by_cs.values(), key=_cs_rank)
     if len(entries) > max_entries:
         kept = entries[:max_entries]
         victims = sorted(entries[max_entries:], key=lambda e: (e.count, sorted(e.cs)))
@@ -423,7 +392,7 @@ def _merge_cs(
 
 
 @dataclass
-class BoundSketch:
+class BoundSketch(_Section):
     """Per labeled edge pattern and join role: bucketed (count, max degree).
 
     Buckets come from a seeded multiplicative hash of the join vertex;
@@ -436,33 +405,6 @@ class BoundSketch:
 
     def partition(self, ls: str, le: str, lt: str, role: str) -> dict[int, tuple[int, int]]:
         return self.entries.get(edge_key(ls, le, lt), {}).get(role, {})
-
-    def to_dict(self) -> dict:
-        return {
-            "n_buckets": self.n_buckets,
-            "seed": self.seed,
-            "entries": {
-                k: {
-                    role: {str(b): list(cv) for b, cv in sorted(buckets.items())}
-                    for role, buckets in sorted(roles.items())
-                }
-                for k, roles in sorted(self.entries.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoundSketch":
-        return cls(
-            n_buckets=d["n_buckets"],
-            seed=d["seed"],
-            entries={
-                k: {
-                    role: {int(b): (cv[0], cv[1]) for b, cv in buckets.items()}
-                    for role, buckets in roles.items()
-                }
-                for k, roles in d["entries"].items()
-            },
-        )
 
 
 _MASK64 = (1 << 64) - 1
@@ -500,8 +442,23 @@ SAMPLE_TYPES = ("id", "vertex", "edge_pattern")
 SAMPLE_TYPE_ALIASES = {"ep": "edge_pattern"}
 
 
+class _Element(TypedDict):
+    kind: str  # vertex | edge
+    labels: list[str]
+    props: dict[str, Optional[Scalar]]
+
+
+class Member(_Element, total=False):
+    """A sampled element; an edge-pattern member also holds its endpoints
+    and, if they are one vertex, `loop`."""
+
+    src: _Element
+    trg: _Element
+    loop: bool
+
+
 @dataclass
-class Sample:
+class Sample(_Section):
     """An i.i.d. sample of instances of one pattern type, with labels and
     properties materialized; reproducible from the seed."""
 
@@ -509,29 +466,10 @@ class Sample:
     probability: float
     seed: int
     population: int
-    members: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "pattern_type": self.pattern_type,
-            "probability": self.probability,
-            "seed": self.seed,
-            "population": self.population,
-            "members": self.members,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Sample":
-        return cls(
-            pattern_type=d["pattern_type"],
-            probability=d["probability"],
-            seed=d["seed"],
-            population=d["population"],
-            members=list(d["members"]),
-        )
+    members: list[Member] = field(default_factory=list)
 
 
-def _element_record(g: PropertyGraph, i: int) -> dict:
+def _element_record(g: PropertyGraph, i: int) -> Member:
     return {
         "kind": "vertex" if g.is_vertex(i) else "edge",
         "labels": sorted(g.labels_of(i)),
@@ -545,7 +483,7 @@ def build_sample(g: PropertyGraph, pattern_type: str, pr: float, seed: int = 0) 
     if not (0.0 < pr <= 1.0):
         raise ValueError("sampling probability must be in (0, 1]")
     rng = random.Random(seed)
-    members: list[dict] = []
+    members: list[Member] = []
     if pattern_type in ("id", "vertex"):
         instances = range(g.n_ids) if pattern_type == "id" else g.vertices
         population = g.n_ids if pattern_type == "id" else g.n_vertices
@@ -570,26 +508,26 @@ def build_sample(g: PropertyGraph, pattern_type: str, pr: float, seed: int = 0) 
 # Histograms
 
 
+class _Bucket(TypedDict):
+    count: int
+    distinct: int
+
+
+class Bucket(_Bucket, total=False):
+    """A numeric bucket spans [lo, hi]; a string bucket holds one prefix."""
+
+    lo: float
+    hi: float
+    prefix: str
+
+
 @dataclass
-class Histogram:
+class Histogram(_Section):
     key: str
     kind: str  # equi_width | equi_depth
     domain: str  # numeric | string_prefix
     total: int
-    buckets: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "kind": self.kind,
-            "domain": self.domain,
-            "total": self.total,
-            "buckets": self.buckets,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Histogram":
-        return cls(d["key"], d["kind"], d["domain"], d["total"], list(d["buckets"]))
+    buckets: list[Bucket] = field(default_factory=list)
 
 
 def _is_number(v: Any) -> bool:
@@ -632,7 +570,7 @@ def build_histogram(
 def _numeric_histogram(key: str, kind: str, n_buckets: int, values: list[float]) -> Histogram:
     values.sort()
     total = len(values)
-    buckets: list[dict] = []
+    buckets: list[Bucket] = []
     if kind == "equi_width":
         bounds, index = _equi_width(values, n_buckets)
         slots: list[list[float]] = [[] for _ in bounds[1:]]
@@ -721,31 +659,19 @@ def histogram_estimate(hist: Histogram, op: PredicateKind, value: Any) -> Option
 # Multidimensional histograms (fixed grid)
 
 
+class Axis(TypedDict):
+    bounds: list[float]  # b0..bn
+    distincts: list[int]  # per bucket
+
+
 @dataclass
-class MDHistogram:
+class MDHistogram(_Section):
     """Equi-width grid over 2..3 numeric property keys of the same element."""
 
     keys: list[str]
-    axes: list[dict]  # per axis: {"bounds": [b0..bn], "distincts": [per bucket]}
-    grid: dict[tuple[int, ...], int]
+    axes: list[Axis]
+    grid: dict[tuple[int, ...], int]  # cell -> count
     total: int
-
-    def to_dict(self) -> dict:
-        return {
-            "keys": self.keys,
-            "axes": self.axes,
-            "grid": {",".join(map(str, c)): n for c, n in sorted(self.grid.items())},
-            "total": self.total,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MDHistogram":
-        return cls(
-            keys=list(d["keys"]),
-            axes=list(d["axes"]),
-            grid={tuple(int(x) for x in c.split(",")): n for c, n in d["grid"].items()},
-            total=d["total"],
-        )
 
 
 def build_md_histogram(g: PropertyGraph, keys: Sequence[str], n_buckets_per_axis: int = 8) -> MDHistogram:
@@ -759,7 +685,7 @@ def build_md_histogram(g: PropertyGraph, keys: Sequence[str], n_buckets_per_axis
         props = g.props_of(i)
         if all(k in props and _is_number(props[k]) for k in keys):
             rows.append(tuple(float(props[k]) for k in keys))
-    axes: list[dict] = []
+    axes: list[Axis] = []
     columns: list[list[int]] = []  # per axis, each row's bucket
     for a in range(len(keys)):
         values = [r[a] for r in rows]
@@ -848,7 +774,7 @@ def _bucket_fraction(lo: float, hi: float, distinct: int, op: PredicateKind, val
 
 
 @dataclass
-class StatisticsCatalog:
+class StatisticsCatalog(_Section):
     fingerprint: str = ""
     basic: Optional[BasicStats] = None
     synopses: list[LabeledTopoSynopsis] = field(default_factory=list)
@@ -878,34 +804,14 @@ class StatisticsCatalog:
         return None
 
     def to_dict(self) -> dict:
-        return {
-            "version": CATALOG_VERSION,
-            "fingerprint": self.fingerprint,
-            "basic": self.basic.to_dict() if self.basic else None,
-            "synopses": [s.to_dict() for s in self.synopses],
-            "sysr": self.sysr.to_dict() if self.sysr else None,
-            "char_sets": [c.to_dict() for c in self.char_sets],
-            "sketches": [s.to_dict() for s in self.sketches],
-            "samples": [s.to_dict() for s in self.samples],
-            "histograms": [h.to_dict() for h in self.histograms],
-            "md_histograms": [m.to_dict() for m in self.md_histograms],
-        }
+        return {"version": CATALOG_VERSION, **super().to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "StatisticsCatalog":
-        if d.get("version") != CATALOG_VERSION:
-            raise CatalogFormatError(f"unsupported catalog version: {d.get('version')!r}")
-        return cls(
-            fingerprint=d.get("fingerprint", ""),
-            basic=BasicStats.from_dict(d["basic"]) if d.get("basic") else None,
-            synopses=[LabeledTopoSynopsis.from_dict(x) for x in d.get("synopses", [])],
-            sysr=SysRStats.from_dict(d["sysr"]) if d.get("sysr") else None,
-            char_sets=[CharacteristicSetStore.from_dict(x) for x in d.get("char_sets", [])],
-            sketches=[BoundSketch.from_dict(x) for x in d.get("sketches", [])],
-            samples=[Sample.from_dict(x) for x in d.get("samples", [])],
-            histograms=[Histogram.from_dict(x) for x in d.get("histograms", [])],
-            md_histograms=[MDHistogram.from_dict(x) for x in d.get("md_histograms", [])],
-        )
+        version = d.get("version")
+        if type(version) is not int or version != CATALOG_VERSION:
+            raise CatalogFormatError(f"unsupported catalog version: {version!r}")
+        return super().from_dict(d)
 
 
 def save_catalog(catalog: StatisticsCatalog, path: str) -> None:
@@ -918,15 +824,16 @@ def load_catalog(path: str) -> StatisticsCatalog:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CatalogFormatError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise CatalogFormatError(f"{path}: catalog must be a JSON object")
     try:
         return StatisticsCatalog.from_dict(data)
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        # a section missing a key or holding a value of the wrong shape
-        raise CatalogFormatError(f"{path}: malformed catalog ({type(exc).__name__}: {exc})") from exc
+    except CatalogFormatError as exc:  # a wrong version, or a value of the wrong type
+        raise CatalogFormatError(f"{path}: {exc}") from exc
+    except KeyError as exc:  # a section missing a key
+        raise CatalogFormatError(f"{path}: malformed catalog (KeyError: {exc})") from exc
 
 
 def build_catalog(

@@ -187,6 +187,9 @@ class TestEstimateCommand:
         assert "selectivity" in capsys.readouterr().out
 
 
+NOT_UTF8 = b"\xff\xfe"
+
+
 @pytest.mark.parametrize(
     "kind, text, message",
     [
@@ -198,30 +201,41 @@ class TestEstimateCommand:
         ("stats", None, "No such file or directory"),
         ("workload", "[oops", "workload.json: Expecting value"),
         ("workload", json.dumps([{"query": ONE_EDGE_DOC}]), "workload must be a JSON list of {id, query} objects"),
+        ("edges", '{"id": "e9", "src": "g1", "trg": "g3", "labels": "xy"}', "edges.jsonl:3: labels: expected list"),
+        ("vertices", '{"id": "g9", "labels": 5}', "vertices.jsonl:3: labels: expected list, got 5"),
+        ("vertices", '{"id": "g9", "props": "x"}', "vertices.jsonl:3: props: expected object, got 'x'"),
+        ("vertices", '{"id": "g9", "props": [1]}', "vertices.jsonl:3: props: expected object, got [1]"),
+        ("stats", NOT_UTF8, "stats.json: 'utf-8' codec can't decode byte 0xff"),
+        ("vertices", NOT_UTF8, "vertices.jsonl: 'utf-8' codec can't decode byte 0xff"),
+        ("query", NOT_UTF8, "q.json: 'utf-8' codec can't decode byte 0xff"),
+        ("workload", NOT_UTF8, "workload.json: 'utf-8' codec can't decode byte 0xff"),
+        ("configs", NOT_UTF8, "configs.txt: 'utf-8' codec can't decode byte 0xff"),
     ],
     ids=["edge-to-missing-vertex", "graph-line-not-json", "catalog-not-json", "basic-without-key",
-         "synopsis-without-key", "catalog-missing", "workload-not-json", "workload-item-without-id"],  # fmt: skip
+         "synopsis-without-key", "catalog-missing", "workload-not-json", "workload-item-without-id",
+         "edge-labels-string", "vertex-labels-number", "vertex-props-string", "vertex-props-list",
+         "catalog-not-utf8", "graph-not-utf8", "query-not-utf8", "workload-not-utf8", "configs-not-utf8"],  # fmt: skip
 )
 def test_malformed_input_file_rejected(graph_dir, tmp_path, capsys, kind, text, message):
-    """A malformed graph, catalog or workload file, or a missing one, ends
-    in one `cardest: error:` line and exit code 2."""
-    qfile = tmp_path / "q.json"
-    qfile.write_text(json.dumps(ONE_EDGE_DOC), encoding="utf-8")
-    argv = ["estimate", "--graph", str(graph_dir), "--query", str(qfile)]
+    """A malformed graph, catalog, query, workload or configs file, or a
+    missing one, ends in one `cardest: error:` line and exit code 2."""
+    files = {"query": tmp_path / "q.json", "workload": tmp_path / "workload.json",
+             "configs": tmp_path / "configs.txt", "stats": tmp_path / "stats.json"}  # fmt: skip
+    files["query"].write_text(json.dumps(ONE_EDGE_DOC), encoding="utf-8")
+    files["workload"].write_text(json.dumps([{"id": "q", "query": ONE_EDGE_DOC}]), encoding="utf-8")
+    files["configs"].write_text("ct=bounds\n", encoding="utf-8")
+    data = text.encode("utf-8") if isinstance(text, str) else text
     if kind in ("edges", "vertices"):
-        with open(graph_dir / f"{kind}.jsonl", "a", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        path = tmp_path / f"{kind}.json"
-        if text is not None:
-            path.write_text(text, encoding="utf-8")
-        if kind == "stats":
-            argv += ["--stats", str(path)]
-        else:
-            configs = tmp_path / "configs.txt"
-            configs.write_text("ct=bounds\n", encoding="utf-8")
-            argv = ["bench", "--graph", str(graph_dir), "--workload", str(path), "--configs", str(configs),
-                    "--out", str(tmp_path / "out.csv")]  # fmt: skip
+        with open(graph_dir / f"{kind}.jsonl", "ab") as fh:
+            fh.write(data + b"\n")
+    elif data is not None:
+        files[kind].write_bytes(data)
+    argv = ["estimate", "--graph", str(graph_dir), "--query", str(files["query"])]
+    if kind == "stats":
+        argv += ["--stats", str(files["stats"])]
+    if kind in ("workload", "configs"):
+        argv = ["bench", "--graph", str(graph_dir), "--workload", str(files["workload"]),
+                "--configs", str(files["configs"]), "--out", str(tmp_path / "out.csv")]  # fmt: skip
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("cardest: error: ") and message in err

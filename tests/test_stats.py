@@ -16,6 +16,7 @@ from cardest.stats import (
     BoundSketch,
     CatalogFormatError,
     LabeledTopoSynopsis,
+    StatisticsCatalog,
     SysRStats,
     bucket_of,
     build_basic,
@@ -369,6 +370,148 @@ def test_histogram_golden_digest():
     assert hashlib.sha256(blob).hexdigest() == (
         "6045e6030c894255dfc1c0545cd8af2b9a5fe79a7dcd2562cc75a9b3282cb8e4"
     )
+
+
+def full_catalog_graph(seed=23):
+    """A seeded graph with labelled and unlabelled elements, a self-loop,
+    and int, float and string keys, some of them absent."""
+    rng = random.Random(seed)
+    vertices = []
+    for i in range(14):
+        props = {
+            "k": rng.randint(0, 3),
+            "x": rng.uniform(-2.0, 5.0),
+            "y": rng.randint(0, 9),
+            "s": rng.choice(["ant", "bee", "cat"]),
+        }
+        for key in ("k", "y", "s"):
+            if rng.random() < 0.2:
+                del props[key]
+        vertices.append((f"v{i}", [l for l in "ABC" if rng.random() < 0.4], props))
+    edges = [("e0", "v0", "v0", ["x"], {"w": 2})]
+    for j in range(1, 40):
+        props = {"w": rng.randint(0, 4)} if rng.random() < 0.5 else {}
+        edges.append((f"e{j}", f"v{rng.randrange(14)}", f"v{rng.randrange(14)}", [rng.choice("xyz")], props))
+    return PropertyGraph(vertices, edges)
+
+
+def full_catalog(g, seed=3):
+    """Every catalog section: exact triples (one an IN list), all four
+    synopsis classes, sysr, both CS directions (the 'in' one merged down to
+    two entries), a sketch, all three sample types, the three histogram
+    forms and a 2-key and a 3-key grid."""
+    catalog = build_catalog(
+        g,
+        synopses=[("edge", 1), ("chain", 2), ("source_star", 2), ("target_star", 2)],
+        with_sysr=True,
+        cs_max=10000,
+        sketch_buckets=4,
+        sketch_seed=seed,
+        samples=[("id", 0.3, seed), ("vertex", 0.5, seed), ("edge_pattern", 0.6, seed)],
+        histogram_keys=[("x", "equi_width", 5), ("y", "equi_depth", 4), ("s", "equi_depth", 3)],
+        md_keys=[("k", "y"), ("k", "x", "y")],
+        prop_exact=[("k", "=", 1), ("s", "IN", ["ant", "cat"]), ("x", "<", 1.5)],
+    )
+    catalog.char_sets.append(build_char_sets(g, 2, "in"))
+    return catalog
+
+
+def test_full_catalog_golden_digest(tmp_path):
+    """The saved bytes of a catalog with every section hash to a recorded
+    digest, so the file form of each section repeats byte for byte."""
+    g = full_catalog_graph()
+    catalog = full_catalog(g)
+    assert len(build_char_sets(g, 10000, "in").entries) > 2  # the 'in' store merged
+    assert any(m.get("loop") for m in catalog.sample("edge_pattern").members)
+    assert [h.domain for h in catalog.histograms] == ["numeric", "numeric", "string_prefix"]
+    path = tmp_path / "catalog.json"
+    save_catalog(catalog, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "89b84c6cc55333bc7f7e35f38cdf8ce4d4807e88c8a8e9a2c1aa942f602ea9b3"
+    )
+
+
+@st.composite
+def prop_graphs(draw):
+    """small_graphs with some of the int, float and string keys of
+    full_catalog_graph on each element."""
+    labels = st.lists(st.sampled_from("ab"), max_size=2)
+    values = {
+        "k": st.integers(0, 3),
+        "x": st.floats(-2.0, 5.0),
+        "y": st.integers(0, 9),
+        "s": st.sampled_from(["ant", "bee", "cat"]),
+    }
+    props = st.fixed_dictionaries({}, optional=values)
+    n_vertices = draw(st.integers(0, 5))
+    vertices = [(f"v{i}", draw(labels), draw(props)) for i in range(n_vertices)]
+    edges = []
+    if n_vertices:
+        ends = st.integers(0, n_vertices - 1)
+        for j in range(draw(st.integers(0, 8))):
+            edges.append((f"e{j}", f"v{draw(ends)}", f"v{draw(ends)}", draw(labels), draw(props)))
+    return PropertyGraph(vertices, edges)
+
+
+def json_nodes(node, path=()):
+    """(path, node) of every object and scalar in a JSON document."""
+    if isinstance(node, dict):
+        yield path, node
+        for k, v in node.items():
+            yield from json_nodes(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from json_nodes(v, path + (i,))
+    else:
+        yield path, node
+
+
+def wrong_types(path, node):
+    """Values whose type the catalog's file form does not allow at path."""
+    if isinstance(node, dict):
+        return [[]]  # a list for an object
+    if "props" in path or path[:2] == ("basic", "prop_exact") and path[3:4] == (2,):
+        return [{}]  # property values may be any scalar
+    if isinstance(node, bool):
+        return [1]
+    if isinstance(node, int):
+        return ["3", True]
+    if isinstance(node, float):
+        return ["1.5"]
+    return [5]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(prop_graphs(), st.integers(0, 5), st.data())
+def test_catalog_file_form_round_trips_and_rejects_wrong_types(tmp_path_factory, g, seed, data):
+    """A full catalog reads back to the same dict, and replacing any one
+    value with one of a wrong type makes load_catalog name where it is."""
+    catalog = full_catalog(g, seed)
+    doc = json.loads(json.dumps(catalog.to_dict()))
+    assert StatisticsCatalog.from_dict(doc).to_dict() == catalog.to_dict()
+
+    nodes = [(path, node) for path, node in json_nodes(doc) if path]
+    path, node = data.draw(st.sampled_from(nodes))
+    wrong = data.draw(st.sampled_from(wrong_types(path, node)))
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = wrong
+    file = tmp_path_factory.mktemp("catalog") / "catalog.json"
+    file.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(CatalogFormatError) as info:
+        load_catalog(str(file))
+    message = str(info.value)
+    assert message.startswith(f"{file}: ")
+    if path == ("version",):
+        assert "unsupported catalog version" in message
+        return
+    rest, at = "." + message[len(f"{file}: ") :], 0
+    for step in path:  # the path's steps, in order
+        forms = [f"[{step}]"] if isinstance(step, int) else [f".{step}", f"[{step!r}]"]
+        found = [rest.find(form, at) for form in forms if rest.find(form, at) >= 0]
+        assert found, (path, message)
+        at = min(found) + 1
 
 
 class TestSystemR:
