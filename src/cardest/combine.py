@@ -16,12 +16,13 @@ import numpy as np
 
 from .estimators import individual_estimate
 from .query import (
+    CompiledQuery,
     Constraint,
     PartialEstimate,
     QueryPattern,
-    constraint_set_key,
-    extract_constraints,
-    implied_closure,
+    compiled_for,
+    implied_closure,  # noqa: F401 (looked up here by perfbench's tracer)
+    union,
 )
 from .stats import StatisticsCatalog
 
@@ -65,23 +66,21 @@ def make_complete(
     """Ensure every query constraint occurs in at least one estimate by
     adding singleton estimates (individual fallback chain) for the rest."""
     pes = list(pes)
-    return pes + [individual_estimate(c, catalog) for c in _uncovered(extract_constraints(q), pes)]
+    cq, masks = compiled_for(pes, q)
+    wanted = cq.mask(q.compiled.constraints)
+    return pes + [individual_estimate(cq.constraints[i], catalog) for i in _uncovered(cq, wanted, masks)]
 
 
-def _uncovered(
-    constraints: frozenset[Constraint], pes: Iterable[PartialEstimate]
-) -> list[Constraint]:
-    """The constraints that no estimate covers, in canonical order."""
-    covered = set().union(*(pe.constraints for pe in pes))
-    return sorted(constraints - covered, key=lambda c: c.sort_key())
+def _uncovered(cq: CompiledQuery, mask: int, masks: Iterable[int]) -> tuple[int, ...]:
+    """The bits of mask that none of masks covers, in canonical order."""
+    return cq.bits(mask & ~union(masks))
 
 
-def _singleton_product(
-    constraints: Iterable[Constraint], resolve: Callable[[Constraint], float]
-) -> float:
-    """Product of the constraints' singleton selectivities, in canonical
-    order: float products must not depend on set iteration order."""
-    return math.prod((resolve(c) for c in sorted(constraints, key=lambda c: c.sort_key())), start=1.0)
+def _singleton_product(constraints: Iterable[Constraint], resolve: Callable[[Constraint], float]) -> float:
+    """Product of the constraints' singleton selectivities, taken in the
+    order given, which is canonical: float products must not depend on
+    set iteration order."""
+    return math.prod(map(resolve, constraints), start=1.0)
 
 
 def _singleton_resolver(
@@ -106,14 +105,16 @@ def _singleton_resolver(
 
 
 def deviation_from_independence(
-    pe: PartialEstimate, resolve: Callable[[Constraint], float]
+    pe: PartialEstimate, resolve: Callable[[Constraint], float], cq: Optional[CompiledQuery] = None
 ) -> float:
     """How far an estimate is from the product of its constraints'
-    singleton selectivities (looked up with `resolve`); 1 means
+    singleton selectivities (looked up with `resolve`, in the canonical
+    order of cq, by default compiled from the estimate); 1 means
     independent, +inf a hard conflict."""
     if len(pe.constraints) == 1:
         return 1.0
-    prod = _singleton_product(pe.constraints, resolve)
+    cq = cq or compiled_for([pe])[0]
+    prod = _singleton_product(cq.select(cq.mask_of(pe)), resolve)
     s = pe.selectivity
     if prod == 0.0 and s == 0.0:
         return 1.0
@@ -126,9 +127,11 @@ def _order_estimates(
     pes: list[PartialEstimate],
     strategy: str,
     resolve: Callable[[Constraint], float],
-) -> list[tuple[frozenset[Constraint], PartialEstimate]]:
+    cq: Optional[CompiledQuery] = None,
+) -> list[tuple[int, PartialEstimate]]:
     """The estimates in the processing order of a sort strategy, each
-    with its implied closure.
+    with the mask of its implied closure in cq (default: compiled from
+    the estimates).
 
     The maximum-overlap strategies (MoNd, MoDi) pick greedily: next comes
     the estimate whose implied closure shares the most constraints with
@@ -141,10 +144,12 @@ def _order_estimates(
     """
     if strategy not in SORT_STRATEGIES:
         raise ValueError(f"unknown sort strategy: {strategy!r}")
+    cq = cq or compiled_for(pes)[0]
 
-    # ties always resolve by (fewest constraints, canonical key)
+    # ties always resolve by (fewest constraints, canonical key), and
+    # ascending bit tuples order sets as their canonical keys do
     def final(pe: PartialEstimate) -> tuple:
-        return (len(pe.constraints), pe.key())
+        return (len(pe.constraints), cq.bits(cq.mask_of(pe)))
 
     rank = {
         "SaNd": lambda pe: (pe.selectivity, -len(pe.constraints)),
@@ -153,13 +158,13 @@ def _order_estimates(
         "NdSd": lambda pe: (-len(pe.constraints), -pe.selectivity),
         "NaSd": lambda pe: (len(pe.constraints), -pe.selectivity),
         "NaSa": lambda pe: (len(pe.constraints), pe.selectivity),
-        "Di": lambda pe: (-deviation_from_independence(pe, resolve), pe.selectivity),
+        "Di": lambda pe: (-deviation_from_independence(pe, resolve, cq), pe.selectivity),
         # the maximum-overlap strategies' secondary rank
         "MoNd": lambda pe: (-len(pe.constraints),),
-        "MoDi": lambda pe: (-deviation_from_independence(pe, resolve),),
+        "MoDi": lambda pe: (-deviation_from_independence(pe, resolve, cq),),
     }[strategy]
     ranked = [
-        (implied_closure(pe.constraints), pe)
+        (cq.closure(cq.mask_of(pe)), pe)
         for pe in sorted(pes, key=lambda pe: rank(pe) + final(pe))
     ]
     if strategy not in ("MoNd", "MoDi"):
@@ -168,11 +173,11 @@ def _order_estimates(
     # maximum-overlap strategies pick greedily against the constraints
     # already processed; `ranked` is sorted by rank, so the first estimate
     # of largest overlap is the one the rank prefers
-    ordered: list[tuple[frozenset[Constraint], PartialEstimate]] = []
-    done_impl: frozenset[Constraint] = frozenset()
+    ordered: list[tuple[int, PartialEstimate]] = []
+    done_impl = 0
     while ranked:
-        best = max(range(len(ranked)), key=lambda i: len(done_impl & ranked[i][0]))
-        closure, pe = ranked.pop(best)
+        overlaps = [(done_impl & closure).bit_count() for closure, _ in ranked]
+        closure, pe = ranked.pop(overlaps.index(max(overlaps)))
         ordered.append((closure, pe))
         done_impl |= closure
     return ordered
@@ -203,12 +208,13 @@ def combine_cond_indep(
     back to the singleton product); fully covered ones are skipped.
     """
     pes = list(cpes)
+    cq, masks = compiled_for(pes, q)
     resolve = _singleton_resolver(pes, catalog)
     # the closure of the processed constraints, grown by union as in
     # _order_estimates
-    done_impl: frozenset[Constraint] = frozenset()
+    done_impl = 0
     result = 1.0
-    for c_impl, pe in _order_estimates(pes, strategy, resolve):
+    for c_impl, pe in _order_estimates(pes, strategy, resolve, cq):
         intersection = done_impl & c_impl
         factor: Optional[float]
         if not intersection:
@@ -219,7 +225,7 @@ def combine_cond_indep(
                 factor = 0.0
             else:
                 shared = _estimate_subset(
-                    intersection, pes, resolve, q, strategy, catalog, _depth
+                    intersection, cq, pes, masks, resolve, q, strategy, catalog, _depth
                 )
                 factor = pe.selectivity / max(pe.selectivity, shared)
             reason = "conditioned"
@@ -237,19 +243,26 @@ def combine_cond_indep(
 
 
 def _estimate_subset(
-    constraints: frozenset[Constraint],
+    mask: int,
+    cq: CompiledQuery,
     pes: list[PartialEstimate],
+    masks: list[int],
     resolve: Callable[[Constraint], float],
     q: QueryPattern,
     strategy: str,
     catalog: Optional[StatisticsCatalog],
     depth: int,
 ) -> float:
-    """Selectivity of a constraint subset, for the conditioning step."""
+    """Selectivity of a constraint subset (a mask of cq), for the
+    conditioning step."""
     if depth >= RECURSION_LIMIT:
-        return _singleton_product(constraints, resolve)
-    sub = [pe for pe in pes if pe.constraints <= constraints]
-    sub += [PartialEstimate(frozenset({c}), resolve(c), "singleton") for c in _uncovered(constraints, sub)]
+        return _singleton_product(cq.select(mask), resolve)
+    inside = [(pe, m) for pe, m in zip(pes, masks) if not m & ~mask]
+    sub = [pe for pe, _ in inside]
+    sub += [
+        cq.estimate(1 << i, resolve(cq.constraints[i]), "singleton")
+        for i in _uncovered(cq, mask, (m for _, m in inside))
+    ]
     return combine_cond_indep(sub, q, strategy, catalog, None, depth + 1)
 
 
@@ -257,34 +270,34 @@ def _estimate_subset(
 # Maximum entropy
 
 
-def _greedy_partitions(
-    pes: list[PartialEstimate], all_constraints: list[Constraint], mps: int
-) -> list[list[Constraint]]:
-    parts: list[set[Constraint]] = []
-    for pe in sorted(pes, key=lambda pe: (-len(pe.constraints), pe.key())):
-        s = set(pe.constraints)
-        if len(s) > mps or any(s <= p for p in parts):
+def _greedy_partitions(cq: CompiledQuery, masks: list[int], mps: int) -> list[int]:
+    """Masks of at most mps constraints that cover every estimate's
+    constraints (`masks`); an estimate that fits in none is left to be
+    dropped."""
+    parts: list[int] = []
+    for s in sorted(masks, key=lambda s: (-s.bit_count(), cq.bits(s))):
+        if s.bit_count() > mps or any(not s & ~p for p in parts):
             continue
-        touching = [p for p in parts if p & s]
+        touching = [k for k, p in enumerate(parts) if p & s]
         if not touching:
-            for p in parts:
-                if len(p | s) <= mps:
-                    p |= s
+            for k, p in enumerate(parts):
+                if (p | s).bit_count() <= mps:
+                    parts[k] = p | s
                     break
             else:
                 parts.append(s)
-        elif len(touching) == 1 and len(touching[0] | s) <= mps:
-            touching[0] |= s
+        elif len(touching) == 1 and (parts[touching[0]] | s).bit_count() <= mps:
+            parts[touching[0]] |= s
         # spanning several partitions: the estimate will be dropped
-    for c in all_constraints:
-        if not any(c in p for p in parts):
-            for p in parts:
-                if len(p) < mps:
-                    p.add(c)
+    for i in cq.bits(union(masks)):
+        if not any(p >> i & 1 for p in parts):
+            for k, p in enumerate(parts):
+                if p.bit_count() < mps:
+                    parts[k] = p | 1 << i
                     break
             else:
-                parts.append({c})
-    return [sorted(p, key=lambda c: c.sort_key()) for p in parts]
+                parts.append(1 << i)
+    return parts
 
 
 def _solve_max_ent_partition(
@@ -292,10 +305,13 @@ def _solve_max_ent_partition(
     pes: list[PartialEstimate],
     tol: float,
     max_iter: int,
+    cq: Optional[CompiledQuery] = None,
 ) -> np.ndarray:
     """Iterative proportional fitting over the 2^k atoms of one partition.
 
-    Atom a makes constraint i true when bit i of a is set.  Every
+    Atom a makes constraints[i] true when bit i of a is set; the
+    constraints are in canonical order, and the estimates' sets are read
+    as masks of cq (default: compiled from the estimates).  Every
     estimate in `pes` must lie inside the partition; the fit scales the
     atoms until each estimate's selectivity is the mass of the atoms where
     all its constraints hold.  Atoms no such distribution can give mass
@@ -308,35 +324,38 @@ def _solve_max_ent_partition(
     estimate says that one of them always does.  Returns the fitted atom
     masses.
     """
-    index = {c: i for i, c in enumerate(constraints)}
-    atom_ids = np.arange(1 << len(constraints))
+    cq, masks = (cq, list(map(cq.mask_of, pes))) if cq else compiled_for(pes)
+    part = cq.mask(constraints)
+    positions = cq.bits(part)
+    atom_ids = np.arange(1 << len(positions))
 
-    def holds(cs: Iterable[Constraint]) -> np.ndarray:
-        mask = _bits(cs, index)
-        return (atom_ids & mask) == mask
+    def holds(mask: int) -> np.ndarray:
+        # the partition's bits of mask, as bits of an atom
+        local = sum(1 << j for j, i in enumerate(positions) if mask >> i & 1)
+        return (atom_ids & local) == local
 
     feasible = np.ones(len(atom_ids), dtype=bool)
-    for c in constraints:
-        feasible &= ~holds((c,)) | holds(d for d in implied_closure((c,)) if d in index)
-    selectivity = {pe.constraints: pe.selectivity for pe in pes}
-    for pe in pes:
-        pe_closure = implied_closure(pe.constraints)
-        for other in pes:
-            if other.constraints < pe_closure and (
+    for i in positions:
+        feasible &= ~holds(1 << i) | holds(cq.closures[i] & part)
+    selectivity = {m: pe.selectivity for m, pe in zip(masks, pes)}
+    for m, pe in zip(masks, pes):
+        pe_closure = cq.closure(m)
+        for o, other in zip(masks, pes):
+            if o != pe_closure and not o & ~pe_closure and (
                 other.selectivity <= pe.selectivity * (1.0 + _EMPTY_CELL_RTOL)
             ):
-                feasible &= ~holds(other.constraints) | holds(pe.constraints)
-            if other.constraints < pe.constraints:
-                rest = pe.constraints - other.constraints
+                feasible &= ~holds(o) | holds(m)
+            if o != m and not o & ~m:
+                rest = m & ~o
                 if rest in selectivity and (
                     other.selectivity + selectivity[rest] - pe.selectivity
                     >= 1.0 - _EMPTY_CELL_SLACK
                 ):
-                    feasible &= holds(other.constraints) | holds(rest)
+                    feasible &= holds(o) | holds(rest)
     atoms = feasible / np.count_nonzero(feasible)
     marginals = []
-    for pe in pes:
-        included = holds(pe.constraints)
+    for m, pe in zip(masks, pes):
+        included = holds(m)
         inside = np.flatnonzero(feasible & included)
         outside = np.flatnonzero(feasible & ~included)
         marginals.append((inside, outside, pe.selectivity))
@@ -362,13 +381,6 @@ def _solve_max_ent_partition(
     raise MaxEntError(f"no convergence after {max_iter} iterations", residual=worst)
 
 
-def _bits(constraints: Iterable[Constraint], index: dict[Constraint, int]) -> int:
-    mask = 0
-    for c in constraints:
-        mask |= 1 << index[c]
-    return mask
-
-
 def combine_max_ent(
     cpes: Iterable[PartialEstimate],
     q: QueryPattern,
@@ -391,20 +403,19 @@ def combine_max_ent(
         raise ValueError("mps must be >= 1")
     mps = min(mps, MPS_HARD_CAP)
     pes = list(cpes)
-    all_constraints = sorted(set().union(*(pe.constraints for pe in pes)), key=lambda c: c.sort_key())
-    parts = _greedy_partitions(pes, all_constraints, mps)
+    cq, masks = compiled_for(pes, q)
     placed: set[int] = set()
     result = 1.0
-    for part in parts:
-        members = set(part)
-        inside = [j for j, pe in enumerate(pes) if pe.constraints <= members]
+    for part in _greedy_partitions(cq, masks, mps):
+        inside = [j for j, m in enumerate(masks) if not m & ~part]
         placed.update(inside)
         mass = 1.0  # no estimate constrains this partition
         if inside:
-            atoms = _solve_max_ent_partition(part, [pes[j] for j in inside], tol, max_iter)
+            members = list(cq.select(part))
+            atoms = _solve_max_ent_partition(members, [pes[j] for j in inside], tol, max_iter, cq)
             mass = float(atoms[-1])
         if trace is not None:
-            trace.append((constraint_set_key(part), mass))
+            trace.append((cq.key(part), mass))
         result *= mass
     if dropped is not None:
         dropped.extend(pe for j, pe in enumerate(pes) if j not in placed)
@@ -443,16 +454,18 @@ def combine_bounds(
     given = list(cpes)
     if not given:
         return BoundsResult(0.0, 1.0, True)
-    rank = sorted(range(len(given)), key=lambda i: (given[i].selectivity, given[i].key()))
+    cq, given_masks = compiled_for(given, q)
+    rank = sorted(range(len(given)), key=lambda i: (given[i].selectivity, cq.bits(given_masks[i])))
     pes = [given[i] for i in rank]
+    masks = [given_masks[i] for i in rank]
 
-    id_sets = [pe.id_set for pe in pes]
+    id_sets = [cq.ids_of(m) for m in masks]
     upper, chosen = 1.0, []
     exact = len(pes) <= _EXACT_ENUM_LIMIT
     if exact:
         work = 0
 
-        def dfs(start: int, ids: frozenset, prod: float, picked: list[int]) -> bool:
+        def dfs(start: int, ids: int, prod: float, picked: list[int]) -> bool:
             nonlocal work, upper, chosen
             if picked and prod < upper:
                 upper, chosen = prod, list(picked)
@@ -469,11 +482,11 @@ def combine_bounds(
                     return False
             return True
 
-        exact = dfs(0, frozenset(), 1.0, [])
+        exact = dfs(0, 0, 1.0, [])
     if not exact:
         # greedy: smallest selectivities first, keep id-disjoint ones
         upper, chosen = 1.0, []
-        ids: frozenset = frozenset()
+        ids = 0
         for j, pe in enumerate(pes):
             if ids & id_sets[j]:
                 continue
@@ -489,11 +502,8 @@ def combine_bounds(
     # the first copy stays
     pruned = [
         pe
-        for i, pe in enumerate(pes)
-        if not any(
-            pe.constraints < other.constraints or (pe.constraints == other.constraints and j < i)
-            for j, other in enumerate(pes)
-        )
+        for i, (pe, m) in enumerate(zip(pes, masks))
+        if not any(not m & ~o and (m != o or j < i) for j, o in enumerate(masks))
     ]
     lower = max(0.0, 1.0 - sum(1.0 - pe.selectivity for pe in pruned))
     upper = min(max(upper, 0.0), 1.0)

@@ -227,7 +227,7 @@ def run_techniques(
         pes.extend(estimators.sample_estimates(q, catalog, wanted_samples))
     if synopsis_classes:
         pes.extend(estimators.synopsis_estimates(q, catalog, synopsis_classes))
-    return dedup_estimates(pes)
+    return dedup_estimates(pes, q)
 
 
 def extend_estimates(
@@ -237,11 +237,11 @@ def extend_estimates(
     out = list(pes)
     for tag in config.epests:
         if tag == "implied":
-            out.extend(add_implied_closures(out))
+            out.extend(add_implied_closures(out, q))
             continue
         m = _IP_RE.match(tag)
         out.extend(add_implication_unions(out, q, m["pattern_class"], m["constraint_class"]))
-    return dedup_estimates(out)
+    return dedup_estimates(out, q)
 
 
 def _check_fingerprint(

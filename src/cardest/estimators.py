@@ -19,10 +19,7 @@ from .query import (
     PartialEstimate,
     PredicateKind,
     QueryPattern,
-    constraints_for_edges,
-    data_constraints_by_id,
-    extract_constraints,
-    ids_of,
+    compiled_for,
     iter_chains,
     iter_stars,
     cs_pattern_of,
@@ -69,20 +66,26 @@ def trust_rank(provenance: str) -> int:
     return _TRUST.get(base, 9)
 
 
-def dedup_estimates(estimates: Iterable[PartialEstimate]) -> list[PartialEstimate]:
+def dedup_estimates(
+    estimates: Iterable[PartialEstimate], q: Optional[QueryPattern] = None
+) -> list[PartialEstimate]:
     """Drop duplicate constraint sets, keeping the most trusted estimate;
-    output order is deterministic (technique tag, then constraint key)."""
-    best: dict[tuple, PartialEstimate] = {}
-    for pe in estimates:
-        key = pe.key()
-        old = best.get(key)
+    output order is deterministic (technique tag, then constraint key).
+    Sets are compared as masks of q's compiled form (without q, of one
+    compiled from the estimates)."""
+    estimates = list(estimates)
+    cq, masks = compiled_for(estimates, q)
+    best: dict[int, PartialEstimate] = {}
+    for pe, mask in zip(estimates, masks):
+        old = best.get(mask)
         if old is None or (trust_rank(pe.provenance), pe.provenance, pe.selectivity) < (
             trust_rank(old.provenance),
             old.provenance,
             old.selectivity,
         ):
-            best[key] = pe
-    return sorted(best.values(), key=lambda pe: (pe.provenance, pe.key()))
+            best[mask] = pe
+    ordered = sorted(best.items(), key=lambda item: (item[1].provenance, cq.bits(item[0])))
+    return [pe for _, pe in ordered]
 
 
 def _clamp(s: float) -> float:
@@ -145,10 +148,7 @@ def individual_estimate(c: Constraint, catalog: StatisticsCatalog) -> PartialEst
 
 def individual_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[PartialEstimate]:
     """One singleton estimate per constraint of the query."""
-    return [
-        individual_estimate(c, catalog)
-        for c in sorted(extract_constraints(q), key=lambda c: c.sort_key())
-    ]
+    return [individual_estimate(c, catalog) for c in q.compiled.constraints]
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +168,13 @@ def _edge_pattern_labels(q: QueryPattern, e: str) -> tuple[Optional[str], ...]:
     return (_slot_label(q, s), _slot_label(q, e), _slot_label(q, t))
 
 
-def _edge_patterns(q: QueryPattern) -> Iterator[tuple[tuple[str, str, str], frozenset[Constraint]]]:
-    """Slot labels and constraints of each query edge but self-loops and multi-labelled ones."""
+def _edge_patterns(q: QueryPattern) -> Iterator[tuple[tuple[str, str, str], int]]:
+    """Slot labels and constraint mask of each query edge but self-loops and multi-labelled ones."""
     for e in sorted(q.edges):
         s, t = q.endpoints[e]
         ep = _edge_pattern_labels(q, e)
         if s != t and None not in ep:
-            yield ep, constraints_for_edges(q, (e,))
+            yield ep, q.compiled.edges_mask((e,))
 
 
 def _labeled_stars(
@@ -189,8 +189,8 @@ def _labeled_stars(
                 yield branches, edges
 
 
-def _labeled_chains(q: QueryPattern, m: int) -> Iterator[tuple[list[str], frozenset[Constraint]]]:
-    """Slot labels (vertex, edge, vertex, ..., vertex) and constraints of each
+def _labeled_chains(q: QueryPattern, m: int) -> Iterator[tuple[list[str], int]]:
+    """Slot labels (vertex, edge, vertex, ..., vertex) and constraint mask of each
     directed m-chain, skipping chains with multi-labelled ids; edge i's
     pattern is slots[2 * i : 2 * i + 3]."""
     for chain in iter_chains(q, m):
@@ -198,7 +198,7 @@ def _labeled_chains(q: QueryPattern, m: int) -> Iterator[tuple[list[str], frozen
         for e in chain:
             slots += (_slot_label(q, e), _slot_label(q, q.endpoints[e][1]))
         if None not in slots:
-            yield slots, constraints_for_edges(q, chain)
+            yield slots, q.compiled.edges_mask(chain)
 
 
 def synopsis_estimates(
@@ -218,6 +218,7 @@ def synopsis_estimates(
     if basic is None or basic.n_ids == 0:
         return []
     n_ids_g = basic.n_ids
+    cq = q.compiled
     out: list[PartialEstimate] = []
     stars: Optional[list] = None  # walked once, for the first star synopsis
     for syn in catalog.synopses:
@@ -226,19 +227,19 @@ def synopsis_estimates(
         use_size = min(syn.max_size, classes[syn.klass]) if classes else syn.max_size
 
         if syn.klass == "edge":
-            for ep, cs in _edge_patterns(q):
+            for ep, mask in _edge_patterns(q):
                 count = syn.count_edge(*ep)
                 if count is None:
                     continue
-                out.append(PartialEstimate(cs, _count_sel(count, n_ids_g, 3), "synopsis:EP"))
+                out.append(cq.estimate(mask, _count_sel(count, n_ids_g, 3), "synopsis:EP"))
 
         elif syn.klass == "chain":
             for m in range(2, len(q.edges) + 1):
-                for slots, cs in _labeled_chains(q, m):
+                for slots, mask in _labeled_chains(q, m):
                     sel = _chain_sel(syn, basic, slots, m, use_size)
                     if sel is None:
                         continue
-                    out.append(PartialEstimate(cs, _clamp(sel), f"synopsis:c{use_size}"))
+                    out.append(cq.estimate(mask, _clamp(sel), f"synopsis:c{use_size}"))
 
         else:  # source_star / target_star
             outgoing = syn.klass == "source_star"
@@ -254,9 +255,8 @@ def synopsis_estimates(
                 count = syn.count_star(center, leaves)
                 if count is None:
                     continue
-                cs = constraints_for_edges(q, edges)
                 sel = _count_sel(count, n_ids_g, 2 * len(branches) + 1)
-                out.append(PartialEstimate(cs, sel, f"synopsis:{tag}{use_size}"))
+                out.append(cq.estimate(cq.edges_mask(edges), sel, f"synopsis:{tag}{use_size}"))
     return out
 
 
@@ -304,6 +304,7 @@ def system_r_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[Part
     if catalog.sysr is None or catalog.basic is None or catalog.basic.n_ids == 0:
         return []
     n_ids_g = catalog.basic.n_ids
+    cq = q.compiled
     out: list[PartialEstimate] = []
     for branches, edges in _labeled_stars(q):
         cards: list[int] = []
@@ -317,8 +318,8 @@ def system_r_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[Part
             est = float(min(distincts))
             for n, d in zip(cards, distincts):
                 est *= n / d
-        cs = constraints_for_edges(q, edges)
-        out.append(PartialEstimate(cs, _count_sel(est, n_ids_g, len(ids_of(cs))), "sysr"))
+        mask = cq.edges_mask(edges)
+        out.append(cq.estimate(mask, _count_sel(est, n_ids_g, cq.ids_of(mask).bit_count()), "sysr"))
     return out
 
 
@@ -337,6 +338,7 @@ def bound_sketch_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[
         return []
     sketch = catalog.sketches[0]
     n_ids_g = catalog.basic.n_ids
+    cq = q.compiled
     out: list[PartialEstimate] = []
 
     def joined_bound(parts: list[dict[int, tuple[int, int]]]) -> float:
@@ -357,19 +359,19 @@ def bound_sketch_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[
         return bound
 
     # single edges: the sketch stores exact per-pattern counts
-    for ep, cs in _edge_patterns(q):
+    for ep, mask in _edge_patterns(q):
         count = sum(c for c, _ in sketch.partition(*ep, "src").values())
-        out.append(PartialEstimate(cs, _count_sel(count, n_ids_g, 3), "sketch"))
+        out.append(cq.estimate(mask, _count_sel(count, n_ids_g, 3), "sketch"))
 
-    for slots, cs in _labeled_chains(q, 2):
+    for slots, mask in _labeled_chains(q, 2):
         parts = [sketch.partition(*slots[0:3], "trg"), sketch.partition(*slots[2:5], "src")]
-        out.append(PartialEstimate(cs, _count_sel(joined_bound(parts), n_ids_g, 5), "sketch"))
+        out.append(cq.estimate(mask, _count_sel(joined_bound(parts), n_ids_g, 5), "sketch"))
 
     for branches, edges in _labeled_stars(q):
         parts = [sketch.partition(*ep, "src" if outgoing else "trg") for ep, outgoing in branches]
-        cs = constraints_for_edges(q, edges)
-        sel = _count_sel(joined_bound(parts), n_ids_g, len(ids_of(cs)))
-        out.append(PartialEstimate(cs, sel, "sketch"))
+        mask = cq.edges_mask(edges)
+        sel = _count_sel(joined_bound(parts), n_ids_g, cq.ids_of(mask).bit_count())
+        out.append(cq.estimate(mask, sel, "sketch"))
     return out
 
 
@@ -387,6 +389,7 @@ def char_set_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[Part
     if catalog.basic is None or catalog.basic.n_ids == 0:
         return []
     n_ids_g = catalog.basic.n_ids
+    cq = q.compiled
     out: list[PartialEstimate] = []
     for store in catalog.char_sets:
         direction = "out" if store.direction == "out" else "in"
@@ -405,8 +408,8 @@ def char_set_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[Part
                 for l in info["edge_labels"]:
                     contribution *= entry.label_counts.get(l, 0) / entry.count
                 card += contribution
-            cs = info["constraints"]
-            out.append(PartialEstimate(cs, _count_sel(card, n_ids_g, len(ids_of(cs))), "cs"))
+            mask = info["mask"]
+            out.append(cq.estimate(mask, _count_sel(card, n_ids_g, cq.ids_of(mask).bit_count()), "cs"))
     return out
 
 
@@ -431,9 +434,9 @@ def sample_estimates(
     if basic is None or basic.n_ids == 0:
         return []
     n_ids_g = basic.n_ids
+    cq = q.compiled
     out: list[PartialEstimate] = []
-    groups = data_constraints_by_id(q)
-    all_constraints = extract_constraints(q)
+    groups = cq.data_by_id
 
     for sample in catalog.samples:
         if wanted is not None and (sample.pattern_type, sample.probability) not in wanted:
@@ -454,15 +457,12 @@ def sample_estimates(
                 hits = sum(1 for m in members if satisfies(groups[i], m["labels"], m["props"]))
                 population = basic.n_vertices if is_vertex else basic.n_edges
                 sel = (hits / len(members)) * _count_sel(population, n_ids_g, 1)
-                membership = Constraint.vertex(i) if is_vertex else Constraint.edge(i)
-                cs = groups[i] | {membership}
-                out.append(PartialEstimate(cs, _clamp(sel), tag))
+                out.append(cq.estimate(cq.data[i] | cq.member[i], _clamp(sel), tag))
 
         elif sample.pattern_type == "edge_pattern":
             for e in sorted(q.edges):
                 s, t = q.endpoints[e]
                 ids = {e, s, t}
-                cs = frozenset(c for c in all_constraints if set(c.ids) <= ids)
                 loop = s == t
                 data_e = groups.get(e, frozenset())
                 data_s = groups.get(s, frozenset())
@@ -479,7 +479,7 @@ def sample_estimates(
                         continue
                     hits += 1
                 sel = (hits / len(sample.members)) * _count_sel(basic.n_edges, n_ids_g, len(ids))
-                out.append(PartialEstimate(cs, _clamp(sel), tag))
+                out.append(cq.estimate(cq.within(cq.id_mask(ids)), _clamp(sel), tag))
     return out
 
 
@@ -539,12 +539,8 @@ def wander_join_estimate(
         forward = s in covered_ids
         steps.append((e, s, t, forward, forward and t in covered_ids))
         covered_ids.update((e, s, t))
-    constraints = frozenset(
-        c for c in extract_constraints(q) if set(c.ids) <= covered_ids
-    )
-    data_checks = [
-        (i, cs) for i, cs in sorted(data_constraints_by_id(q).items()) if i in covered_ids
-    ]
+    cq = q.compiled
+    data_checks = [(i, cs) for i, cs in sorted(cq.data_by_id.items()) if i in covered_ids]
 
     rng = random.Random(seed)
     randrange = rng.randrange
@@ -579,7 +575,7 @@ def wander_join_estimate(
                 successes += 1
     sel = _count_sel(total / walks, g.n_ids, len(covered_ids))
     provenance = "wj" if successes else "wj:low_confidence"
-    return PartialEstimate(constraints, sel, provenance)
+    return cq.estimate(cq.within(cq.id_mask(covered_ids)), sel, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +601,8 @@ def md_histogram_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[
     by_id: dict[str, list[tuple[str, PredicateKind, Any]]] = {}
     for i, key, op, value in q.prop_constraints:
         by_id.setdefault(i, []).append((key, op, value))
-    data = data_constraints_by_id(q)
+    cq = q.compiled
+    values = cq.kinds((ConstraintKind.PROP_VALUE,))
     out: list[PartialEstimate] = []
     for i in sorted(by_id):
         preds = by_id[i]
@@ -619,7 +616,6 @@ def md_histogram_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[
                 continue
             frac = md_fraction(mdh, preds)
             sel = frac * _count_sel(mdh.total, n_ids_g, 1)
-            values = frozenset(c for c in data[i] if c.kind is ConstraintKind.PROP_VALUE)
-            out.append(PartialEstimate(values, _clamp(sel), "mdh"))
+            out.append(cq.estimate(cq.data[i] & values, _clamp(sel), "mdh"))
             break
     return out

@@ -17,7 +17,8 @@ wrong type raises FormError and a missing key MissingKey; each holds the
 row of the column it lies in and the path from there to it.
 
 A dataclass field whose file form differs from its annotation's declares
-it with `stored`, in its metadata.
+it with `stored`, in its metadata; so does a field whose form depends on
+the value of a field before it (a sample's members on its pattern type).
 """
 
 from __future__ import annotations
@@ -57,11 +58,20 @@ def _same(v: Any) -> Any:
     return v
 
 
-def stored(form: Any = None, out: Callable = _same, back: Callable = _same, key: str = "") -> dict:
+def stored(
+    form: Any = None,
+    out: Callable = _same,
+    back: Callable = _same,
+    key: str = "",
+    by: tuple[str, dict] = ("", {}),
+) -> dict:
     """Field metadata: the field is stored under `key` (default: its name)
     as `form` (default: its annotation); `out` turns the field's value into
-    that form, and `back` turns the decoded form into the value."""
-    return {"stored": (key, form, out, back)}
+    that form, and `back` turns the decoded form into the value.  With
+    `by=(other, forms)`, a row whose field `other` (declared before this
+    one) holds a value v of `forms` is decoded as `forms[v]` instead, a
+    narrowing of the form that still encodes the same way."""
+    return {"stored": (key, form, out, back, by)}
 
 
 def _check(vs: list, ok: set, name: str, key: Callable = type) -> None:
@@ -203,6 +213,32 @@ def codec(tp: Any) -> Codec:
     return _record(tp)
 
 
+class _Chosen(NamedTuple):
+    encode: Callable[[Any], Any]
+    decode: Callable[[list], list]  # a column of (picking value, item) pairs
+    by: str
+
+
+def _chosen(default: Codec, by: str, forms: dict) -> _Chosen:
+    """The codec of a field whose rows are decoded as forms[v], v being
+    the row's value of field `by`, or by default when v is not in forms;
+    the rows of one form are decoded together."""
+    decoders = {v: codec(form).decode for v, form in forms.items()}
+
+    def decode_pairs(pairs):
+        rows: dict[Any, list[int]] = {}
+        for r, (v, _) in enumerate(pairs):
+            rows.setdefault(v if v in decoders else None, []).append(r)
+        out = [None] * len(pairs)
+        for v, rs in rows.items():
+            got = _sub(decoders.get(v, default.decode), [pairs[r][1] for r in rs], lambda j, rs=rs: (rs[j], ""))
+            for r, x in zip(rs, got):
+                out[r] = x
+        return out
+
+    return _Chosen(default.encode, decode_pairs, by)
+
+
 def _present(vs: list, key: str) -> list[int]:
     """The rows of the objects in vs that hold key."""
     return [i for i, d in enumerate(vs) if key in d]
@@ -217,9 +253,12 @@ def _record(cls: type) -> Codec:
     else:
         fields = []
         for f in dataclasses.fields(cls):
-            key, form, out, back = f.metadata.get("stored", ("", None, _same, _same))
+            key, form, out, back, by = f.metadata.get("stored", ("", None, _same, _same, ("", {})))
             required = f.default is dataclasses.MISSING is f.default_factory
-            fields.append((f.name, key or f.name, codec(form or hints[f.name]), out, back, required))
+            c = codec(form or hints[f.name])
+            if by[0]:
+                c = _chosen(c, *by)
+            fields.append((f.name, key or f.name, c, out, back, required))
 
     def decode_record(vs):
         _check(vs, {dict}, "object")
@@ -233,6 +272,9 @@ def _record(cls: type) -> Codec:
                 column = [d[key] for d in vs if key in d]
             full = len(column) == len(vs)
             where = lambda r, full=full, key=key: (r if full else _present(vs, key)[r], "." + key)  # noqa: E731
+            if isinstance(c, _Chosen):  # pair each item with the value that picks its form
+                picks = map(itemgetter(c.by), vs if full else (vs[i] for i in _present(vs, key)))
+                column = list(zip(picks, column))
             got = _sub(c.decode, column, where)
             if kwargs is not None:
                 for i, x in zip(range(len(vs)) if full else _present(vs, key), got):

@@ -8,16 +8,17 @@ estimate is assumed to imply the rest.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .query import (
-    Constraint,
+    CompiledQuery,
     ConstraintKind,
-    DATA_KINDS,
     PROP_KINDS,
     PartialEstimate,
     QueryPattern,
-    implied_closure,
+    compiled_for,
+    implied_closure,  # noqa: F401 (looked up here by perfbench's tracer)
+    union,
 )
 
 _TRIGGER_KINDS = frozenset(
@@ -33,21 +34,24 @@ CONSTRAINT_CLASSES = {
 PATTERN_CLASSES = ("id", "ep")
 
 
-def add_implied_closures(pes: Iterable[PartialEstimate]) -> list[PartialEstimate]:
+def add_implied_closures(
+    pes: Iterable[PartialEstimate], q: Optional[QueryPattern] = None
+) -> list[PartialEstimate]:
     """For every estimate containing a src/trg or value predicate, derive
     the estimate over its implied closure at the same selectivity.
 
     The implied constraints hold whenever the original ones do, so the
     selectivity carries over exactly.  Returns only estimates whose
-    constraint sets are not already present.
+    constraint sets are not already present.  Closures are masks of q's
+    compiled form (without q, of one compiled from the estimates).
     """
     pes = list(pes)
+    cq, masks = compiled_for(pes, q)
+    trigger = cq.kinds(_TRIGGER_KINDS)
     closures = (
-        PartialEstimate(implied_closure(pe.constraints), pe.selectivity, pe.provenance)
-        for pe in pes
-        if any(c.kind in _TRIGGER_KINDS for c in pe.constraints)
+        (cq.closure(mask), pe.selectivity, pe.provenance) for pe, mask in zip(pes, masks) if mask & trigger
     )
-    return _new_sets(pes, closures)
+    return _new_sets(cq, masks, closures)
 
 
 def add_implication_unions(
@@ -71,37 +75,37 @@ def add_implication_unions(
     if allowed is None:
         raise ValueError(f"unknown constraint class: {constraint_class!r}")
 
-    if pattern_class == "id":
-        instances = [frozenset({i}) for i in sorted(q.ids)]
-    else:
-        instances = [frozenset({e, *q.endpoints[e]}) for e in sorted(q.edges)]
-
     pes = list(pes)
+    cq, masks = compiled_for(pes, q)
+    if pattern_class == "id":
+        instances = [cq.id_mask((i,)) for i in sorted(q.ids)]
+    else:
+        instances = [cq.id_mask((e, *q.endpoints[e])) for e in sorted(q.edges)]
     tag = f"ip({pattern_class},{constraint_class})"
-    unions: list[PartialEstimate] = []
+    # (mask, ids, estimate) of each estimate of allowed kinds only
+    kinds = cq.kinds(allowed)
+    eligible = [(mask, cq.ids_of(mask), pe) for pe, mask in zip(pes, masks) if not mask & ~kinds]
+    unions: list[tuple[int, float, str]] = []
     for ids in instances:
-        group = [
-            pe
-            for pe in pes
-            if pe.id_set <= ids and all(c.kind in allowed for c in pe.constraints)
-        ]
+        group = [(mask, pe) for mask, pe_ids, pe in eligible if not pe_ids & ~ids]
         if len(group) < 2:
             continue
-        union = frozenset().union(*(pe.constraints for pe in group))
         # lowest selectivity wins; ties prefer the more informative
         # implicant, then the canonical key
-        chosen = min(group, key=lambda pe: (pe.selectivity, -len(pe.constraints), pe.key()))
-        unions.append(PartialEstimate(union, chosen.selectivity, tag))
-    return _new_sets(pes, unions)
+        _, chosen = min(group, key=lambda g: (g[1].selectivity, -len(g[1].constraints), cq.bits(g[0])))
+        unions.append((union(mask for mask, _ in group), chosen.selectivity, tag))
+    return _new_sets(cq, masks, unions)
 
 
-def _new_sets(pes: list[PartialEstimate], derived: Iterable[PartialEstimate]) -> list[PartialEstimate]:
-    """The derived estimates whose constraint sets neither `pes` nor an
-    earlier derived estimate holds."""
-    present = {pe.key() for pe in pes}
+def _new_sets(
+    cq: CompiledQuery, masks: list[int], derived: Iterable[tuple[int, float, str]]
+) -> list[PartialEstimate]:
+    """Estimates for the derived (mask, selectivity, provenance) triples
+    whose sets neither `masks` nor an earlier derived triple holds."""
+    present = set(masks)
     out: list[PartialEstimate] = []
-    for pe in derived:
-        if pe.key() not in present:
-            present.add(pe.key())
-            out.append(pe)
+    for mask, selectivity, provenance in derived:
+        if mask not in present:
+            present.add(mask)
+            out.append(cq.estimate(mask, selectivity, provenance))
     return out

@@ -5,15 +5,30 @@ label sets and property predicates.  Every pattern compiles to a set of
 atomic constraints (vertex/edge membership, src/trg incidence, label,
 key presence, key-value predicate); all estimation downstream works on
 those constraint sets.
+
+A pattern compiles once, on first use (`QueryPattern.compiled`, a
+`CompiledQuery`).  The compiled form holds the constraints in canonical
+order (`Constraint.sort_key`), so bit i of an int stands for the i-th
+constraint and a constraint set is an int mask whose ascending bits list
+it in canonical order.  Per bit it holds the implied closure and the
+query ids, as masks, and per query id its data constraints.  Every
+constraint it hands out is one of its own objects, and phases 1-3 do
+their set work on masks: unions, intersections, subset tests, closures
+(an OR of per-bit closures) and overlap counts (`int.bit_count`).  A
+`PartialEstimate` keeps its frozenset of constraints as the public view
+and caches its mask in the compiled query it was last read through, so
+each estimate's mask is computed once per `estimate()` call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Collection, Iterable, Optional, Union
+from typing import Any, Collection, Iterable, Iterator, Optional, Union
 
 Scalar = Union[str, int, float, bool]
 
@@ -142,6 +157,21 @@ class Constraint:
     op: Optional[PredicateKind] = None
     value: Any = None
 
+    # The hash and the sort key are kept once computed: a constraint is
+    # hashed and ordered far more often than it is built.
+    _hash = None
+    _sort_key = None
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            fields = (self.kind, self.ids, self.label, self.key, self.op, self.value)
+            object.__setattr__(self, "_hash", hash(fields))
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # rebuilt, not copied: a string's hash differs between processes
+        return (Constraint, (self.kind, self.ids, self.label, self.key, self.op, self.value))
+
     @staticmethod
     def vertex(i: str) -> "Constraint":
         return Constraint(ConstraintKind.VERTEX, (i,))
@@ -173,14 +203,16 @@ class Constraint:
         return Constraint(ConstraintKind.PROP_VALUE, (i,), key=key, op=op, value=value)
 
     def sort_key(self) -> tuple:
-        return (
-            _KIND_ORDER[self.kind],
-            self.ids,
-            self.label or "",
-            self.key or "",
-            self.op.value if self.op else "",
-            repr(self.value),
-        )
+        if self._sort_key is None:
+            object.__setattr__(self, "_sort_key", (
+                _KIND_ORDER[self.kind],
+                self.ids,
+                self.label or "",
+                self.key or "",
+                self.op.value if self.op else "",
+                repr(self.value),
+            ))  # fmt: skip
+        return self._sort_key
 
     def __repr__(self) -> str:  # compact, used in traces
         if self.kind in (ConstraintKind.VERTEX, ConstraintKind.EDGE):
@@ -213,14 +245,15 @@ class PartialEstimate:
     constraints: frozenset[Constraint]
     selectivity: float
     provenance: str = ""
-    _key: tuple = field(init=False, repr=False, compare=False)
+    _key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # (compiled query, the constraint set as its mask), see CompiledQuery.mask_of
+    _mask: tuple = field(default=(None, 0), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.constraints:
             raise ValueError("partial estimate needs at least one constraint")
         if not (0.0 <= self.selectivity <= 1.0):
             raise ValueError(f"selectivity out of range: {self.selectivity}")
-        object.__setattr__(self, "_key", constraint_set_key(self.constraints))
 
     @property
     def id_set(self) -> frozenset[str]:
@@ -229,10 +262,13 @@ class PartialEstimate:
     def key(self) -> tuple:
         """The canonical key of the constraint set.
 
-        Computed once, when the estimate is made: the constraint set is
-        frozen, so the key is the one `constraint_set_key` would return
-        on every call.
+        Computed on the first call: the constraint set is frozen, so the
+        key is the one `constraint_set_key` would return on every call.
         """
+        if self._key is None:
+            compiled, mask = self._mask
+            key = compiled.key(mask) if compiled else constraint_set_key(self.constraints)
+            object.__setattr__(self, "_key", key)
         return self._key
 
 
@@ -270,6 +306,17 @@ class QueryPattern:
     @property
     def ids(self) -> frozenset[str]:
         return self.vertices | self.edges
+
+    @functools.cached_property
+    def compiled(self) -> "CompiledQuery":
+        """The constraint set as bit positions, built on first use."""
+        return CompiledQuery(self._constraints)
+
+    @functools.cached_property
+    def _constraints(self) -> frozenset[Constraint]:
+        """The constraints the pattern compiles to, built once; closed
+        under implied_closure."""
+        return frozenset(_pattern_constraints(self))
 
     def labels_of(self, i: str) -> frozenset[str]:
         return self.labels.get(i, frozenset())
@@ -355,12 +402,8 @@ def parse_query(doc: Union[str, dict]) -> QueryPattern:
     )
 
 
-def extract_constraints(q: QueryPattern) -> frozenset[Constraint]:
-    """The full constraint set of a pattern.
-
-    A mapping is a homomorphic match exactly when it satisfies every
-    constraint returned here.
-    """
+def _pattern_constraints(q: QueryPattern) -> set[Constraint]:
+    """Build the constraints a pattern compiles to."""
     out: set[Constraint] = set()
     for v in q.vertices:
         out.add(Constraint.vertex(v))
@@ -375,7 +418,16 @@ def extract_constraints(q: QueryPattern) -> frozenset[Constraint]:
     for i, key, op, value in q.prop_constraints:
         out.add(Constraint.has_key(i, key))
         out.add(Constraint.prop_value(i, key, op, value))
-    return frozenset(out)
+    return out
+
+
+def extract_constraints(q: QueryPattern) -> frozenset[Constraint]:
+    """The full constraint set of a pattern.
+
+    A mapping is a homomorphic match exactly when it satisfies every
+    constraint returned here.
+    """
+    return q._constraints
 
 
 def implied_closure(constraints: Iterable[Constraint]) -> frozenset[Constraint]:
@@ -384,6 +436,8 @@ def implied_closure(constraints: Iterable[Constraint]) -> frozenset[Constraint]:
     src/trg incidence implies vertex and edge membership of its ids; a
     key-value predicate implies presence of the key.  Inflationary and
     idempotent; never introduces constraints outside the pattern's set.
+    A compiled query holds each of its constraints' closures as a mask
+    (`CompiledQuery.closure`), so the estimate path does not call this.
     """
     out = set(constraints)
     for c in list(out):
@@ -393,6 +447,166 @@ def implied_closure(constraints: Iterable[Constraint]) -> frozenset[Constraint]:
         elif c.kind is ConstraintKind.PROP_VALUE:
             out.add(Constraint.has_key(c.ids[0], c.key))
     return frozenset(out)
+
+
+def _selectors(mask: int) -> Iterator[bool]:
+    """Whether each bit of mask is set, lowest bit first."""
+    return map("1".__eq__, reversed(bin(mask)))
+
+
+def union(masks: Iterable[int]) -> int:
+    """The union of constraint masks."""
+    return functools.reduce(operator.or_, masks, 0)
+
+
+class CompiledQuery:
+    """A constraint set with every constraint at a bit position.
+
+    Bit i stands for `constraints[i]`; the constraints are in canonical
+    order, so the ascending bits of a mask list its set in canonical
+    order, and comparing two masks' ascending bit tuples orders them as
+    their `constraint_set_key`s.  The set is closed under
+    `implied_closure`.  Per bit it holds the implied closure (`closures`)
+    and the ids (`id_masks`, bit j for `ids[j]`) as masks; per query id
+    its membership bit, its label and data-constraint masks and its data
+    group (`data_by_id`); per edge its incidence constraints.  A pattern's compiled form is
+    `QueryPattern.compiled`; an estimate set without a pattern compiles
+    its own (`compiled_for`).
+    """
+
+    def __init__(self, constraints: Iterable[Constraint]) -> None:
+        """constraints: a set closed under `implied_closure`."""
+        cs = tuple(sorted(set(constraints), key=Constraint.sort_key))
+        self._sort_keys = tuple(c.sort_key() for c in cs)
+        assert len(set(self._sort_keys)) == len(cs), "sort_key must tell constraints apart"
+        self.constraints = cs
+        self._bit = {c: 1 << i for i, c in enumerate(cs)}
+        self._bit_tuples: dict[int, tuple[int, ...]] = {}
+        self._views: dict[int, frozenset[Constraint]] = {}
+        self.ids = tuple(sorted({i for c in cs for i in c.ids}))
+        id_bit = self._id_bit = {i: 1 << j for j, i in enumerate(self.ids)}
+        self._kind_masks = [0] * len(_KIND_ORDER)
+        self.member: dict[str, int] = {}  # vertex(i) or edge(i)
+        self.labels: dict[str, int] = {}
+        self.data: dict[str, int] = {}
+        self.key_bits: dict[tuple[str, str], int] = {}
+        # per edge: its membership, src, trg and both endpoints' memberships
+        self.incidence: dict[str, int] = {}
+        endpoints: dict[str, list[str]] = {}
+        closures, id_masks = [], []
+        # one pass in canonical order, which puts the memberships before
+        # the src/trg that imply them and each hasKey before the
+        # propValue that implies it
+        for n, (c, sort_key) in enumerate(zip(cs, self._sort_keys)):
+            bit, kind, ids = 1 << n, c.kind, c.ids
+            self._kind_masks[sort_key[0]] |= bit
+            if len(ids) == 2:  # src or trg
+                v, e = ids
+                closures.append(bit | self.member[v] | self.member[e])
+                id_masks.append(id_bit[v] | id_bit[e])
+                self.incidence[e] = self.incidence.get(e, 0) | closures[-1]
+                endpoints.setdefault(e, []).append(v)
+                continue
+            i = ids[0]
+            if kind is ConstraintKind.VERTEX or kind is ConstraintKind.EDGE:
+                self.member[i] = bit
+            else:
+                self.data[i] = self.data.get(i, 0) | bit
+                if kind is ConstraintKind.HAS_LABEL:
+                    self.labels[i] = self.labels.get(i, 0) | bit
+                elif kind is ConstraintKind.HAS_KEY:
+                    self.key_bits[(i, c.key)] = bit
+                else:  # a value predicate implies its key
+                    bit |= self.key_bits[(i, c.key)]
+            closures.append(bit)
+            id_masks.append(id_bit[i])
+        self.closures, self.id_masks = tuple(closures), tuple(id_masks)
+        self._endpoint_labels = {e: union(self.labels.get(v, 0) for v in vs) for e, vs in endpoints.items()}
+        self.data_by_id = _data_groups(cs)
+
+    def mask(self, constraints: Iterable[Constraint]) -> int:
+        """The mask of constraints equal to some of this set's."""
+        return union(map(self._bit.__getitem__, constraints))
+
+    def mask_of(self, pe: PartialEstimate) -> int:
+        """An estimate's mask, cached on the estimate for this compiled query."""
+        compiled, mask = pe._mask
+        if compiled is not self:
+            mask = self.mask(pe.constraints)
+            object.__setattr__(pe, "_mask", (self, mask))
+        return mask
+
+    def estimate(self, mask: int, selectivity: float, provenance: str) -> PartialEstimate:
+        """A partial estimate over the constraints of mask."""
+        pe = PartialEstimate(self.view(mask), selectivity, provenance)
+        object.__setattr__(pe, "_mask", (self, mask))
+        return pe
+
+    def select(self, mask: int) -> Iterator[Constraint]:
+        """The constraints of mask, in canonical order."""
+        return itertools.compress(self.constraints, _selectors(mask))
+
+    def view(self, mask: int) -> frozenset[Constraint]:
+        """The constraints of mask as a frozenset; memoized like `bits`."""
+        view = self._views.get(mask)
+        if view is None:
+            view = self._views[mask] = frozenset(self.select(mask))
+        return view
+
+    def bits(self, mask: int) -> tuple[int, ...]:
+        """The ascending bits of mask: a tie-break that orders sets as
+        their canonical keys do.  Memoized: sorts ask for the same masks
+        again and again, and a query has few."""
+        bits = self._bit_tuples.get(mask)
+        if bits is None:
+            bits = self._bit_tuples[mask] = tuple(itertools.compress(itertools.count(), _selectors(mask)))
+        return bits
+
+    def key(self, mask: int) -> tuple:
+        """`constraint_set_key` of the constraints of mask."""
+        return tuple(itertools.compress(self._sort_keys, _selectors(mask)))
+
+    def closure(self, mask: int) -> int:
+        """The mask of `implied_closure` of the constraints of mask."""
+        return union(itertools.compress(self.closures, _selectors(mask)))
+
+    def ids_of(self, mask: int) -> int:
+        """The ids the constraints of mask mention, as an id mask."""
+        return union(itertools.compress(self.id_masks, _selectors(mask)))
+
+    def id_mask(self, ids: Iterable[str]) -> int:
+        return union(map(self._id_bit.__getitem__, ids))
+
+    def within(self, id_mask: int) -> int:
+        """The mask of every constraint whose ids all lie in id_mask."""
+        return union(1 << i for i, m in enumerate(self.id_masks) if not m & ~id_mask)
+
+    def kinds(self, kinds: Iterable[ConstraintKind]) -> int:
+        """The mask of every constraint of one of kinds."""
+        return union(self._kind_masks[_KIND_ORDER[k]] for k in kinds)
+
+    def edges_mask(self, edges: Iterable[str]) -> int:
+        """The mask of `constraints_for_edges`: each edge's incidence and
+        the labels of the edge and its endpoints."""
+        return union(
+            self.incidence[e] | self.labels.get(e, 0) | self._endpoint_labels[e] for e in edges
+        )
+
+
+def compiled_for(
+    pes: list[PartialEstimate], q: Optional[QueryPattern] = None
+) -> tuple[CompiledQuery, list[int]]:
+    """q's compiled form when it holds every constraint of the estimates,
+    else one compiled over q's constraints and theirs (estimates made by
+    hand may name constraints of no query), with the estimates' masks."""
+    if q is not None:
+        try:
+            return q.compiled, list(map(q.compiled.mask_of, pes))
+        except KeyError:
+            pass
+    own = q.compiled.constraints if q is not None else ()
+    cq = CompiledQuery(implied_closure(itertools.chain(own, *(pe.constraints for pe in pes))))
+    return cq, list(map(cq.mask_of, pes))
 
 
 def iter_chains(q: QueryPattern, n: int) -> list[tuple[str, ...]]:
@@ -451,31 +665,26 @@ def _other_endpoint(q: QueryPattern, e: str, v: str) -> str:
 
 def constraints_for_edges(q: QueryPattern, edges: Iterable[str]) -> frozenset[Constraint]:
     """Topology and label constraints of the subpattern spanned by edges."""
-    out: set[Constraint] = set()
-    ids: set[str] = set()
-    for e in edges:
-        s, t = q.endpoints[e]
-        out.update((Constraint.edge(e), Constraint.src(s, e), Constraint.trg(t, e)))
-        out.update((Constraint.vertex(s), Constraint.vertex(t)))
-        ids.update((e, s, t))
-    for i in ids:
-        for l in q.labels_of(i):
-            out.add(Constraint.has_label(i, l))
-    return frozenset(out)
+    return q.compiled.view(q.compiled.edges_mask(edges))
 
 
 def data_constraints_by_id(q: QueryPattern) -> dict[str, frozenset[Constraint]]:
     """Per query id, its label / key / key-value constraints (non-empty only)."""
-    per_id: dict[str, set[Constraint]] = {}
-    for c in extract_constraints(q):
+    return _data_groups(q._constraints)
+
+
+def _data_groups(constraints: Iterable[Constraint]) -> dict[str, frozenset[Constraint]]:
+    per_id: dict[str, list[Constraint]] = {}
+    for c in constraints:
         if c.kind in DATA_KINDS:
-            per_id.setdefault(c.ids[0], set()).add(c)
+            per_id.setdefault(c.ids[0], []).append(c)
     return {i: frozenset(cs) for i, cs in per_id.items()}
 
 
 def cs_pattern_of(q: QueryPattern, center: str, direction: str = "out") -> Optional[dict]:
     """The same-direction star of `center` plus its key constraints.
 
+    The constraints come as a frozenset and as a mask of `q.compiled`.
     Returns None when the pattern is unusable for characteristic-set
     lookup: no elements at all, duplicate edge labels, or a star edge
     without exactly one label.
@@ -501,17 +710,14 @@ def cs_pattern_of(q: QueryPattern, center: str, direction: str = "out") -> Optio
     if not elements or len(set(edge_labels)) != len(edge_labels):
         return None
     # the star edges keep their labels; the vertices' labels are no part of a CS
-    constraints = {
-        c
-        for c in constraints_for_edges(q, star_edges)
-        if c.kind is not ConstraintKind.HAS_LABEL or c.ids[0] in q.edges
-    }
-    constraints.add(Constraint.vertex(center))
-    constraints.update(Constraint.has_key(center, k) for k in keys)
+    cq = q.compiled
+    mask = union(cq.incidence[e] | cq.labels.get(e, 0) for e in star_edges)
+    mask |= cq.member[center] | union(cq.key_bits[(center, k)] for k in keys)
     return {
         "center": center,
         "edge_labels": tuple(edge_labels),
         "keys": tuple(keys),
         "elements": frozenset(elements),
-        "constraints": frozenset(constraints),
+        "constraints": cq.view(mask),
+        "mask": mask,
     }

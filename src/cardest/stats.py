@@ -9,9 +9,11 @@ content fingerprint.
 Each section is a dataclass whose file form follows its field
 annotations: `to_dict` and `from_dict` come from one codec
 (`fileform.codec`), which checks the type of every value it reads, so a
-wrong-typed value raises CatalogFormatError naming its path.  A field
-whose file form differs from its annotation's declares it with
-`fileform.stored`, next to the field.
+wrong-typed value or a missing key raises CatalogFormatError naming its
+path.  A field whose file form differs from its annotation's declares it
+with `fileform.stored`, next to the field; so do the fields whose form
+depends on another: an edge-pattern sample's members must hold their
+endpoints, and a histogram's buckets the keys of its domain.
 
 Wildcard label slots are encoded as "*"; synopsis/sketch keys are compact
 JSON arrays so arbitrary label strings stay unambiguous.
@@ -26,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence, TypedDict, Union
 
-from .fileform import FormError, codec, stored
+from .fileform import FormError, MissingKey, codec, stored
 from .graph import PropertyGraph
 from .query import PredicateKind, Scalar, predicate_holds
 
@@ -54,6 +56,9 @@ class _Section:
             return codec(cls).decode([d])[0]
         except FormError as exc:
             raise CatalogFormatError(str(exc)) from None
+        except MissingKey as exc:
+            where = f"{exc.path.lstrip('.')}: " if exc.path else ""
+            raise CatalogFormatError(f"{where}malformed catalog (KeyError: {exc})") from None
 
 
 def _label_options(labels: frozenset[str]) -> list[str]:
@@ -457,6 +462,18 @@ class Member(_Element, total=False):
     loop: bool
 
 
+class _EdgeMember(_Element):
+    src: _Element
+    trg: _Element
+
+
+class EdgeMember(_EdgeMember, total=False):
+    """The file form of an edge-pattern sample's member: the endpoints are
+    required."""
+
+    loop: bool
+
+
 @dataclass
 class Sample(_Section):
     """An i.i.d. sample of instances of one pattern type, with labels and
@@ -466,7 +483,9 @@ class Sample(_Section):
     probability: float
     seed: int
     population: int
-    members: list[Member] = field(default_factory=list)
+    members: list[Member] = field(
+        default_factory=list, metadata=stored(by=("pattern_type", {"edge_pattern": list[EdgeMember]}))
+    )
 
 
 def _element_record(g: PropertyGraph, i: int) -> Member:
@@ -521,13 +540,25 @@ class Bucket(_Bucket, total=False):
     prefix: str
 
 
+class NumericBucket(_Bucket):
+    lo: float
+    hi: float
+
+
+class PrefixBucket(_Bucket):
+    prefix: str
+
+
 @dataclass
 class Histogram(_Section):
     key: str
     kind: str  # equi_width | equi_depth
     domain: str  # numeric | string_prefix
     total: int
-    buckets: list[Bucket] = field(default_factory=list)
+    buckets: list[Bucket] = field(
+        default_factory=list,
+        metadata=stored(by=("domain", {"numeric": list[NumericBucket], "string_prefix": list[PrefixBucket]})),
+    )
 
 
 def _is_number(v: Any) -> bool:
@@ -830,10 +861,8 @@ def load_catalog(path: str) -> StatisticsCatalog:
         raise CatalogFormatError(f"{path}: catalog must be a JSON object")
     try:
         return StatisticsCatalog.from_dict(data)
-    except CatalogFormatError as exc:  # a wrong version, or a value of the wrong type
+    except CatalogFormatError as exc:  # a wrong version, a value of the wrong type or a missing key
         raise CatalogFormatError(f"{path}: {exc}") from exc
-    except KeyError as exc:  # a section missing a key
-        raise CatalogFormatError(f"{path}: malformed catalog (KeyError: {exc})") from exc
 
 
 def build_catalog(

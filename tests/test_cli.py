@@ -198,6 +198,14 @@ NOT_UTF8 = b"\xff\xfe"
         ("stats", "{not json", "stats.json: Expecting property name"),
         ("stats", '{"version": 1, "basic": {"n_vertices": 2}}', "malformed catalog (KeyError: 'n_edges')"),
         ("stats", '{"version": 1, "synopses": [{"class": "chain"}]}', "malformed catalog (KeyError: 'max_size')"),
+        ("stats", json.dumps({"version": 1, "samples": [{
+            "pattern_type": "edge_pattern", "probability": 1.0, "seed": 0, "population": 1,
+            "members": [{"kind": "edge", "labels": [], "props": {}, "trg": {"kind": "vertex", "labels": [], "props": {}}}],
+        }]}), "stats.json: samples[0].members[0]: malformed catalog (KeyError: 'src')"),
+        ("stats", json.dumps({"version": 1, "histograms": [{
+            "key": "k", "kind": "equi_depth", "domain": "numeric", "total": 2,
+            "buckets": [{"lo": 0.0, "hi": 1.0, "count": 1, "distinct": 1}, {"hi": 2.0, "count": 1, "distinct": 1}],
+        }]}), "stats.json: histograms[0].buckets[1]: malformed catalog (KeyError: 'lo')"),
         ("stats", None, "No such file or directory"),
         ("workload", "[oops", "workload.json: Expecting value"),
         ("workload", json.dumps([{"query": ONE_EDGE_DOC}]), "workload must be a JSON list of {id, query} objects"),
@@ -212,7 +220,8 @@ NOT_UTF8 = b"\xff\xfe"
         ("configs", NOT_UTF8, "configs.txt: 'utf-8' codec can't decode byte 0xff"),
     ],
     ids=["edge-to-missing-vertex", "graph-line-not-json", "catalog-not-json", "basic-without-key",
-         "synopsis-without-key", "catalog-missing", "workload-not-json", "workload-item-without-id",
+         "synopsis-without-key", "sample-member-without-src", "numeric-bucket-without-lo", "catalog-missing",
+         "workload-not-json", "workload-item-without-id",
          "edge-labels-string", "vertex-labels-number", "vertex-props-string", "vertex-props-list",
          "catalog-not-utf8", "graph-not-utf8", "query-not-utf8", "workload-not-utf8", "configs-not-utf8"],  # fmt: skip
 )

@@ -18,7 +18,6 @@ from cardest.combine import (
     combine_max_ent,
     deviation_from_independence,
     MPS_HARD_CAP,
-    _bits,
     _solve_max_ent_partition,
     make_complete,
     selectivity_to_cardinality,
@@ -230,10 +229,11 @@ def test_order_and_cond_indep_match_reference(seed, shape, n_subsets, with_closu
         pes.extend(add_implied_closures(pes))
     rng.shuffle(pes)
     resolve = _singleton_resolver(pes, None)
+    cq = q.compiled
     for strategy in SORT_STRATEGIES:
-        got = _order_estimates(pes, strategy, resolve)
+        got = _order_estimates(pes, strategy, resolve, cq)
         assert [pe for _, pe in got] == reference_order_estimates(pes, strategy, resolve), strategy
-        assert all(closure == implied_closure(pe.constraints) for closure, pe in got), strategy
+        assert all(cq.view(closure) == implied_closure(pe.constraints) for closure, pe in got), strategy
         sel = combine_cond_indep(pes, q, strategy)
         assert sel.hex() == reference_cond_indep(pes, q, strategy).hex(), strategy
 
@@ -411,7 +411,7 @@ def max_ent_marginal(cpes, q, target, mps=MPS_HARD_CAP, tol=1e-12, max_iter=2000
     if len(constraints) > mps:
         raise ValueError("too many constraints for a single partition")
     atoms = _solve_max_ent_partition(constraints, pes, tol, max_iter)
-    mask = _bits(target, {c: i for i, c in enumerate(constraints)})
+    mask = sum(1 << constraints.index(c) for c in set(target))
     return float(atoms[(np.arange(len(atoms)) & mask) == mask].sum())
 
 

@@ -1,8 +1,11 @@
+import functools
 import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cardest.engine as engine_mod
 from cardest.bench import GraphSpec, PropSpec, enumerate_subqueries, generate_graph
@@ -18,11 +21,14 @@ from cardest.engine import (
 from cardest.graph import PropertyGraph, exact_matches, exact_selectivity
 from cardest.estimators import individual_estimate
 from cardest.query import (
+    CompiledQuery,
     Constraint,
     ConstraintKind,
     PartialEstimate,
     QueryFormatError,
+    constraint_set_key,
     extract_constraints,
+    implied_closure,
     parse_query,
 )
 from cardest.stats import StaleCatalogWarning, build_catalog
@@ -488,10 +494,9 @@ GOLDEN_CONFIGS = [
 ]
 
 
-def test_estimates_golden_digest():
-    """Every estimate, cardinality and flag of the five configurations on
-    every connected subquery of ten seeded random queries, with and
-    without their property predicates, hashes to a recorded digest."""
+@functools.cache
+def golden_inputs():
+    """The seeded graph and catalog the golden digest estimates on."""
     spec = GraphSpec(
         n_vertices=60,
         n_edges=180,
@@ -514,6 +519,14 @@ def test_estimates_golden_digest():
         samples=[("id", 0.05, 3)],
         md_keys=[("k1", "k2")],
     )
+    return g, catalog
+
+
+def test_estimates_golden_digest():
+    """Every estimate, cardinality and flag of the five configurations on
+    every connected subquery of ten seeded random queries, with and
+    without their property predicates, hashes to a recorded digest."""
+    g, catalog = golden_inputs()
     rng = random.Random(7)
     h = hashlib.sha256()
     for n in range(10):
@@ -533,6 +546,60 @@ def test_estimates_golden_digest():
     assert h.hexdigest() == (
         "864013a31c83b796bdbde5169e59060f634c91e1371e97b27bce63762b920b03"
     )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), n_edges=st.integers(1, 3), config=st.sampled_from(GOLDEN_CONFIGS))
+def test_masks_match_frozenset_view(seed, n_edges, config):
+    """Every phase-1 and phase-2 estimate's mask holds exactly its
+    constraints, its closure mask is their implied closure, and its key
+    is their canonical key."""
+    g, catalog = golden_inputs()
+    q = random_query(random.Random(seed), n_edges=n_edges, labels=("A", "B"), keys=("k1", "k2", "w"))
+    cq = q.compiled
+    phase1 = engine_mod.run_techniques(q, g, catalog, config)
+    for pe in phase1 + engine_mod.extend_estimates(phase1, q, config):
+        mask = cq.mask_of(pe)
+        assert mask.bit_count() == len(pe.constraints)
+        assert {cq.constraints[i] for i in cq.bits(mask)} == pe.constraints
+        assert cq.view(cq.closure(mask)) == implied_closure(pe.constraints)
+        assert pe.key() == constraint_set_key(pe.constraints)
+
+
+def test_compiled_query_builds_no_constraint(monkeypatch):
+    """Once a pattern is compiled, estimating it under any golden
+    configuration builds no Constraint, and the four grade configurations
+    share one compile per pattern."""
+    g, catalog = golden_inputs()
+    built = {"constraints": 0, "compiles": 0}
+
+    def counting(cls, name):
+        init = cls.__init__
+
+        def wrapped(self, *args, **kwargs):
+            built[name] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", wrapped)
+
+    counting(CompiledQuery, "compiles")
+    rng = random.Random(11)
+    queries = [random_query(rng, n_edges=3, labels=("A", "B"), keys=("k1", "k2", "w")) for _ in range(6)]
+    subs = [
+        sub
+        for q in queries
+        for with_props in (True, False)
+        for _, sub in enumerate_subqueries(q, 3, include_props=with_props)
+    ]
+    for sub in subs:
+        for config in GOLDEN_CONFIGS[:4]:
+            estimate(sub, g, catalog, config)
+    assert built["compiles"] == len(subs)
+    counting(Constraint, "constraints")
+    for sub in subs:
+        for config in GOLDEN_CONFIGS:
+            estimate(sub, g, catalog, config)
+    assert built == {"constraints": 0, "compiles": len(subs)}
 
 
 def test_empty_graph_estimates_zero():
