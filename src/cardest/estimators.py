@@ -24,6 +24,7 @@ from .query import (
     iter_stars,
     cs_pattern_of,
     satisfies,
+    shape_mask,
 )
 from .stats import (
     StatisticsCatalog,
@@ -174,7 +175,7 @@ def _edge_patterns(q: QueryPattern) -> Iterator[tuple[tuple[str, str, str], int]
         s, t = q.endpoints[e]
         ep = _edge_pattern_labels(q, e)
         if s != t and None not in ep:
-            yield ep, q.compiled.edges_mask((e,))
+            yield ep, shape_mask(q, (e,))
 
 
 def _labeled_stars(
@@ -198,7 +199,7 @@ def _labeled_chains(q: QueryPattern, m: int) -> Iterator[tuple[list[str], int]]:
         for e in chain:
             slots += (_slot_label(q, e), _slot_label(q, q.endpoints[e][1]))
         if None not in slots:
-            yield slots, q.compiled.edges_mask(chain)
+            yield slots, shape_mask(q, chain)
 
 
 def synopsis_estimates(
@@ -256,7 +257,7 @@ def synopsis_estimates(
                 if count is None:
                     continue
                 sel = _count_sel(count, n_ids_g, 2 * len(branches) + 1)
-                out.append(cq.estimate(cq.edges_mask(edges), sel, f"synopsis:{tag}{use_size}"))
+                out.append(cq.estimate(shape_mask(q, edges), sel, f"synopsis:{tag}{use_size}"))
     return out
 
 
@@ -318,7 +319,7 @@ def system_r_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[Part
             est = float(min(distincts))
             for n, d in zip(cards, distincts):
                 est *= n / d
-        mask = cq.edges_mask(edges)
+        mask = shape_mask(q, edges)
         out.append(cq.estimate(mask, _count_sel(est, n_ids_g, cq.ids_of(mask).bit_count()), "sysr"))
     return out
 
@@ -369,7 +370,7 @@ def bound_sketch_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[
 
     for branches, edges in _labeled_stars(q):
         parts = [sketch.partition(*ep, "src" if outgoing else "trg") for ep, outgoing in branches]
-        mask = cq.edges_mask(edges)
+        mask = shape_mask(q, edges)
         sel = _count_sel(joined_bound(parts), n_ids_g, cq.ids_of(mask).bit_count())
         out.append(cq.estimate(mask, sel, "sketch"))
     return out
@@ -446,23 +447,25 @@ def sample_estimates(
         tag = f"sampling:S({sample.pattern_type},{sample.probability})"
 
         if sample.pattern_type in ("id", "vertex"):
+            by_kind: dict[str, list] = {}  # each kind's members, split on first use
             for i in sorted(groups):
                 is_vertex = i in q.vertices
                 if sample.pattern_type == "vertex" and not is_vertex:
                     continue
                 kind = "vertex" if is_vertex else "edge"
-                members = [m for m in sample.members if m["kind"] == kind]
+                members = by_kind.get(kind)
+                if members is None:
+                    members = by_kind[kind] = [m for m in sample.members if m["kind"] == kind]
                 if not members:
                     continue
                 hits = sum(1 for m in members if satisfies(groups[i], m["labels"], m["props"]))
                 population = basic.n_vertices if is_vertex else basic.n_edges
                 sel = (hits / len(members)) * _count_sel(population, n_ids_g, 1)
-                out.append(cq.estimate(cq.data[i] | cq.member[i], _clamp(sel), tag))
+                out.append(cq.estimate(cq.within((i,)), _clamp(sel), tag))
 
         elif sample.pattern_type == "edge_pattern":
             for e in sorted(q.edges):
                 s, t = q.endpoints[e]
-                ids = {e, s, t}
                 loop = s == t
                 data_e = groups.get(e, frozenset())
                 data_s = groups.get(s, frozenset())
@@ -478,8 +481,8 @@ def sample_estimates(
                     if not loop and not satisfies(data_t, m["trg"]["labels"], m["trg"]["props"]):
                         continue
                     hits += 1
-                sel = (hits / len(sample.members)) * _count_sel(basic.n_edges, n_ids_g, len(ids))
-                out.append(cq.estimate(cq.within(cq.id_mask(ids)), _clamp(sel), tag))
+                sel = (hits / len(sample.members)) * _count_sel(basic.n_edges, n_ids_g, 2 if loop else 3)
+                out.append(cq.estimate(cq.within((e, s, t)), _clamp(sel), tag))
     return out
 
 
@@ -575,7 +578,7 @@ def wander_join_estimate(
                 successes += 1
     sel = _count_sel(total / walks, g.n_ids, len(covered_ids))
     provenance = "wj" if successes else "wj:low_confidence"
-    return cq.estimate(cq.within(cq.id_mask(covered_ids)), sel, provenance)
+    return cq.estimate(cq.within(frozenset(covered_ids)), sel, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +619,6 @@ def md_histogram_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[
                 continue
             frac = md_fraction(mdh, preds)
             sel = frac * _count_sel(mdh.total, n_ids_g, 1)
-            out.append(cq.estimate(cq.data[i] & values, _clamp(sel), "mdh"))
+            out.append(cq.estimate(cq.within((i,)) & values, _clamp(sel), "mdh"))
             break
     return out

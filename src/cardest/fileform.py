@@ -17,8 +17,10 @@ wrong type raises FormError and a missing key MissingKey; each holds the
 row of the column it lies in and the path from there to it.
 
 A dataclass field whose file form differs from its annotation's declares
-it with `stored`, in its metadata; so does a field whose form depends on
-the value of a field before it (a sample's members on its pattern type).
+it with `stored`, in its metadata.  A condition that spans a dataclass's
+fields is checked in its `__post_init__`, which runs when the object is
+built and when it is read; it raises FormError or MissingKey (`require`)
+with the path from the object, and a decode sets the object's row.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ class FormError(ValueError):
     """A value of the wrong type, at `row` of the decoded column and
     `path` from there."""
 
-    def __init__(self, expected: str, value: Any, row: int) -> None:
+    def __init__(self, expected: str, value: Any, row: int = 0, path: str = "") -> None:
         super().__init__(expected, value)
-        self.row, self.path, self.problem = row, "", f"expected {expected}, got {reprlib.repr(value)}"
+        self.row, self.path, self.problem = row, path, f"expected {expected}, got {reprlib.repr(value)}"
 
     def __str__(self) -> str:
         return f"{self.path.lstrip('.')}: {self.problem}" if self.path else self.problem
@@ -49,9 +51,9 @@ class MissingKey(KeyError):
     """A required key absent from an object at `row` of the decoded column
     and `path` from there."""
 
-    def __init__(self, key: str, row: int) -> None:
+    def __init__(self, key: str, row: int = 0, path: str = "") -> None:
         super().__init__(key)
-        self.row, self.path = row, ""
+        self.row, self.path = row, path
 
 
 def _same(v: Any) -> Any:
@@ -63,15 +65,20 @@ def stored(
     out: Callable = _same,
     back: Callable = _same,
     key: str = "",
-    by: tuple[str, dict] = ("", {}),
 ) -> dict:
     """Field metadata: the field is stored under `key` (default: its name)
     as `form` (default: its annotation); `out` turns the field's value into
-    that form, and `back` turns the decoded form into the value.  With
-    `by=(other, forms)`, a row whose field `other` (declared before this
-    one) holds a value v of `forms` is decoded as `forms[v]` instead, a
-    narrowing of the form that still encodes the same way."""
-    return {"stored": (key, form, out, back, by)}
+    that form, and `back` turns the decoded form into the value."""
+    return {"stored": (key, form, out, back)}
+
+
+def require(items: list[dict], keys: Iterable[str], field: str) -> None:
+    """Raise MissingKey at the first item of the list in `field` that lacks
+    a key, the keys taken in turn, with the path from the object to it."""
+    for key in keys:
+        for n, d in enumerate(items):
+            if key not in d:
+                raise MissingKey(key, path=f".{field}[{n}]")
 
 
 def _check(vs: list, ok: set, name: str, key: Callable = type) -> None:
@@ -213,32 +220,6 @@ def codec(tp: Any) -> Codec:
     return _record(tp)
 
 
-class _Chosen(NamedTuple):
-    encode: Callable[[Any], Any]
-    decode: Callable[[list], list]  # a column of (picking value, item) pairs
-    by: str
-
-
-def _chosen(default: Codec, by: str, forms: dict) -> _Chosen:
-    """The codec of a field whose rows are decoded as forms[v], v being
-    the row's value of field `by`, or by default when v is not in forms;
-    the rows of one form are decoded together."""
-    decoders = {v: codec(form).decode for v, form in forms.items()}
-
-    def decode_pairs(pairs):
-        rows: dict[Any, list[int]] = {}
-        for r, (v, _) in enumerate(pairs):
-            rows.setdefault(v if v in decoders else None, []).append(r)
-        out = [None] * len(pairs)
-        for v, rs in rows.items():
-            got = _sub(decoders.get(v, default.decode), [pairs[r][1] for r in rs], lambda j, rs=rs: (rs[j], ""))
-            for r, x in zip(rs, got):
-                out[r] = x
-        return out
-
-    return _Chosen(default.encode, decode_pairs, by)
-
-
 def _present(vs: list, key: str) -> list[int]:
     """The rows of the objects in vs that hold key."""
     return [i for i, d in enumerate(vs) if key in d]
@@ -253,12 +234,9 @@ def _record(cls: type) -> Codec:
     else:
         fields = []
         for f in dataclasses.fields(cls):
-            key, form, out, back, by = f.metadata.get("stored", ("", None, _same, _same, ("", {})))
+            key, form, out, back = f.metadata.get("stored", ("", None, _same, _same))
             required = f.default is dataclasses.MISSING is f.default_factory
-            c = codec(form or hints[f.name])
-            if by[0]:
-                c = _chosen(c, *by)
-            fields.append((f.name, key or f.name, c, out, back, required))
+            fields.append((f.name, key or f.name, codec(form or hints[f.name]), out, back, required))
 
     def decode_record(vs):
         _check(vs, {dict}, "object")
@@ -272,14 +250,20 @@ def _record(cls: type) -> Codec:
                 column = [d[key] for d in vs if key in d]
             full = len(column) == len(vs)
             where = lambda r, full=full, key=key: (r if full else _present(vs, key)[r], "." + key)  # noqa: E731
-            if isinstance(c, _Chosen):  # pair each item with the value that picks its form
-                picks = map(itemgetter(c.by), vs if full else (vs[i] for i in _present(vs, key)))
-                column = list(zip(picks, column))
             got = _sub(c.decode, column, where)
             if kwargs is not None:
                 for i, x in zip(range(len(vs)) if full else _present(vs, key), got):
                     kwargs[i][name] = back(x)
-        return vs if kwargs is None else [cls(**kw) for kw in kwargs]
+        if kwargs is None:
+            return vs
+        out = []
+        try:
+            for kw in kwargs:
+                out.append(cls(**kw))
+        except (FormError, MissingKey) as e:  # raised by the row's __post_init__
+            e.row = len(out)
+            raise
+        return out
 
     def encode(obj):
         return {key: c.encode(out(getattr(obj, name))) for name, key, c, out, _, _ in fields}

@@ -78,16 +78,17 @@ def add_implication_unions(
     pes = list(pes)
     cq, masks = compiled_for(pes, q)
     if pattern_class == "id":
-        instances = [cq.id_mask((i,)) for i in sorted(q.ids)]
+        instances = [(i,) for i in sorted(q.ids)]
     else:
-        instances = [cq.id_mask((e, *q.endpoints[e])) for e in sorted(q.edges)]
+        instances = [(e, *q.endpoints[e]) for e in sorted(q.edges)]
     tag = f"ip({pattern_class},{constraint_class})"
-    # (mask, ids, estimate) of each estimate of allowed kinds only
+    # (mask, estimate) of each estimate of allowed kinds only
     kinds = cq.kinds(allowed)
-    eligible = [(mask, cq.ids_of(mask), pe) for pe, mask in zip(pes, masks) if not mask & ~kinds]
+    eligible = [(mask, pe) for pe, mask in zip(pes, masks) if not mask & ~kinds]
     unions: list[tuple[int, float, str]] = []
     for ids in instances:
-        group = [(mask, pe) for mask, pe_ids, pe in eligible if not pe_ids & ~ids]
+        inside = cq.within(ids)
+        group = [(mask, pe) for mask, pe in eligible if not mask & ~inside]
         if len(group) < 2:
             continue
         # lowest selectivity wins; ties prefer the more informative

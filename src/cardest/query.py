@@ -10,14 +10,17 @@ A pattern compiles once, on first use (`QueryPattern.compiled`, a
 `CompiledQuery`).  The compiled form holds the constraints in canonical
 order (`Constraint.sort_key`), so bit i of an int stands for the i-th
 constraint and a constraint set is an int mask whose ascending bits list
-it in canonical order.  Per bit it holds the implied closure and the
-query ids, as masks, and per query id its data constraints.  Every
-constraint it hands out is one of its own objects, and phases 1-3 do
-their set work on masks: unions, intersections, subset tests, closures
-(an OR of per-bit closures) and overlap counts (`int.bit_count`).  A
-`PartialEstimate` keeps its frozenset of constraints as the public view
-and caches its mask in the compiled query it was last read through, so
-each estimate's mask is computed once per `estimate()` call.
+it in canonical order.  Per bit it holds the implied closure as a mask,
+and per query id the mask of the constraints that name it.  A phase-1
+technique names the set it estimates by its ids and kinds,
+`within(ids) & kinds(ks)`; the subpattern some edges span is
+`shape_mask`.  Every constraint the compiled form hands out is one of
+its own objects, and phases 1-3 do their set work on masks: unions,
+intersections, subset tests, closures (an OR of per-bit closures) and
+overlap counts (`int.bit_count`).  A `PartialEstimate` keeps its
+frozenset of constraints as the public view and caches its mask in the
+compiled query it was last read through, so each estimate's mask is
+computed once per `estimate()` call.
 """
 
 from __future__ import annotations
@@ -467,11 +470,13 @@ class CompiledQuery:
     order, and comparing two masks' ascending bit tuples orders them as
     their `constraint_set_key`s.  The set is closed under
     `implied_closure`.  Per bit it holds the implied closure (`closures`)
-    and the ids (`id_masks`, bit j for `ids[j]`) as masks; per query id
-    its membership bit, its label and data-constraint masks and its data
-    group (`data_by_id`); per edge its incidence constraints.  A pattern's compiled form is
-    `QueryPattern.compiled`; an estimate set without a pattern compiles
-    its own (`compiled_for`).
+    as a mask, and per query id, in sorted order, the mask of the
+    constraints that name it (`naming`; bit j of an id mask stands for
+    the j-th id).  A set of constraints is named by its ids and kinds,
+    `within(ids) & kinds(ks)`; the shape of the subpattern some edges
+    span is `shape_mask`, and each id's data constraints are
+    `data_by_id`.  A pattern's compiled form is `QueryPattern.compiled`;
+    an estimate set without a pattern compiles its own (`compiled_for`).
     """
 
     def __init__(self, constraints: Iterable[Constraint]) -> None:
@@ -483,45 +488,31 @@ class CompiledQuery:
         self._bit = {c: 1 << i for i, c in enumerate(cs)}
         self._bit_tuples: dict[int, tuple[int, ...]] = {}
         self._views: dict[int, frozenset[Constraint]] = {}
-        self.ids = tuple(sorted({i for c in cs for i in c.ids}))
-        id_bit = self._id_bit = {i: 1 << j for j, i in enumerate(self.ids)}
+        self._within: dict[Collection[str], int] = {}
+        self._shapes: dict[tuple[str, ...], int] = {}  # see shape_mask
+        naming = dict.fromkeys(sorted({i for c in cs for i in c.ids}), 0)
         self._kind_masks = [0] * len(_KIND_ORDER)
-        self.member: dict[str, int] = {}  # vertex(i) or edge(i)
-        self.labels: dict[str, int] = {}
-        self.data: dict[str, int] = {}
-        self.key_bits: dict[tuple[str, str], int] = {}
-        # per edge: its membership, src, trg and both endpoints' memberships
-        self.incidence: dict[str, int] = {}
-        endpoints: dict[str, list[str]] = {}
-        closures, id_masks = [], []
+        implied: dict[Any, int] = {}  # id -> its membership's bit, (id, key) -> its hasKey's bit
+        closures = []
         # one pass in canonical order, which puts the memberships before
         # the src/trg that imply them and each hasKey before the
         # propValue that implies it
         for n, (c, sort_key) in enumerate(zip(cs, self._sort_keys)):
-            bit, kind, ids = 1 << n, c.kind, c.ids
+            bit, kind, i = 1 << n, c.kind, c.ids[0]
             self._kind_masks[sort_key[0]] |= bit
-            if len(ids) == 2:  # src or trg
-                v, e = ids
-                closures.append(bit | self.member[v] | self.member[e])
-                id_masks.append(id_bit[v] | id_bit[e])
-                self.incidence[e] = self.incidence.get(e, 0) | closures[-1]
-                endpoints.setdefault(e, []).append(v)
-                continue
-            i = ids[0]
+            naming[i] |= bit
+            closure = bit
             if kind is ConstraintKind.VERTEX or kind is ConstraintKind.EDGE:
-                self.member[i] = bit
-            else:
-                self.data[i] = self.data.get(i, 0) | bit
-                if kind is ConstraintKind.HAS_LABEL:
-                    self.labels[i] = self.labels.get(i, 0) | bit
-                elif kind is ConstraintKind.HAS_KEY:
-                    self.key_bits[(i, c.key)] = bit
-                else:  # a value predicate implies its key
-                    bit |= self.key_bits[(i, c.key)]
-            closures.append(bit)
-            id_masks.append(id_bit[i])
-        self.closures, self.id_masks = tuple(closures), tuple(id_masks)
-        self._endpoint_labels = {e: union(self.labels.get(v, 0) for v in vs) for e, vs in endpoints.items()}
+                implied[i] = bit
+            elif kind is ConstraintKind.HAS_KEY:
+                implied[(i, c.key)] = bit
+            elif kind is ConstraintKind.SRC or kind is ConstraintKind.TRG:
+                naming[c.ids[1]] |= bit
+                closure |= implied[i] | implied[c.ids[1]]
+            elif kind is ConstraintKind.PROP_VALUE:
+                closure |= implied[(i, c.key)]
+            closures.append(closure)
+        self.closures, self.naming = tuple(closures), naming
         self.data_by_id = _data_groups(cs)
 
     def mask(self, constraints: Iterable[Constraint]) -> int:
@@ -572,25 +563,26 @@ class CompiledQuery:
 
     def ids_of(self, mask: int) -> int:
         """The ids the constraints of mask mention, as an id mask."""
-        return union(itertools.compress(self.id_masks, _selectors(mask)))
+        return union(1 << j for j, naming in enumerate(self.naming.values()) if naming & mask)
 
-    def id_mask(self, ids: Iterable[str]) -> int:
-        return union(map(self._id_bit.__getitem__, ids))
-
-    def within(self, id_mask: int) -> int:
-        """The mask of every constraint whose ids all lie in id_mask."""
-        return union(1 << i for i, m in enumerate(self.id_masks) if not m & ~id_mask)
+    def within(self, ids: Collection[str]) -> int:
+        """The mask of every constraint whose ids all lie in ids (a tuple
+        or a frozenset of query ids): a src/trg names two of them, any
+        other constraint one.  Memoized: the techniques ask for the same
+        few id sets, once per estimate call."""
+        mask = self._within.get(ids)
+        if mask is None:
+            once = twice = 0  # the constraints that name at least one, two of ids
+            for i in set(ids):
+                naming = self.naming.get(i, 0)
+                twice |= once & naming
+                once |= naming
+            mask = self._within[ids] = once & ~self.kinds((ConstraintKind.SRC, ConstraintKind.TRG)) | twice
+        return mask
 
     def kinds(self, kinds: Iterable[ConstraintKind]) -> int:
         """The mask of every constraint of one of kinds."""
         return union(self._kind_masks[_KIND_ORDER[k]] for k in kinds)
-
-    def edges_mask(self, edges: Iterable[str]) -> int:
-        """The mask of `constraints_for_edges`: each edge's incidence and
-        the labels of the edge and its endpoints."""
-        return union(
-            self.incidence[e] | self.labels.get(e, 0) | self._endpoint_labels[e] for e in edges
-        )
 
 
 def compiled_for(
@@ -663,9 +655,21 @@ def _other_endpoint(q: QueryPattern, e: str, v: str) -> str:
     return t if s == v else s
 
 
+def shape_mask(q: QueryPattern, edges: tuple[str, ...]) -> int:
+    """The mask of the subpattern the edges span, in `q.compiled`: every
+    constraint on the edges and their endpoints but the property ones,
+    i.e. their memberships, src/trg and labels.  Memoized per edge tuple."""
+    cq = q.compiled
+    mask = cq._shapes.get(edges)
+    if mask is None:
+        ids = frozenset(itertools.chain(edges, *map(q.endpoints.__getitem__, edges)))
+        mask = cq._shapes[edges] = cq.within(ids) & ~cq.kinds(PROP_KINDS)
+    return mask
+
+
 def constraints_for_edges(q: QueryPattern, edges: Iterable[str]) -> frozenset[Constraint]:
     """Topology and label constraints of the subpattern spanned by edges."""
-    return q.compiled.view(q.compiled.edges_mask(edges))
+    return q.compiled.view(shape_mask(q, tuple(edges)))
 
 
 def data_constraints_by_id(q: QueryPattern) -> dict[str, frozenset[Constraint]]:
@@ -684,10 +688,11 @@ def _data_groups(constraints: Iterable[Constraint]) -> dict[str, frozenset[Const
 def cs_pattern_of(q: QueryPattern, center: str, direction: str = "out") -> Optional[dict]:
     """The same-direction star of `center` plus its key constraints.
 
-    The constraints come as a frozenset and as a mask of `q.compiled`.
-    Returns None when the pattern is unusable for characteristic-set
-    lookup: no elements at all, duplicate edge labels, or a star edge
-    without exactly one label.
+    The constraints come as a mask of `q.compiled`: the star's shape
+    without the vertices' labels, and the center's membership and hasKey
+    constraints.  Returns None when the pattern is unusable for
+    characteristic-set lookup: no elements at all, duplicate edge labels,
+    or a star edge without exactly one label.
     """
     if direction == "out":
         star_edges = q.out_query_edges(center)
@@ -711,13 +716,13 @@ def cs_pattern_of(q: QueryPattern, center: str, direction: str = "out") -> Optio
         return None
     # the star edges keep their labels; the vertices' labels are no part of a CS
     cq = q.compiled
-    mask = union(cq.incidence[e] | cq.labels.get(e, 0) for e in star_edges)
-    mask |= cq.member[center] | union(cq.key_bits[(center, k)] for k in keys)
+    vertex_labels = cq.within(q.vertices) & cq.kinds((ConstraintKind.HAS_LABEL,))
+    mask = shape_mask(q, tuple(star_edges)) & ~vertex_labels
+    mask |= cq.within((center,)) & cq.kinds((ConstraintKind.VERTEX, ConstraintKind.HAS_KEY))
     return {
         "center": center,
         "edge_labels": tuple(edge_labels),
         "keys": tuple(keys),
         "elements": frozenset(elements),
-        "constraints": cq.view(mask),
         "mask": mask,
     }

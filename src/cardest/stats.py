@@ -11,9 +11,11 @@ annotations: `to_dict` and `from_dict` come from one codec
 (`fileform.codec`), which checks the type of every value it reads, so a
 wrong-typed value or a missing key raises CatalogFormatError naming its
 path.  A field whose file form differs from its annotation's declares it
-with `fileform.stored`, next to the field; so do the fields whose form
-depends on another: an edge-pattern sample's members must hold their
-endpoints, and a histogram's buckets the keys of its domain.
+with `fileform.stored`, next to the field.  A condition that spans a
+section's fields is checked in its `__post_init__`, when the section is
+built and when it is read: an edge-pattern sample's members must hold
+their endpoints, a histogram's domain must be known and its buckets hold
+the domain's keys, and a grid's cells must lie within its axes.
 
 Wildcard label slots are encoded as "*"; synopsis/sketch keys are compact
 JSON arrays so arbitrary label strings stay unambiguous.
@@ -28,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence, TypedDict, Union
 
-from .fileform import FormError, MissingKey, codec, stored
+from .fileform import FormError, MissingKey, codec, require, stored
 from .graph import PropertyGraph
 from .query import PredicateKind, Scalar, predicate_holds
 
@@ -462,18 +464,6 @@ class Member(_Element, total=False):
     loop: bool
 
 
-class _EdgeMember(_Element):
-    src: _Element
-    trg: _Element
-
-
-class EdgeMember(_EdgeMember, total=False):
-    """The file form of an edge-pattern sample's member: the endpoints are
-    required."""
-
-    loop: bool
-
-
 @dataclass
 class Sample(_Section):
     """An i.i.d. sample of instances of one pattern type, with labels and
@@ -483,9 +473,12 @@ class Sample(_Section):
     probability: float
     seed: int
     population: int
-    members: list[Member] = field(
-        default_factory=list, metadata=stored(by=("pattern_type", {"edge_pattern": list[EdgeMember]}))
-    )
+    members: list[Member] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        """An edge-pattern sample's members hold their endpoints."""
+        if self.pattern_type == "edge_pattern":
+            require(self.members, ("src", "trg"), "members")
 
 
 def _element_record(g: PropertyGraph, i: int) -> Member:
@@ -540,13 +533,8 @@ class Bucket(_Bucket, total=False):
     prefix: str
 
 
-class NumericBucket(_Bucket):
-    lo: float
-    hi: float
-
-
-class PrefixBucket(_Bucket):
-    prefix: str
+# the keys each bucket of a histogram's domain holds
+_BUCKET_KEYS = {"numeric": ("lo", "hi"), "string_prefix": ("prefix",)}
 
 
 @dataclass
@@ -555,10 +543,13 @@ class Histogram(_Section):
     kind: str  # equi_width | equi_depth
     domain: str  # numeric | string_prefix
     total: int
-    buckets: list[Bucket] = field(
-        default_factory=list,
-        metadata=stored(by=("domain", {"numeric": list[NumericBucket], "string_prefix": list[PrefixBucket]})),
-    )
+    buckets: list[Bucket] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        """The domain is known, and each bucket holds its keys."""
+        if self.domain not in _BUCKET_KEYS:
+            raise FormError(" or ".join(_BUCKET_KEYS), self.domain, path=".domain")
+        require(self.buckets, _BUCKET_KEYS[self.domain], "buckets")
 
 
 def _is_number(v: Any) -> bool:
@@ -703,6 +694,20 @@ class MDHistogram(_Section):
     axes: list[Axis]
     grid: dict[tuple[int, ...], int]  # cell -> count
     total: int
+
+    def __post_init__(self) -> None:
+        """An axis per key, a distinct count per bucket of an axis, and a
+        bucket index per axis in each cell."""
+        if len(self.axes) != len(self.keys):
+            raise FormError(f"{len(self.keys)} axes, one per key", self.axes, path=".axes")
+        for a, axis in enumerate(self.axes):
+            if len(axis["distincts"]) != len(axis["bounds"]) - 1:
+                raise FormError("a count per bucket", axis["distincts"], path=f".axes[{a}].distincts")
+        sizes = [len(axis["distincts"]) for axis in self.axes]
+        for cell in self.grid:
+            if len(cell) != len(sizes) or not all(0 <= b < n for b, n in zip(cell, sizes)):
+                where = ",".join(map(str, cell))
+                raise FormError(f"a cell within the {len(sizes)} axes", cell, path=f".grid[{where!r}]")
 
 
 def build_md_histogram(g: PropertyGraph, keys: Sequence[str], n_buckets_per_axis: int = 8) -> MDHistogram:

@@ -190,6 +190,14 @@ class TestEstimateCommand:
 NOT_UTF8 = b"\xff\xfe"
 
 
+def md_catalog(axes=None, grid=None) -> str:
+    """A catalog holding one 2-key grid, with the given axes or cells."""
+    axis = {"bounds": [0.0, 1.0, 2.0], "distincts": [1, 1]}
+    mdh = {"keys": ["a", "b"], "axes": [axis, axis] if axes is None else axes,
+           "grid": {"0,1": 1} if grid is None else grid, "total": 1}  # fmt: skip
+    return json.dumps({"version": 1, "md_histograms": [mdh]})
+
+
 @pytest.mark.parametrize(
     "kind, text, message",
     [
@@ -206,6 +214,26 @@ NOT_UTF8 = b"\xff\xfe"
             "key": "k", "kind": "equi_depth", "domain": "numeric", "total": 2,
             "buckets": [{"lo": 0.0, "hi": 1.0, "count": 1, "distinct": 1}, {"hi": 2.0, "count": 1, "distinct": 1}],
         }]}), "stats.json: histograms[0].buckets[1]: malformed catalog (KeyError: 'lo')"),
+        ("stats", json.dumps({"version": 1, "samples": [{
+            "pattern_type": "edge_pattern", "probability": 1.0, "seed": 0, "population": 1,
+            "members": [{"kind": "edge", "labels": [], "props": {}, "src": {"kind": "vertex", "labels": [], "props": {}}}],
+        }]}), "stats.json: samples[0].members[0]: malformed catalog (KeyError: 'trg')"),
+        ("stats", json.dumps({"version": 1, "histograms": [{
+            "key": "k", "kind": "equi_depth", "domain": "string_prefix", "total": 1,
+            "buckets": [{"count": 1, "distinct": 1}],
+        }]}), "stats.json: histograms[0].buckets[0]: malformed catalog (KeyError: 'prefix')"),
+        ("stats", json.dumps({"version": 1, "histograms": [{
+            "key": "k", "kind": "equi_depth", "domain": "foo", "total": 1,
+            "buckets": [{"count": 1, "distinct": 1}],
+        }]}), "stats.json: histograms[0].domain: expected numeric or string_prefix, got 'foo'"),
+        ("stats", md_catalog(grid={"99,0": 1}),
+         "stats.json: md_histograms[0].grid['99,0']: expected a cell within the 2 axes, got (99, 0)"),
+        ("stats", md_catalog(grid={"0,0,1": 1}),
+         "stats.json: md_histograms[0].grid['0,0,1']: expected a cell within the 2 axes, got (0, 0, 1)"),
+        ("stats", md_catalog(axes=[{"bounds": [0.0, 1.0], "distincts": [1]}]),
+         "stats.json: md_histograms[0].axes: expected 2 axes, one per key, got [{"),
+        ("stats", md_catalog(axes=[{"bounds": [0.0, 1.0, 2.0], "distincts": [1]}] * 2),
+         "stats.json: md_histograms[0].axes[0].distincts: expected a count per bucket, got [1]"),
         ("stats", None, "No such file or directory"),
         ("workload", "[oops", "workload.json: Expecting value"),
         ("workload", json.dumps([{"query": ONE_EDGE_DOC}]), "workload must be a JSON list of {id, query} objects"),
@@ -220,7 +248,10 @@ NOT_UTF8 = b"\xff\xfe"
         ("configs", NOT_UTF8, "configs.txt: 'utf-8' codec can't decode byte 0xff"),
     ],
     ids=["edge-to-missing-vertex", "graph-line-not-json", "catalog-not-json", "basic-without-key",
-         "synopsis-without-key", "sample-member-without-src", "numeric-bucket-without-lo", "catalog-missing",
+         "synopsis-without-key", "sample-member-without-src", "numeric-bucket-without-lo",
+         "sample-member-without-trg", "prefix-bucket-without-prefix", "histogram-domain-unknown",
+         "grid-cell-outside-axes", "grid-cell-of-three-indexes", "grid-axis-dropped", "grid-distincts-short",
+         "catalog-missing",
          "workload-not-json", "workload-item-without-id",
          "edge-labels-string", "vertex-labels-number", "vertex-props-string", "vertex-props-list",
          "catalog-not-utf8", "graph-not-utf8", "query-not-utf8", "workload-not-utf8", "configs-not-utf8"],  # fmt: skip

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardest.estimators import sample_estimates
 from cardest.graph import PropertyGraph
@@ -20,6 +22,7 @@ from cardest.query import (
     iter_stars,
     parse_query,
     predicate_holds,
+    shape_mask,
 )
 from cardest.stats import build_catalog
 
@@ -45,7 +48,7 @@ def star_sets(q, n, direction):
 
 def cs_pattern_sets(q):
     infos = (cs_pattern_of(q, v) for v in sorted(q.vertices))
-    return [info["constraints"] for info in infos if info is not None]
+    return [q.compiled.view(info["mask"]) for info in infos if info is not None]
 
 
 def edge_pattern_sets(q):
@@ -258,6 +261,56 @@ class TestEnumerateSubpatterns:
         ]:
             for cs in sets:
                 assert cs <= full
+
+
+def reference_shape(q, edges):
+    """The memberships and src/trg of the ids the edges span, and the
+    labels of the edges and their endpoints."""
+    ids = set(edges).union(*(q.endpoints[e] for e in edges))
+    return frozenset(
+        c
+        for c in extract_constraints(q)
+        if (c.kind in (ConstraintKind.VERTEX, ConstraintKind.EDGE, ConstraintKind.HAS_LABEL) and c.ids[0] in ids)
+        or (c.kind in (ConstraintKind.SRC, ConstraintKind.TRG) and c.ids[1] in edges)
+    )
+
+
+def reference_cs_pattern(q, center, star_edges):
+    """Each star edge's membership, src, trg, endpoint memberships and
+    labels, the center's membership and a hasKey per key of the center."""
+    out = {Constraint.vertex(center)}
+    for e in star_edges:
+        s, t = q.endpoints[e]
+        out |= {Constraint.edge(e), Constraint.src(s, e), Constraint.trg(t, e)}
+        out |= {Constraint.vertex(s), Constraint.vertex(t)}
+        out |= {Constraint.has_label(e, l) for l in q.labels_of(e)}
+    out |= {Constraint.has_key(center, key) for i, key, _, _ in q.prop_constraints if i == center}
+    return frozenset(out)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), n_edges=st.integers(0, 3))
+def test_sets_by_ids_and_kinds_match_brute_force(seed, n_edges):
+    """A compiled query's sets named by ids and kinds, its shape masks,
+    its data groups and its characteristic-set masks hold the constraints
+    a filter over the whole set picks."""
+    rng = random.Random(seed)
+    q = random_query(rng, n_edges=n_edges, keys=("k1", "k2"), prop_prob=0.5, label_prob=0.5)
+    cq, full = q.compiled, extract_constraints(q)
+    for _ in range(5):
+        ids = tuple(i for i in sorted(q.ids) for _ in range(rng.randint(0, 2)))  # some twice
+        kinds = frozenset(k for k in ConstraintKind if rng.random() < 0.5)
+        expected = frozenset(c for c in full if set(c.ids) <= set(ids) and c.kind in kinds)
+        assert cq.view(cq.within(ids) & cq.kinds(kinds)) == expected
+        edges = tuple(e for e in sorted(q.edges) if rng.random() < 0.5)
+        assert cq.view(shape_mask(q, edges)) == reference_shape(q, edges)
+        assert constraints_for_edges(q, edges) == reference_shape(q, edges)
+    assert cq.data_by_id == data_constraints_by_id(q)
+    for center in sorted(q.vertices):
+        for direction, star_edges in (("out", q.out_query_edges(center)), ("in", q.in_query_edges(center))):
+            info = cs_pattern_of(q, center, direction)
+            if info is not None:
+                assert cq.view(info["mask"]) == reference_cs_pattern(q, center, star_edges)
 
 
 class TestPredicates:
