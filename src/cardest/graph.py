@@ -3,16 +3,26 @@
 Graphs are immutable after construction and safe for unsynchronized
 concurrent reads.  Element ids are opaque strings in files and densely
 re-numbered to integers internally (vertices first, then edges).
+
+The oracle counts acyclic patterns bottom-up over the query tree
+(`_count_forest`) and backtracks over the matches of every other
+pattern (`_Matcher`).  The bottom-up count takes its candidates from
+the graph's label index (`_LabelIndex`), which the first such count
+builds and the graph keeps: the ids that carry each label, and each
+edge label's out- and in-adjacency.  Two threads that race to build it
+build equal indexes, and either may be kept.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from array import array
+from bisect import bisect_left
 from typing import Any, Iterable, Optional, TypedDict
 
 from .fileform import FormError, MissingKey, codec
-from .query import QueryPattern, Scalar, data_constraints_by_id, satisfies
+from .query import Constraint, ConstraintKind, QueryPattern, Scalar, data_constraints_by_id, satisfies
 
 
 class GraphFormatError(ValueError):
@@ -48,6 +58,7 @@ class PropertyGraph:
         "_out",
         "_in",
         "_fingerprint",
+        "_index",
     )
 
     def __init__(
@@ -101,6 +112,7 @@ class PropertyGraph:
         self._out = out
         self._in = inn
         self._fingerprint: Optional[str] = None
+        self._index: Optional[_LabelIndex] = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -158,11 +170,58 @@ class PropertyGraph:
             self._fingerprint = h.hexdigest()
         return self._fingerprint
 
+    def _label_index(self) -> "_LabelIndex":
+        """The label index, built on first use."""
+        if self._index is None:
+            self._index = _LabelIndex(self)
+        return self._index
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PropertyGraph) and self.fingerprint() == other.fingerprint()
 
     def __repr__(self) -> str:
         return f"PropertyGraph(|V|={self.n_vertices}, |E|={self.n_edges})"
+
+
+class _LabelIndex:
+    """Per label, the ascending ids of the vertices and of the edges that
+    carry it, and per edge label the adjacency restricted to it.
+
+    `out_of[label]` is (offsets, ids): the edges with that label whose
+    source is v are ids[offsets[v]:offsets[v + 1]], ascending.  `into`
+    holds the same by target.  The lists share the edge-id ints of the
+    graph's adjacency lists, and the offsets are arrays of C ints.
+    """
+
+    __slots__ = ("vertices", "edges", "out_of", "into")
+
+    def __init__(self, g: PropertyGraph) -> None:
+        n = g.n_vertices
+        self.vertices = _by_label(g.vertices, g._labels)
+        # the adjacency lists' edge ids, so that the index copies no int
+        self.edges = _by_label(sorted(e for es in g._out.values() for e in es), g._labels)
+        # every edge's source and target, indexed by edge id
+        self.out_of = _grouped(self.edges, [0] * n + [s for s, _ in g._endpoints], n)
+        self.into = _grouped(self.edges, [0] * n + [t for _, t in g._endpoints], n)
+
+
+def _by_label(ids: Iterable[int], labels: tuple[frozenset[str], ...]) -> dict[str, list[int]]:
+    out: dict[str, list[int]] = {}
+    for i in ids:
+        for a in labels[i]:
+            out.setdefault(a, []).append(i)
+    return out
+
+
+def _grouped(edges: dict[str, list[int]], end: list[int], n: int) -> dict[str, tuple[array, list[int]]]:
+    """Each label's edges ordered by their vertex end[e] (stably, so each
+    vertex's run stays ascending), with the offsets of every run."""
+    grouped: dict[str, tuple[array, list[int]]] = {}
+    for a, ids in edges.items():
+        run = sorted(ids, key=end.__getitem__)
+        keys = [end[e] for e in run]
+        grouped[a] = (array("i", [bisect_left(keys, v) for v in range(n + 1)]), run)
+    return grouped
 
 
 def _record(g: PropertyGraph, i: int) -> dict[str, Any]:
@@ -379,18 +438,40 @@ def _is_forest(q: QueryPattern) -> bool:
     return True
 
 
+def _narrowest(
+    own: frozenset[Constraint], lists: dict[str, list[int]]
+) -> tuple[Optional[str], frozenset[Constraint]]:
+    """The label of `own` that the fewest ids in `lists` carry (None when
+    `own` requires none), and the constraints that it leaves to check."""
+    required = [c for c in own if c.kind is ConstraintKind.HAS_LABEL]
+    if not required:
+        return None, own
+    best = min(required, key=lambda c: (len(lists.get(c.label, ())), c.label))
+    return best.label, own - {best}
+
+
 def _count_forest(g: PropertyGraph, q: QueryPattern) -> int:
     """Homomorphic match count of an acyclic pattern, bottom-up.
 
     Each query tree is rooted and visited in post-order.  f[u] maps a
     graph vertex to the number of matches of u's subtree with u on that
-    vertex; None stands for "every vertex, weight 1".  A child's table
+    vertex; None stands for "every vertex, weight 1".  A leaf's table
+    is 1 on each vertex that meets the leaf's constraints.  A child's table
     is pushed through the graph edges that satisfy the connecting query
     edge's constraints into a message on the parent's vertices, and the
-    parent's table is the product of its own filter and its messages.
-    The count is the product over trees of the sum of the root's table.
+    parent's table is the product of its messages, taken over the
+    support of the smallest one and filtered by the parent's own
+    constraints.  The count is the product over trees of the sum of the
+    root's table.
+
+    Candidates come from the graph's label index: a leaf with a label
+    tries only the vertices of its rarest label, an unconstrained
+    child's message runs over the edges of the connecting query edge's
+    rarest label, and a labelled query edge pushes a table through that
+    label's adjacency.  `satisfies` checks what the label leaves open.
     """
     data = data_constraints_by_id(q)
+    index = g._label_index()
     labels, props, n = g._labels, g._props, g.n_vertices
     adjacent: dict[str, list[tuple[str, str]]] = {v: [] for v in q.vertices}
     for e, (s, t) in q.endpoints.items():
@@ -418,14 +499,18 @@ def _count_forest(g: PropertyGraph, q: QueryPattern) -> int:
         messages: dict[str, list[dict[int, int]]] = {}
         for u, via, up in reversed(order):
             own = data.get(u)
+            inbox = sorted(messages.pop(u, ()), key=len)
             f: Optional[dict[int, int]] = None
-            if own:
-                f = {x: 1 for x in range(n) if satisfies(own, labels[x], props[x])}
-            for m in sorted(messages.pop(u, ()), key=len):
-                if f is None:
-                    f = m
-                else:
+            if inbox:
+                f = inbox[0]
+                for m in inbox[1:]:
                     f = {x: c * m[x] for x, c in f.items() if x in m}
+                if own:
+                    f = {x: c for x, c in f.items() if satisfies(own, labels[x], props[x])}
+            elif own:
+                label, rest = _narrowest(own, index.vertices)
+                cands = g.vertices if label is None else index.vertices.get(label, ())
+                f = {x: 1 for x in cands if not rest or satisfies(rest, labels[x], props[x])}
             if f is not None and not f:
                 return 0
             if via is None:
@@ -434,15 +519,21 @@ def _count_forest(g: PropertyGraph, q: QueryPattern) -> int:
             # start) on u's vertices, as the query edge points; `far` is
             # the parent's end of such an edge
             far = 0 if q.endpoints[via][1] == u else 1
+            label, rest = _narrowest(data.get(via, frozenset()), index.edges)
             if f is None:
-                weighted = ((e, 1) for e in g.edges)
-            else:
+                cands = g.edges if label is None else index.edges.get(label, ())
+                weighted = ((e, 1) for e in cands)
+            elif label is None:
                 walk = g._in if far == 0 else g._out
                 weighted = ((e, c) for y, c in f.items() for e in walk.get(y, ()))
-            edge_data = data.get(via)
+            elif label not in index.edges:
+                weighted = ()
+            else:
+                offsets, ids = (index.into if far == 0 else index.out_of)[label]
+                weighted = ((e, c) for y, c in f.items() for e in ids[offsets[y] : offsets[y + 1]])
             message: dict[int, int] = {}
             for e, c in weighted:
-                if edge_data and not satisfies(edge_data, labels[e], props[e]):
+                if rest and not satisfies(rest, labels[e], props[e]):
                     continue
                 x = g._endpoints[e - n][far]
                 message[x] = message.get(x, 0) + c
@@ -462,7 +553,8 @@ def exact_matches(
     semantics is 'homomorphic' (default) or 'isomorphic' (all query ids
     map to pairwise-distinct graph ids).  A homomorphic call on an
     acyclic pattern without a budget is counted bottom-up over the query
-    tree, in time that does not grow with the number of matches.  Every
+    tree, in time that does not grow with the number of matches; the
+    first such call on a graph builds the graph's label index.  Every
     other call, and every call that passes a budget, runs the
     backtracking matcher, which visits each match and raises
     OracleBudgetError past `budget` expansions (DEFAULT_ORACLE_BUDGET

@@ -234,13 +234,6 @@ def constraint_set_key(constraints: Iterable[Constraint]) -> tuple:
     return tuple(sorted(c.sort_key() for c in constraints))
 
 
-def ids_of(constraints: Iterable[Constraint]) -> frozenset[str]:
-    out: set[str] = set()
-    for c in constraints:
-        out.update(c.ids)
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class PartialEstimate:
     """A constraint set together with a selectivity estimate for it."""
@@ -257,10 +250,6 @@ class PartialEstimate:
             raise ValueError("partial estimate needs at least one constraint")
         if not (0.0 <= self.selectivity <= 1.0):
             raise ValueError(f"selectivity out of range: {self.selectivity}")
-
-    @property
-    def id_set(self) -> frozenset[str]:
-        return ids_of(self.constraints)
 
     def key(self) -> tuple:
         """The canonical key of the constraint set.

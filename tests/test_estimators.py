@@ -26,7 +26,6 @@ from cardest.query import (
     PartialEstimate,
     PredicateKind,
     extract_constraints,
-    ids_of,
     parse_query,
 )
 from cardest.stats import (
@@ -185,7 +184,9 @@ class TestSynopsisEstimates:
             }
         )
         catalog = build_catalog(g, synopses=[("chain", 2)])
-        pes = [pe for pe in synopsis_estimates(q, catalog) if len(ids_of(pe.constraints)) == 7]
+        pes = [
+            pe for pe in synopsis_estimates(q, catalog) if len({i for c in pe.constraints for i in c.ids}) == 7
+        ]
         assert len(pes) == 1
         assert pes[0].selectivity == pytest.approx(exact_selectivity(g, q))
 
@@ -309,7 +310,7 @@ class TestBoundSketch:
         g = random_graph(rng, n_vertices=6, n_edges=10, labels=())
         catalog = build_catalog(g, sketch_buckets=1)
         pes = bound_sketch_estimates(two_chain_query, catalog)
-        chain_pe = next(pe for pe in pes if len(ids_of(pe.constraints)) == 5)
+        chain_pe = next(pe for pe in pes if len({i for c in pe.constraints for i in c.ids}) == 5)
         # reproduce min(|ep_i| * d_j, d_i * |ep_j|) by hand
         n = g.n_edges
         d_src = max(len(g.out_edges(v)) for v in g.vertices)

