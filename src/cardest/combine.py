@@ -17,10 +17,10 @@ import numpy as np
 from .estimators import individual_estimate
 from .query import (
     CompiledQuery,
-    Constraint,
     PartialEstimate,
     QueryPattern,
     compiled_for,
+    constraint_set_key,
     implied_closure,  # noqa: F401 (looked up here by perfbench's tracer)
     union,
 )
@@ -76,45 +76,48 @@ def _uncovered(cq: CompiledQuery, mask: int, masks: Iterable[int]) -> tuple[int,
     return cq.bits(mask & ~union(masks))
 
 
-def _singleton_product(constraints: Iterable[Constraint], resolve: Callable[[Constraint], float]) -> float:
-    """Product of the constraints' singleton selectivities, taken in the
-    order given, which is canonical: float products must not depend on
-    set iteration order."""
-    return math.prod(map(resolve, constraints), start=1.0)
+def _singleton_product(cq: CompiledQuery, mask: int, resolve: Callable[[int], float]) -> float:
+    """Product of the singleton selectivities of mask's constraints, taken
+    over its ascending bits, which is canonical order: float products
+    must not depend on set iteration order."""
+    return math.prod(map(resolve, cq.bits(mask)), start=1.0)
 
 
 def _singleton_resolver(
-    pes: Iterable[PartialEstimate], catalog: Optional[StatisticsCatalog]
-) -> Callable[[Constraint], float]:
-    """Singleton selectivity of a constraint: its first singleton estimate,
-    else its individual estimate from the catalog, memoized."""
-    singles: dict[Constraint, float] = {}
-    for pe in pes:
-        if len(pe.constraints) == 1:
-            singles.setdefault(next(iter(pe.constraints)), pe.selectivity)
+    cq: CompiledQuery,
+    pes: Iterable[PartialEstimate],
+    masks: Iterable[int],
+    catalog: Optional[StatisticsCatalog],
+) -> Callable[[int], float]:
+    """Singleton selectivity of the constraint at a bit of cq: its first
+    singleton estimate (the estimates' sets given as masks), else its
+    individual estimate from the catalog, memoized."""
+    singles: dict[int, float] = {}
+    for pe, mask in zip(pes, masks):
+        if mask.bit_count() == 1:
+            singles.setdefault(mask.bit_length() - 1, pe.selectivity)
 
-    def resolve(c: Constraint) -> float:
-        s = singles.get(c)
+    def resolve(i: int) -> float:
+        s = singles.get(i)
         if s is None:
+            c = cq.constraints[i]
             if catalog is None or catalog.basic is None:
                 raise ValueError(f"no singleton selectivity available for {c!r}")
-            s = singles[c] = individual_estimate(c, catalog).selectivity
+            s = singles[i] = individual_estimate(c, catalog).selectivity
         return s
 
     return resolve
 
 
 def deviation_from_independence(
-    pe: PartialEstimate, resolve: Callable[[Constraint], float], cq: Optional[CompiledQuery] = None
+    pe: PartialEstimate, resolve: Callable[[int], float], cq: CompiledQuery
 ) -> float:
     """How far an estimate is from the product of its constraints'
-    singleton selectivities (looked up with `resolve`, in the canonical
-    order of cq, by default compiled from the estimate); 1 means
-    independent, +inf a hard conflict."""
+    singleton selectivities (looked up by bit of cq with `resolve`); 1
+    means independent, +inf a hard conflict."""
     if len(pe.constraints) == 1:
         return 1.0
-    cq = cq or compiled_for([pe])[0]
-    prod = _singleton_product(cq.select(cq.mask_of(pe)), resolve)
+    prod = _singleton_product(cq, cq.mask_of(pe), resolve)
     s = pe.selectivity
     if prod == 0.0 and s == 0.0:
         return 1.0
@@ -126,12 +129,11 @@ def deviation_from_independence(
 def _order_estimates(
     pes: list[PartialEstimate],
     strategy: str,
-    resolve: Callable[[Constraint], float],
-    cq: Optional[CompiledQuery] = None,
+    resolve: Callable[[int], float],
+    cq: CompiledQuery,
 ) -> list[tuple[int, PartialEstimate]]:
     """The estimates in the processing order of a sort strategy, each
-    with the mask of its implied closure in cq (default: compiled from
-    the estimates).
+    with the mask of its implied closure in cq.
 
     The maximum-overlap strategies (MoNd, MoDi) pick greedily: next comes
     the estimate whose implied closure shares the most constraints with
@@ -144,7 +146,6 @@ def _order_estimates(
     """
     if strategy not in SORT_STRATEGIES:
         raise ValueError(f"unknown sort strategy: {strategy!r}")
-    cq = cq or compiled_for(pes)[0]
 
     # ties always resolve by (fewest constraints, canonical key), and
     # ascending bit tuples order sets as their canonical keys do
@@ -185,7 +186,6 @@ def _order_estimates(
 
 @dataclass
 class CombineStep:
-    constraints_key: tuple
     provenance: str
     selectivity: float
     factor: Optional[float]
@@ -209,7 +209,7 @@ def combine_cond_indep(
     """
     pes = list(cpes)
     cq, masks = compiled_for(pes, q)
-    resolve = _singleton_resolver(pes, catalog)
+    resolve = _singleton_resolver(cq, pes, masks, catalog)
     # the closure of the processed constraints, grown by union as in
     # _order_estimates
     done_impl = 0
@@ -235,9 +235,7 @@ def combine_cond_indep(
         if factor is not None:
             result *= factor
         if trace is not None:
-            trace.append(
-                CombineStep(pe.key(), pe.provenance, pe.selectivity, factor, reason)
-            )
+            trace.append(CombineStep(pe.provenance, pe.selectivity, factor, reason))
         done_impl |= c_impl
     return min(max(result, 0.0), 1.0)
 
@@ -247,7 +245,7 @@ def _estimate_subset(
     cq: CompiledQuery,
     pes: list[PartialEstimate],
     masks: list[int],
-    resolve: Callable[[Constraint], float],
+    resolve: Callable[[int], float],
     q: QueryPattern,
     strategy: str,
     catalog: Optional[StatisticsCatalog],
@@ -256,11 +254,11 @@ def _estimate_subset(
     """Selectivity of a constraint subset (a mask of cq), for the
     conditioning step."""
     if depth >= RECURSION_LIMIT:
-        return _singleton_product(cq.select(mask), resolve)
+        return _singleton_product(cq, mask, resolve)
     inside = [(pe, m) for pe, m in zip(pes, masks) if not m & ~mask]
     sub = [pe for pe, _ in inside]
     sub += [
-        cq.estimate(1 << i, resolve(cq.constraints[i]), "singleton")
+        cq.estimate(1 << i, resolve(i), "singleton")
         for i in _uncovered(cq, mask, (m for _, m in inside))
     ]
     return combine_cond_indep(sub, q, strategy, catalog, None, depth + 1)
@@ -301,18 +299,19 @@ def _greedy_partitions(cq: CompiledQuery, masks: list[int], mps: int) -> list[in
 
 
 def _solve_max_ent_partition(
-    constraints: list[Constraint],
+    cq: CompiledQuery,
+    part: int,
     pes: list[PartialEstimate],
+    masks: list[int],
     tol: float,
     max_iter: int,
-    cq: Optional[CompiledQuery] = None,
 ) -> np.ndarray:
     """Iterative proportional fitting over the 2^k atoms of one partition.
 
-    Atom a makes constraints[i] true when bit i of a is set; the
-    constraints are in canonical order, and the estimates' sets are read
-    as masks of cq (default: compiled from the estimates).  Every
-    estimate in `pes` must lie inside the partition; the fit scales the
+    The partition is the mask `part` of cq, and `masks` are the
+    estimates' sets in cq.  Atom a makes the partition's j-th constraint
+    (in canonical order) true when bit j of a is set.  Every estimate
+    in `pes` must lie inside the partition; the fit scales the
     atoms until each estimate's selectivity is the mass of the atoms where
     all its constraints hold.  Atoms no such distribution can give mass
     are structural zeros: they start and stay at mass 0, and the others
@@ -324,8 +323,6 @@ def _solve_max_ent_partition(
     estimate says that one of them always does.  Returns the fitted atom
     masses.
     """
-    cq, masks = (cq, list(map(cq.mask_of, pes))) if cq else compiled_for(pes)
-    part = cq.mask(constraints)
     positions = cq.bits(part)
     atom_ids = np.arange(1 << len(positions))
 
@@ -411,11 +408,12 @@ def combine_max_ent(
         placed.update(inside)
         mass = 1.0  # no estimate constrains this partition
         if inside:
-            members = list(cq.select(part))
-            atoms = _solve_max_ent_partition(members, [pes[j] for j in inside], tol, max_iter, cq)
+            atoms = _solve_max_ent_partition(
+                cq, part, [pes[j] for j in inside], [masks[j] for j in inside], tol, max_iter
+            )
             mass = float(atoms[-1])
         if trace is not None:
-            trace.append((cq.key(part), mass))
+            trace.append((constraint_set_key(cq.select(part)), mass))
         result *= mass
     if dropped is not None:
         dropped.extend(pe for j, pe in enumerate(pes) if j not in placed)
@@ -496,7 +494,7 @@ def combine_bounds(
     if trace is not None:
         for i in sorted(rank[j] for j in chosen):
             pe = given[i]
-            trace.append(CombineStep(pe.key(), pe.provenance, pe.selectivity, pe.selectivity, "upper-factor"))
+            trace.append(CombineStep(pe.provenance, pe.selectivity, pe.selectivity, "upper-factor"))
 
     # lower bound: drop estimates subsumed by a larger one; of equal sets
     # the first copy stays

@@ -67,13 +67,10 @@ def trust_rank(provenance: str) -> int:
     return _TRUST.get(base, 9)
 
 
-def dedup_estimates(
-    estimates: Iterable[PartialEstimate], q: Optional[QueryPattern] = None
-) -> list[PartialEstimate]:
+def dedup_estimates(estimates: Iterable[PartialEstimate], q: QueryPattern) -> list[PartialEstimate]:
     """Drop duplicate constraint sets, keeping the most trusted estimate;
     output order is deterministic (technique tag, then constraint key).
-    Sets are compared as masks of q's compiled form (without q, of one
-    compiled from the estimates)."""
+    Sets are compared as masks of q's compiled form."""
     estimates = list(estimates)
     cq, masks = compiled_for(estimates, q)
     best: dict[int, PartialEstimate] = {}

@@ -465,7 +465,8 @@ def _count_forest(g: PropertyGraph, q: QueryPattern) -> int:
     root's table.
 
     Candidates come from the graph's label index: a leaf with a label
-    tries only the vertices of its rarest label, an unconstrained
+    tries only the vertices of its rarest label, an inner vertex checks
+    that label by set membership before the rest, an unconstrained
     child's message runs over the edges of the connecting query edge's
     rarest label, and a labelled query edge pushes a table through that
     label's adjacency.  `satisfies` checks what the label leaves open.
@@ -499,6 +500,8 @@ def _count_forest(g: PropertyGraph, q: QueryPattern) -> int:
         messages: dict[str, list[dict[int, int]]] = {}
         for u, via, up in reversed(order):
             own = data.get(u)
+            if own:
+                label, rest = _narrowest(own, index.vertices)
             inbox = sorted(messages.pop(u, ()), key=len)
             f: Optional[dict[int, int]] = None
             if inbox:
@@ -506,9 +509,13 @@ def _count_forest(g: PropertyGraph, q: QueryPattern) -> int:
                 for m in inbox[1:]:
                     f = {x: c * m[x] for x, c in f.items() if x in m}
                 if own:
-                    f = {x: c for x, c in f.items() if satisfies(own, labels[x], props[x])}
+                    f = {
+                        x: c
+                        for x, c in f.items()
+                        if (label is None or label in labels[x])
+                        and (not rest or satisfies(rest, labels[x], props[x]))
+                    }
             elif own:
-                label, rest = _narrowest(own, index.vertices)
                 cands = g.vertices if label is None else index.vertices.get(label, ())
                 f = {x: 1 for x in cands if not rest or satisfies(rest, labels[x], props[x])}
             if f is not None and not f:

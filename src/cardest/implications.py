@@ -8,7 +8,7 @@ estimate is assumed to imply the rest.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .query import (
     CompiledQuery,
@@ -34,16 +34,14 @@ CONSTRAINT_CLASSES = {
 PATTERN_CLASSES = ("id", "ep")
 
 
-def add_implied_closures(
-    pes: Iterable[PartialEstimate], q: Optional[QueryPattern] = None
-) -> list[PartialEstimate]:
+def add_implied_closures(pes: Iterable[PartialEstimate], q: QueryPattern) -> list[PartialEstimate]:
     """For every estimate containing a src/trg or value predicate, derive
     the estimate over its implied closure at the same selectivity.
 
     The implied constraints hold whenever the original ones do, so the
     selectivity carries over exactly.  Returns only estimates whose
     constraint sets are not already present.  Closures are masks of q's
-    compiled form (without q, of one compiled from the estimates).
+    compiled form.
     """
     pes = list(pes)
     cq, masks = compiled_for(pes, q)

@@ -241,7 +241,6 @@ class PartialEstimate:
     constraints: frozenset[Constraint]
     selectivity: float
     provenance: str = ""
-    _key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     # (compiled query, the constraint set as its mask), see CompiledQuery.mask_of
     _mask: tuple = field(default=(None, 0), init=False, repr=False, compare=False)
 
@@ -252,16 +251,8 @@ class PartialEstimate:
             raise ValueError(f"selectivity out of range: {self.selectivity}")
 
     def key(self) -> tuple:
-        """The canonical key of the constraint set.
-
-        Computed on the first call: the constraint set is frozen, so the
-        key is the one `constraint_set_key` would return on every call.
-        """
-        if self._key is None:
-            compiled, mask = self._mask
-            key = compiled.key(mask) if compiled else constraint_set_key(self.constraints)
-            object.__setattr__(self, "_key", key)
-        return self._key
+        """The canonical key of the constraint set."""
+        return constraint_set_key(self.constraints)
 
 
 @dataclass
@@ -465,14 +456,14 @@ class CompiledQuery:
     `within(ids) & kinds(ks)`; the shape of the subpattern some edges
     span is `shape_mask`, and each id's data constraints are
     `data_by_id`.  A pattern's compiled form is `QueryPattern.compiled`;
-    an estimate set without a pattern compiles its own (`compiled_for`).
+    estimates that name constraints outside their pattern compile one
+    over both (`compiled_for`).
     """
 
     def __init__(self, constraints: Iterable[Constraint]) -> None:
         """constraints: a set closed under `implied_closure`."""
         cs = tuple(sorted(set(constraints), key=Constraint.sort_key))
-        self._sort_keys = tuple(c.sort_key() for c in cs)
-        assert len(set(self._sort_keys)) == len(cs), "sort_key must tell constraints apart"
+        assert len(set(map(Constraint.sort_key, cs))) == len(cs), "sort_key must tell constraints apart"
         self.constraints = cs
         self._bit = {c: 1 << i for i, c in enumerate(cs)}
         self._bit_tuples: dict[int, tuple[int, ...]] = {}
@@ -486,9 +477,9 @@ class CompiledQuery:
         # one pass in canonical order, which puts the memberships before
         # the src/trg that imply them and each hasKey before the
         # propValue that implies it
-        for n, (c, sort_key) in enumerate(zip(cs, self._sort_keys)):
+        for n, c in enumerate(cs):
             bit, kind, i = 1 << n, c.kind, c.ids[0]
-            self._kind_masks[sort_key[0]] |= bit
+            self._kind_masks[_KIND_ORDER[kind]] |= bit
             naming[i] |= bit
             closure = bit
             if kind is ConstraintKind.VERTEX or kind is ConstraintKind.EDGE:
@@ -542,10 +533,6 @@ class CompiledQuery:
             bits = self._bit_tuples[mask] = tuple(itertools.compress(itertools.count(), _selectors(mask)))
         return bits
 
-    def key(self, mask: int) -> tuple:
-        """`constraint_set_key` of the constraints of mask."""
-        return tuple(itertools.compress(self._sort_keys, _selectors(mask)))
-
     def closure(self, mask: int) -> int:
         """The mask of `implied_closure` of the constraints of mask."""
         return union(itertools.compress(self.closures, _selectors(mask)))
@@ -574,20 +561,16 @@ class CompiledQuery:
         return union(self._kind_masks[_KIND_ORDER[k]] for k in kinds)
 
 
-def compiled_for(
-    pes: list[PartialEstimate], q: Optional[QueryPattern] = None
-) -> tuple[CompiledQuery, list[int]]:
+def compiled_for(pes: list[PartialEstimate], q: QueryPattern) -> tuple[CompiledQuery, list[int]]:
     """q's compiled form when it holds every constraint of the estimates,
     else one compiled over q's constraints and theirs (estimates made by
     hand may name constraints of no query), with the estimates' masks."""
-    if q is not None:
-        try:
-            return q.compiled, list(map(q.compiled.mask_of, pes))
-        except KeyError:
-            pass
-    own = q.compiled.constraints if q is not None else ()
-    cq = CompiledQuery(implied_closure(itertools.chain(own, *(pe.constraints for pe in pes))))
-    return cq, list(map(cq.mask_of, pes))
+    try:
+        return q.compiled, list(map(q.compiled.mask_of, pes))
+    except KeyError:
+        given = itertools.chain(q.compiled.constraints, *(pe.constraints for pe in pes))
+        cq = CompiledQuery(implied_closure(given))
+        return cq, list(map(cq.mask_of, pes))
 
 
 def iter_chains(q: QueryPattern, n: int) -> list[tuple[str, ...]]:

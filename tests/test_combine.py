@@ -24,9 +24,11 @@ from cardest.combine import (
 )
 from cardest.graph import PropertyGraph, exact_selectivity
 from cardest.query import (
+    CompiledQuery,
     Constraint,
     PartialEstimate,
     PredicateKind,
+    compiled_for,
     constraints_for_edges,
     extract_constraints,
     implied_closure,
@@ -116,28 +118,33 @@ class TestMakeComplete:
 
 
 class TestDeviation:
+    # resolve looks singletons up by bit: vertex(a) is bit 0, edge(b) bit 1
+    a, b = Constraint.vertex("a"), Constraint.edge("b")
+    cq = CompiledQuery([a, b])
+
     def test_singleton_is_one(self):
-        pe = PartialEstimate(frozenset({Constraint.vertex("a")}), 0.5, "x")
-        assert deviation_from_independence(pe, {}.__getitem__) == 1.0
+        pe = PartialEstimate(frozenset({self.a}), 0.5, "x")
+        assert deviation_from_independence(pe, {}.__getitem__, self.cq) == 1.0
 
     def test_ratio_and_symmetry(self):
-        a, b = Constraint.vertex("a"), Constraint.edge("b")
-        singles = {a: 0.1, b: 0.01}.__getitem__
+        a, b = self.a, self.b
+        singles = {0: 0.1, 1: 0.01}.__getitem__
         joint_hi = PartialEstimate(frozenset({a, b}), 0.01, "x")
         joint_lo = PartialEstimate(frozenset({a, b}), 0.0001, "x")
-        assert deviation_from_independence(joint_hi, singles) == pytest.approx(10.0)
-        assert deviation_from_independence(joint_lo, singles) == pytest.approx(10.0)
+        assert deviation_from_independence(joint_hi, singles, self.cq) == pytest.approx(10.0)
+        assert deviation_from_independence(joint_lo, singles, self.cq) == pytest.approx(10.0)
 
     def test_zero_product_sentinel(self):
-        a, b = Constraint.vertex("a"), Constraint.edge("b")
-        singles = {a: 0.0, b: 0.5}.__getitem__
+        a, b = self.a, self.b
+        singles = {0: 0.0, 1: 0.5}.__getitem__
         joint = PartialEstimate(frozenset({a, b}), 0.2, "x")
-        assert deviation_from_independence(joint, singles) == math.inf
+        assert deviation_from_independence(joint, singles, self.cq) == math.inf
 
 
-def reference_order_estimates(pes, strategy, resolve):
+def reference_order_estimates(pes, strategy, resolve, cq):
     """The processing order as first written: the maximum-overlap greedy
-    recomputes every remaining estimate's closure and rank at every step."""
+    recomputes every remaining estimate's closure and rank at every step.
+    resolve looks singletons up by bit of cq."""
 
     def final(pe):
         return (len(pe.constraints), pe.key())
@@ -149,7 +156,7 @@ def reference_order_estimates(pes, strategy, resolve):
         "NdSd": lambda pe: (-len(pe.constraints), -pe.selectivity),
         "NaSd": lambda pe: (len(pe.constraints), -pe.selectivity),
         "NaSa": lambda pe: (len(pe.constraints), pe.selectivity),
-        "Di": lambda pe: (-deviation_from_independence(pe, resolve), pe.selectivity),
+        "Di": lambda pe: (-deviation_from_independence(pe, resolve, cq), pe.selectivity),
     }
     if strategy in static:
         key = static[strategy]
@@ -157,7 +164,7 @@ def reference_order_estimates(pes, strategy, resolve):
     secondary = (
         (lambda pe: (-len(pe.constraints),))
         if strategy == "MoNd"
-        else (lambda pe: (-deviation_from_independence(pe, resolve),))
+        else (lambda pe: (-deviation_from_independence(pe, resolve, cq),))
     )
     remaining = sorted(pes, key=lambda pe: secondary(pe) + final(pe))
     ordered = []
@@ -178,10 +185,15 @@ def reference_order_estimates(pes, strategy, resolve):
 def reference_cond_indep(pes, q, strategy, depth=0):
     """condIndep as first written: the closure of the processed
     constraints is recomputed for every estimate."""
-    resolve = _singleton_resolver(pes, None)
+    cq, masks = compiled_for(pes, q)
+    bit_resolve = _singleton_resolver(cq, pes, masks, None)
+
+    def resolve(c):
+        return bit_resolve(cq.constraints.index(c))
+
     done = set()
     result = 1.0
-    for pe in reference_order_estimates(pes, strategy, resolve):
+    for pe in reference_order_estimates(pes, strategy, bit_resolve, cq):
         c_impl = implied_closure(pe.constraints)
         done_impl = implied_closure(done) if done else frozenset()
         intersection = done_impl & c_impl
@@ -226,13 +238,13 @@ def test_order_and_cond_indep_match_reference(seed, shape, n_subsets, with_closu
         subset = frozenset(rng.sample(constraints, rng.randint(2, min(5, len(constraints)))))
         pes.append(PartialEstimate(subset, oracle_constraint_sel(g, subset), "subset"))
     if with_closures:
-        pes.extend(add_implied_closures(pes))
+        pes.extend(add_implied_closures(pes, q))
     rng.shuffle(pes)
-    resolve = _singleton_resolver(pes, None)
     cq = q.compiled
+    resolve = _singleton_resolver(cq, pes, list(map(cq.mask_of, pes)), None)
     for strategy in SORT_STRATEGIES:
         got = _order_estimates(pes, strategy, resolve, cq)
-        assert [pe for _, pe in got] == reference_order_estimates(pes, strategy, resolve), strategy
+        assert [pe for _, pe in got] == reference_order_estimates(pes, strategy, resolve, cq), strategy
         assert all(cq.view(closure) == implied_closure(pe.constraints) for closure, pe in got), strategy
         sel = combine_cond_indep(pes, q, strategy)
         assert sel.hex() == reference_cond_indep(pes, q, strategy).hex(), strategy
@@ -410,7 +422,8 @@ def max_ent_marginal(cpes, q, target, mps=MPS_HARD_CAP, tol=1e-12, max_iter=2000
     constraints = sorted(all_constraints, key=lambda c: c.sort_key())
     if len(constraints) > mps:
         raise ValueError("too many constraints for a single partition")
-    atoms = _solve_max_ent_partition(constraints, pes, tol, max_iter)
+    cq, masks = compiled_for(pes, q)
+    atoms = _solve_max_ent_partition(cq, cq.mask(constraints), pes, masks, tol, max_iter)
     mask = sum(1 << constraints.index(c) for c in set(target))
     return float(atoms[(np.arange(len(atoms)) & mask) == mask].sum())
 

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -522,13 +523,12 @@ def golden_inputs():
     return g, catalog
 
 
-def test_estimates_golden_digest():
-    """Every estimate, cardinality and flag of the five configurations on
-    every connected subquery of ten seeded random queries, with and
-    without their property predicates, hashes to a recorded digest."""
+def golden_reports():
+    """(row id, configuration, report) of the five configurations on every
+    connected subquery of ten seeded random queries, with and without
+    their property predicates."""
     g, catalog = golden_inputs()
     rng = random.Random(7)
-    h = hashlib.sha256()
     for n in range(10):
         q = random_query(
             rng,
@@ -540,11 +540,36 @@ def test_estimates_golden_digest():
             for sub_id, sub in enumerate_subqueries(q, 3, include_props=with_props):
                 qid = f"q{n}:{sub_id}:{'p' if with_props else 'np'}"
                 for config in GOLDEN_CONFIGS:
-                    report = estimate(sub, g, catalog, config)
-                    row = (qid, config.label, repr(report.cardinality), report.flags)
-                    h.update(repr(row).encode())
+                    yield qid, config, estimate(sub, g, catalog, config)
+
+
+def test_estimates_golden_digest():
+    """Every golden report's cardinality and flags hash to a recorded
+    digest."""
+    h = hashlib.sha256()
+    for qid, config, report in golden_reports():
+        row = (qid, config.label, repr(report.cardinality), report.flags)
+        h.update(repr(row).encode())
     assert h.hexdigest() == (
         "864013a31c83b796bdbde5169e59060f634c91e1371e97b27bce63762b920b03"
+    )
+
+
+def test_report_golden_digest():
+    """Every golden report's JSON form but its wall time hashes to a
+    recorded digest: besides the cardinalities, the estimate sets, the
+    condIndep and upper-bound factor traces in their order, the maxEnt
+    partitions and masses, and the lower and upper bounds."""
+    h = hashlib.sha256()
+    n_reports = 0
+    for _, _, report in golden_reports():
+        doc = report.to_dict()
+        del doc["wall_time"]
+        h.update(json.dumps(doc, sort_keys=True).encode())
+        n_reports += 1
+    assert n_reports == 340
+    assert h.hexdigest() == (
+        "c2a5c5bf5808ce09d0b1eafa6d953ae70f240b73243ba75e6f18ad5d632f17ea"
     )
 
 

@@ -704,7 +704,7 @@ class TestInvariantsAndDedup:
             PartialEstimate(c, 0.5, "individual:exact"),
             PartialEstimate(c, 0.3, "sysr"),
         ]
-        out = dedup_estimates(pes)
+        out = dedup_estimates(pes, parse_query({"vertices": [{"id": "a"}]}))
         assert len(out) == 1
         assert out[0].provenance == "individual:exact"
 

@@ -15,10 +15,19 @@ from conftest import random_graph
 from test_estimators import oracle_sel
 
 
+# edge q2 runs from vertex q1 to vertex q3; vertex q1 has a predicate on k
+EDGE_QUERY = parse_query(
+    {
+        "vertices": [{"id": "q1", "props": [{"key": "k", "op": "=", "value": 5}]}, {"id": "q3"}],
+        "edges": [{"id": "q2", "src": "q1", "trg": "q3"}],
+    }
+)
+
+
 class TestImpliedClosures:
     def test_src_pe_gets_closed(self):
         pe = PartialEstimate(frozenset({Constraint.src("q1", "q2")}), 0.125, "individual:exact")
-        added = add_implied_closures([pe])
+        added = add_implied_closures([pe], EDGE_QUERY)
         assert len(added) == 1
         assert added[0].constraints == frozenset(
             {Constraint.src("q1", "q2"), Constraint.vertex("q1"), Constraint.edge("q2")}
@@ -27,12 +36,12 @@ class TestImpliedClosures:
 
     def test_closed_pe_adds_nothing(self):
         pe = PartialEstimate(frozenset({Constraint.vertex("q1")}), 0.5, "x")
-        assert add_implied_closures([pe]) == []
+        assert add_implied_closures([pe], EDGE_QUERY) == []
 
     def test_prop_value_adds_key(self):
         pv = Constraint.prop_value("q1", "k", PredicateKind.EQ, 5)
         pe = PartialEstimate(frozenset({pv}), 0.01, "x")
-        added = add_implied_closures([pe])
+        added = add_implied_closures([pe], EDGE_QUERY)
         assert added[0].constraints == frozenset({pv, Constraint.has_key("q1", "k")})
 
     def test_idempotent(self):
@@ -40,14 +49,14 @@ class TestImpliedClosures:
             PartialEstimate(frozenset({Constraint.src("q1", "q2")}), 0.125, "x"),
             PartialEstimate(frozenset({Constraint.trg("q3", "q2")}), 0.125, "x"),
         ]
-        first = add_implied_closures(pes)
+        first = add_implied_closures(pes, EDGE_QUERY)
         assert len(first) == 2
-        again = add_implied_closures(pes + first)
+        again = add_implied_closures(pes + first, EDGE_QUERY)
         assert again == []
 
     def test_accepts_an_iterator(self):
         pe = PartialEstimate(frozenset({Constraint.src("q1", "q2")}), 0.125, "x")
-        assert add_implied_closures(iter([pe])) == add_implied_closures([pe])
+        assert add_implied_closures(iter([pe]), EDGE_QUERY) == add_implied_closures([pe], EDGE_QUERY)
 
 
 class TestImplicationUnions:
