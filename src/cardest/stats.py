@@ -28,7 +28,9 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence, TypedDict, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypedDict, Union
+
+import numpy as np
 
 from .fileform import FormError, MissingKey, codec, require, stored
 from .graph import PropertyGraph
@@ -67,17 +69,25 @@ def _label_options(labels: frozenset[str]) -> list[str]:
     return sorted(labels) + [WILDCARD]
 
 
+def _compact(x: Any) -> str:
+    return json.dumps(x, separators=(",", ":"))
+
+
 def edge_key(ls: str, le: str, lt: str) -> str:
-    return json.dumps([ls, le, lt], separators=(",", ":"))
+    return _compact([ls, le, lt])
 
 
 def chain_key(slots: Sequence[str]) -> str:
-    return json.dumps(list(slots), separators=(",", ":"))
+    return _compact(list(slots))
 
 
 def star_key(center: str, branches: Iterable[tuple[str, str]]) -> str:
-    ordered = sorted(branches)
-    return json.dumps([center, [list(b) for b in ordered]], separators=(",", ":"))
+    return _star_text(_compact(center), [_compact(list(b)) for b in sorted(branches)])
+
+
+def _star_text(center: str, branches: Sequence[str]) -> str:
+    """A star key from the JSON texts of its center label and sorted branches."""
+    return f"[{center},[{','.join(branches)}]]"
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +230,78 @@ def _walk_signatures(g: PropertyGraph, max_size: int) -> dict[tuple[frozenset[st
     return walks
 
 
+def _multiset_sums(m: np.ndarray, max_size: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every multiset of 1..max_size columns of m (ascending column
+    indices, repeats allowed) whose product over a row, summed over the
+    rows, is not 0, with that sum.  m holds no negative entry, so a
+    multiset whose sum is 0 extends to none that is not."""
+    # a multiset, its product per row (rows where it is 0 dropped), the
+    # first column that may extend it (its last) and the columns from there
+    stack = [((), np.ones(len(m), m.dtype), 0, m)]
+    while stack:
+        multiset, product, first, rest = stack.pop()
+        for j, n in enumerate((product @ rest).tolist()):
+            if n:
+                longer = multiset + (first + j,)
+                yield longer, n
+                if len(longer) < max_size:
+                    p = product * rest[:, j]
+                    keep = np.flatnonzero(p)
+                    stack.append((longer, p[keep], first + j, rest[keep, j:]))
+
+
+def _star_counts(g: PropertyGraph, outgoing: bool, max_size: int) -> dict[str, int]:
+    """The star synopsis's counts by key (see build_labeled_synopsis)."""
+    # each edge's center and the label sets of its branch (L(e), L(other end))
+    centers: list[int] = []
+    branches: list[tuple[frozenset[str], frozenset[str]]] = []
+    for e in g.edges:
+        s, t = g.endpoints(e)
+        centers.append(s if outgoing else t)
+        branches.append((g.labels_of(e), g.labels_of(t if outgoing else s)))
+    descriptors = {b: list(itertools.product(*map(_label_options, b))) for b in set(branches)}
+    columns = sorted({d for ds in descriptors.values() for d in ds})
+    index = {d: j for j, d in enumerate(columns)}
+    width = len(columns)
+    cells = [c * width + index[d] for c, b in zip(centers, branches) for d in descriptors[b]]
+    # center x descriptor: the center's incident edges that match it
+    delta = np.bincount(cells, minlength=g.n_vertices * width).reshape(g.n_vertices, width)
+    degree = np.bincount(centers, minlength=g.n_vertices).tolist()
+    # no sum or product below exceeds sum(deg(v) ** max_size)
+    if sum(d**max_size for d in degree) >= 2**63:
+        delta = delta.astype(object)
+    groups: dict[frozenset[str], list[int]] = {}
+    for v, d in enumerate(degree):
+        if d:
+            groups.setdefault(g.labels_of(v), []).append(v)
+    texts = [_compact(list(d)) for d in columns]
+    counts: dict[str, int] = {}
+    for labels, rows in groups.items():
+        center_options = [_compact(lc) for lc in _label_options(labels)]
+        for multiset, n in _multiset_sums(delta[rows], max_size):
+            parts = [texts[j] for j in multiset]
+            for center in center_options:
+                key = _star_text(center, parts)
+                counts[key] = counts.get(key, 0) + n
+    return counts
+
+
 def build_labeled_synopsis(g: PropertyGraph, klass: str, max_size: int = 1) -> LabeledTopoSynopsis:
     """Count the homomorphic cardinality of every labeled pattern of the
     class up to max_size (chains/stars store all sizes 1..max_size).
 
-    Instances are counted per label-set signature, and each signature is
-    expanded into its label/wildcard combinations once.  Chains count
-    walks by a DP over their end vertices (an edge is a 1-chain); stars
-    group centers by label set and multiset of branch label sets.
+    Chains count walks per label-set signature by a DP over their end
+    vertices (an edge is a 1-chain), and expand each signature into its
+    label/wildcard combinations once.  Stars count from one matrix: a
+    row per center with incident edges, a column per branch descriptor
+    (an (L(e) option, L(other end) option) pair, sorted) holding the
+    center's incident edges that match it.  Per center label set, a
+    depth-first walk over the sorted descriptor multisets multiplies the
+    prefix's per-row product by the remaining columns and sums over the
+    rows in one numpy call, descending only into nonzero sums; each sum
+    counts for every label option of the center.  Counts are exact: the
+    matrix holds int64 when sum(deg(v) ** max_size) fits, Python ints
+    otherwise.
     """
     if klass not in SYNOPSIS_CLASSES:
         raise ValueError(f"unknown synopsis class: {klass!r}")
@@ -241,32 +315,7 @@ def build_labeled_synopsis(g: PropertyGraph, klass: str, max_size: int = 1) -> L
         walks = _walk_signatures(g, size)
         counts = {chain_key(k): sum(map(walks.get, sigs)) for k, sigs in _by_key(walks).items()}
         return LabeledTopoSynopsis(klass, size, counts)
-
-    outgoing = klass == "source_star"
-    other = 1 if outgoing else 0
-    centers: dict[tuple, int] = {}  # signature -> centers with it
-    for v in g.vertices:
-        incident = g.out_edges(v) if outgoing else g.in_edges(v)
-        branches = Counter((g.labels_of(e), g.labels_of(g.endpoints(e)[other])) for e in incident)
-        sig = (g.labels_of(v), frozenset(branches.items()))
-        centers[sig] = centers.get(sig, 0) + 1
-    totals: dict[tuple, int] = {}
-    for (center, branches), n_centers in centers.items():
-        # branch descriptor -> number of incident edges matching it
-        delta: dict[tuple[str, str], int] = {}
-        for (le, lo), n in branches:
-            for d in itertools.product(_label_options(le), _label_options(lo)):
-                delta[d] = delta.get(d, 0) + n
-        center_options = _label_options(center)
-        for size in range(1, max_size + 1):
-            for multiset in itertools.combinations_with_replacement(sorted(delta), size):
-                prod = n_centers
-                for d in multiset:
-                    prod *= delta[d]
-                for lc in center_options:
-                    totals[lc, multiset] = totals.get((lc, multiset), 0) + prod
-    counts = {star_key(lc, multiset): n for (lc, multiset), n in totals.items()}
-    return LabeledTopoSynopsis(klass, max_size, counts)
+    return LabeledTopoSynopsis(klass, max_size, _star_counts(g, klass == "source_star", max_size))
 
 
 # ---------------------------------------------------------------------------

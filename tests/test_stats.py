@@ -321,6 +321,25 @@ def test_builders_match_brute_force(g, hash_seed):
         assert got == reference_bound_sketch(g, n_buckets, hash_seed).to_dict(), n_buckets
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(small_graphs())
+def test_stars_of_four_branches_match_brute_force(g):
+    # only size 4, the resource guard's limit, reaches the star DFS's deepest level
+    for klass in ("source_star", "target_star"):
+        got = build_labeled_synopsis(g, klass, 4).to_dict()
+        assert got == reference_synopsis(g, klass, 4).to_dict(), klass
+
+
+def test_star_counts_stay_exact_past_int64():
+    # 55109 ** 4 > 2 ** 63 - 1: a builder that wraps int64 reads a wrong count
+    n = 55109
+    g = PropertyGraph([("v", [], {})], [(f"e{j}", "v", "v", [], {}) for j in range(n)])
+    for klass in ("source_star", "target_star"):
+        syn = build_labeled_synopsis(g, klass, 4)
+        assert syn.count_star(WILDCARD, [(WILDCARD, WILDCARD)] * 4) == n**4 == 9223380425197538161
+        assert syn.count_star(WILDCARD, [(WILDCARD, WILDCARD)] * 2) == n**2
+
+
 def test_golden_digest():
     """The synopses, sysr and sketch sections of a seeded catalog are
     byte-identical to those of the walk-enumerating builders."""
