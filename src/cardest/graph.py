@@ -164,9 +164,8 @@ class PropertyGraph:
         if self._fingerprint is None:
             h = hashlib.sha256()
             for ids in (self.vertices, self.edges):
-                for i in sorted(ids, key=lambda i: self.names[i]):
-                    blob = json.dumps(_record(self, i), sort_keys=True, separators=(",", ":"))
-                    h.update(blob.encode())
+                for i in sorted(ids, key=self.names.__getitem__):
+                    h.update(_RECORD_ENCODER.encode(_record(self, i)).encode())
             self._fingerprint = h.hexdigest()
         return self._fingerprint
 
@@ -222,6 +221,10 @@ def _grouped(edges: dict[str, list[int]], end: list[int], n: int) -> dict[str, t
         keys = [end[e] for e in run]
         grouped[a] = (array("i", [bisect_left(keys, v) for v in range(n + 1)]), run)
     return grouped
+
+
+# the compact, key-sorted JSON text of a record, as json.dumps writes it
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _record(g: PropertyGraph, i: int) -> dict[str, Any]:

@@ -330,6 +330,14 @@ def test_stars_of_four_branches_match_brute_force(g):
         assert got == reference_synopsis(g, klass, 4).to_dict(), klass
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(small_graphs())
+def test_chains_of_four_edges_match_brute_force(g):
+    # the resource guard's limit: the walk DP's deepest step
+    got = build_labeled_synopsis(g, "chain", 4).to_dict()
+    assert got == reference_synopsis(g, "chain", 4).to_dict()
+
+
 def test_star_counts_stay_exact_past_int64():
     # 55109 ** 4 > 2 ** 63 - 1: a builder that wraps int64 reads a wrong count
     n = 55109
@@ -338,6 +346,27 @@ def test_star_counts_stay_exact_past_int64():
         syn = build_labeled_synopsis(g, klass, 4)
         assert syn.count_star(WILDCARD, [(WILDCARD, WILDCARD)] * 4) == n**4 == 9223380425197538161
         assert syn.count_star(WILDCARD, [(WILDCARD, WILDCARD)] * 2) == n**2
+
+
+def test_chain_counts_stay_exact_past_int64():
+    # the 4-walks of one vertex with n self-loops number n ** 4 > 2 ** 63 - 1
+    n = 55109
+    g = PropertyGraph([("v", [], {})], [(f"e{j}", "v", "v", [], {}) for j in range(n)])
+    syn = build_labeled_synopsis(g, "chain", 4)
+    assert syn.count_chain([WILDCARD] * 9) == n**4 == 9223380425197538161
+    assert syn.count_chain([WILDCARD] * 5) == n**2
+
+
+def test_chains_over_many_label_sets_match_brute_force():
+    # 300 vertex and 300 edge label sets: a 4-chain's 9 slots packed into
+    # one id in base 600 would overflow int64 many times over
+    rng = random.Random(0)
+    vertices = [(f"v{i}", [f"V{i}"], {}) for i in range(300)]
+    edges = [(f"e{j}", f"v{rng.randrange(300)}", f"v{rng.randrange(300)}", [f"E{j}"], {}) for j in range(300)]
+    g = PropertyGraph(vertices, edges)
+    got = build_labeled_synopsis(g, "chain", 4)
+    assert got.to_dict() == reference_synopsis(g, "chain", 4).to_dict()
+    assert got.count_chain([WILDCARD] * 9) > 0
 
 
 def test_golden_digest():
