@@ -10,7 +10,8 @@ pattern (`_Matcher`).  The bottom-up count takes its candidates from
 the graph's label index (`_LabelIndex`), which the first such count
 builds and the graph keeps: the ids that carry each label, and each
 edge label's out- and in-adjacency.  Two threads that race to build it
-build equal indexes, and either may be kept.
+build equal indexes, and either may be kept; the same holds for what
+other modules derive from a graph through `PropertyGraph.derived`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import hashlib
 import json
 from array import array
 from bisect import bisect_left
-from typing import Any, Iterable, Optional, TypedDict
+from typing import Any, Callable, Iterable, Optional, TypedDict, TypeVar
 
 from .fileform import FormError, MissingKey, codec
 from .query import Constraint, ConstraintKind, QueryPattern, Scalar, data_constraints_by_id, satisfies
@@ -38,6 +39,8 @@ class OracleBudgetError(RuntimeError):
 
 
 DEFAULT_ORACLE_BUDGET = 10**8
+
+_T = TypeVar("_T")
 
 
 class PropertyGraph:
@@ -59,6 +62,7 @@ class PropertyGraph:
         "_in",
         "_fingerprint",
         "_index",
+        "_derived",
     )
 
     def __init__(
@@ -113,6 +117,7 @@ class PropertyGraph:
         self._in = inn
         self._fingerprint: Optional[str] = None
         self._index: Optional[_LabelIndex] = None
+        self._derived: dict[Callable[[PropertyGraph], Any], Any] = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -175,6 +180,14 @@ class PropertyGraph:
             self._index = _LabelIndex(self)
         return self._index
 
+    def derived(self, build: Callable[["PropertyGraph"], _T]) -> _T:
+        """build(self), computed on the first call with that function and
+        kept with the graph, which never changes: the statistics builders
+        share their per-element arrays this way."""
+        if build not in self._derived:
+            self._derived[build] = build(self)
+        return self._derived[build]
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PropertyGraph) and self.fingerprint() == other.fingerprint()
 
@@ -225,6 +238,8 @@ def _grouped(edges: dict[str, list[int]], end: list[int], n: int) -> dict[str, t
 
 # the compact, key-sorted JSON text of a record, as json.dumps writes it
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# a record's line in the graph files: json.dumps(record, sort_keys=True)
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def _record(g: PropertyGraph, i: int) -> dict[str, Any]:
@@ -313,8 +328,7 @@ def save_graph(g: PropertyGraph, vertex_file: str, edge_file: str) -> None:
     """Write a graph back to the line-delimited file format."""
     for path, ids in ((vertex_file, g.vertices), (edge_file, g.edges)):
         with open(path, "w", encoding="utf-8") as fh:
-            for i in ids:
-                fh.write(json.dumps(_record(g, i), sort_keys=True) + "\n")
+            fh.writelines(_LINE_ENCODER.encode(_record(g, i)) + "\n" for i in ids)
 
 
 # ---------------------------------------------------------------------------

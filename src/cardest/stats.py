@@ -28,7 +28,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypedDict, Union
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypedDict, Union
 
 import numpy as np
 
@@ -194,17 +194,24 @@ class LabeledTopoSynopsis(_Section):
         return self.counts.get(star_key(center, branches))
 
 
-def _label_set_ids(g: PropertyGraph) -> tuple[np.ndarray, list[frozenset[str]]]:
-    """Each element's label set as an id into the list of distinct label sets."""
+class _Elements(NamedTuple):
+    """Each element's label set as an id into `sets`, the distinct label
+    sets, and every edge's source and target, in edge order.  Built once
+    per graph (PropertyGraph.derived) for the edge, chain, SysR and
+    sketch builders, so the arrays are read-only."""
+
+    of: np.ndarray
+    sets: list[frozenset[str]]
+    src: np.ndarray
+    trg: np.ndarray
+
+
+def _elements(g: PropertyGraph) -> _Elements:
     ids: dict[frozenset[str], int] = {}
-    of = (ids.setdefault(g.labels_of(i), len(ids)) for i in range(g.n_ids))
-    return np.fromiter(of, np.int64, g.n_ids), list(ids)
-
-
-def _endpoint_arrays(g: PropertyGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Every edge's source and target, in edge order."""
+    of = np.fromiter((ids.setdefault(g.labels_of(i), len(ids)) for i in range(g.n_ids)), np.int64, g.n_ids)
     ends = np.fromiter(itertools.chain.from_iterable(map(g.endpoints, g.edges)), np.int64, 2 * g.n_edges)
-    return ends[0::2], ends[1::2]
+    of.flags.writeable = ends.flags.writeable = False
+    return _Elements(of, list(ids), ends[0::2], ends[1::2])
 
 
 def _positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -278,8 +285,7 @@ def _keys(signatures: np.ndarray, sets: Sequence[frozenset[str]]) -> tuple[list[
 def _chain_counts(g: PropertyGraph, max_size: int) -> dict[str, int]:
     """The chain synopsis's counts by key (see build_labeled_synopsis)."""
     n = g.n_vertices
-    of, sets = _label_set_ids(g)
-    src, trg = _endpoint_arrays(g)
+    of, sets, src, trg = g.derived(_elements)
     # no count below exceeds the number of walks of its size, and the
     # float sums of those numbers err by far less than the factor 2 that
     # 2**62 leaves below int64's limit
@@ -330,8 +336,7 @@ def _edge_pattern_degrees(g: PropertyGraph) -> Iterator[tuple[str, list[tuple[np
     of its own edges' vertices, and a key sums those of the signatures it
     matches, one key at a time, so no vertex-length array outlives its key."""
     n = g.n_vertices
-    of, sets = _label_set_ids(g)
-    src, trg = _endpoint_arrays(g)
+    of, sets, src, trg = g.derived(_elements)
     pairs, pair = _extended(np.arange(len(sets))[:, None], of[src] * len(sets) + of[n:], len(sets))
     signatures, sig = _extended(pairs, pair * len(sets) + of[trg], len(sets))
     # per role, each signature's (vertex, degree) pairs, signature after signature

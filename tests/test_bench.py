@@ -79,6 +79,24 @@ class TestGenerateGraph:
         assert g.n_ids == 1000
         assert time.perf_counter() - start < 1.0
 
+    def test_skewed_32k_edges_fast(self):
+        """Skewed sources are drawn in O(log V) each: drawing each one
+        from the raw weights, O(V) per edge, took 9-10 s at this size on
+        a 2-vCPU x86-64 host."""
+        start = time.perf_counter()
+        g = generate_graph(GraphSpec(n_vertices=8000, n_edges=32000, degree_exponent=0.8), seed=0)
+        assert g.n_ids == 40000
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize(
+        "n_vertices, n_edges, degree_exponent, field",
+        [(0, 3, 0.8, "n_vertices"), (0, 3, 0.0, "n_vertices"), (-1, 0, 0.0, "n_vertices"), (5, -1, 0.0, "n_edges")],
+    )
+    def test_rejects_impossible_sizes(self, n_vertices, n_edges, degree_exponent, field):
+        """Edges need a vertex to start from, and no count is negative."""
+        with pytest.raises(ValueError, match=f"GraphSpec.{field} must be"):
+            generate_graph(GraphSpec(n_vertices=n_vertices, n_edges=n_edges, degree_exponent=degree_exponent))
+
     def test_degree_skew(self):
         flat = generate_graph(GraphSpec(n_vertices=200, n_edges=2000), seed=2)
         skewed = generate_graph(
@@ -212,6 +230,40 @@ class TestRunWorkload:
         bare = EstimatorConfig(name="bare")
         rows, summary = run_workload(g, queries, [rich, bare], catalog=catalog)
         assert summary.per_config["rich"]["median"] <= summary.per_config["bare"]["median"]
+
+
+@pytest.mark.parametrize(
+    "spec, seed, digest",
+    [
+        (
+            GraphSpec(n_vertices=200, n_edges=2000, degree_exponent=1.5),
+            2,
+            "cc64a703c0b73e537618bed205701ef94f71958b230765a2c7a2921e2b88cb62",
+        ),
+        (
+            GraphSpec(
+                n_vertices=300,
+                n_edges=1200,
+                vertex_labels=("A", "B", "C"),
+                edge_labels=("x", "y", "z"),
+                degree_exponent=0.8,
+                props=(
+                    PropSpec("k1", n_values=10, base_prob=0.4, given="A", boost=0.6),
+                    PropSpec("k2", n_values=10, base_prob=0.3, given="k1", boost=0.7),
+                    PropSpec("w", n_values=10, base_prob=0.4, on="edge"),
+                ),
+            ),
+            3,
+            "e039bebcfbcd723ae04743f00912ea530d60b04bab24dd33cc664d1ddaa25b22",
+        ),
+    ],
+    ids=["exponent-1.5", "benchmark-like"],
+)
+def test_skewed_graph_golden_fingerprint(spec, seed, digest):
+    """Seeded skewed graphs, one like the benchmark's (three labels each,
+    correlated vertex keys, an edge key), keep their recorded
+    fingerprints: every source and every later draw repeats."""
+    assert generate_graph(spec, seed).fingerprint() == digest
 
 
 def test_csv_golden_digest(tmp_path):

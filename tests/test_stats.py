@@ -2,11 +2,13 @@ import hashlib
 import itertools
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cardest import stats
 from cardest.bench import GraphSpec, generate_graph
 from cardest.estimators import individual_estimate, sample_estimates
 from cardest.graph import PropertyGraph, exact_matches, exact_selectivity
@@ -367,6 +369,19 @@ def test_chains_over_many_label_sets_match_brute_force():
     got = build_labeled_synopsis(g, "chain", 4)
     assert got.to_dict() == reference_synopsis(g, "chain", 4).to_dict()
     assert got.count_chain([WILDCARD] * 9) > 0
+
+
+def test_catalog_builders_share_element_arrays():
+    """The edge, chain, SysR and sketch builders of one catalog read one
+    set of per-element arrays, which the graph keeps read-only."""
+    g = generate_graph(GraphSpec(60, 200), seed=4)
+    with mock.patch.object(stats, "_elements", wraps=stats._elements) as elements:
+        build_catalog(g, synopses=[("edge", 1), ("chain", 2)], with_sysr=True, sketch_buckets=4)
+        build_labeled_synopsis(g, "chain", 3)
+    elements.assert_called_once_with(g)
+    of = g.derived(elements).of
+    with pytest.raises(ValueError):
+        of[0] = 1
 
 
 def test_golden_digest():
