@@ -258,7 +258,7 @@ def _estimate_subset(
     inside = [(pe, m) for pe, m in zip(pes, masks) if not m & ~mask]
     sub = [pe for pe, _ in inside]
     sub += [
-        cq.estimate(1 << i, resolve(i), "singleton")
+        cq.estimate(1 << i, resolve(i), "singleton", "estimate")
         for i in _uncovered(cq, mask, (m for _, m in inside))
     ]
     return combine_cond_indep(sub, q, strategy, catalog, None, depth + 1)
@@ -442,18 +442,25 @@ def combine_bounds(
 ) -> BoundsResult:
     """Upper and lower selectivity bounds from the estimate set.
 
-    Upper: minimum product over subsets of estimates with pairwise
-    disjoint id sets (exact enumeration for small sets, greedy beyond).
-    Each estimate of the chosen product is appended to `trace`, in input
-    order, as an "upper-factor" step.
-    Lower: one minus the summed miss mass, after discarding estimates
-    whose constraint set is contained in another's.
+    Only estimates whose kind vouches for their number take part: one
+    made under an assumption ("estimate") can err either way.
+    Upper: minimum product over subsets of the "exact" and "upper"
+    estimates with pairwise disjoint id sets (exact enumeration for small
+    sets, greedy beyond); 1 when there are none.  Each estimate of the
+    chosen product is appended to `trace`, in input order, as an
+    "upper-factor" step.
+    Lower: one minus the summed miss mass of the "exact" estimates, after
+    discarding those whose constraint set is contained in another's; 0
+    unless they cover every constraint that the whole set covers.
     """
     given = list(cpes)
     if not given:
         return BoundsResult(0.0, 1.0, True)
     cq, given_masks = compiled_for(given, q)
-    rank = sorted(range(len(given)), key=lambda i: (given[i].selectivity, cq.bits(given_masks[i])))
+    rank = sorted(
+        (i for i, pe in enumerate(given) if pe.kind != "estimate"),
+        key=lambda i: (given[i].selectivity, cq.bits(given_masks[i])),
+    )
     pes = [given[i] for i in rank]
     masks = [given_masks[i] for i in rank]
 
@@ -496,14 +503,17 @@ def combine_bounds(
             pe = given[i]
             trace.append(CombineStep(pe.provenance, pe.selectivity, pe.selectivity, "upper-factor"))
 
-    # lower bound: drop estimates subsumed by a larger one; of equal sets
-    # the first copy stays
-    pruned = [
-        pe
-        for i, (pe, m) in enumerate(zip(pes, masks))
-        if not any(not m & ~o and (m != o or j < i) for j, o in enumerate(masks))
-    ]
-    lower = max(0.0, 1.0 - sum(1.0 - pe.selectivity for pe in pruned))
+    # lower bound: drop exact estimates subsumed by a larger one; of equal
+    # sets the first copy stays
+    exact_inputs = [(pe, m) for pe, m in zip(pes, masks) if pe.kind == "exact"]
+    lower = 0.0
+    if union(m for _, m in exact_inputs) == union(given_masks):
+        pruned = [
+            pe
+            for i, (pe, m) in enumerate(exact_inputs)
+            if not any(not m & ~o and (m != o or j < i) for j, (_, o) in enumerate(exact_inputs))
+        ]
+        lower = max(0.0, 1.0 - sum(1.0 - pe.selectivity for pe in pruned))
     upper = min(max(upper, 0.0), 1.0)
     return BoundsResult(lower=min(lower, upper), upper=upper, exact_upper=exact)
 

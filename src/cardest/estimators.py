@@ -4,7 +4,10 @@ Each technique targets a class of constraint subsets of the query and
 maps the subsets it can serve, given the statistics in the catalog, to
 partial estimates.  All functions are pure over (query, catalog, graph)
 and return possibly-empty lists; a missing prerequisite means an empty
-result, never an error.
+result, never an error.  Each estimate states its kind where it is
+made: "exact" for counts the catalog holds, "estimate" for everything
+derived under an assumption or from a sample, "upper" for the bound
+sketch.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from .graph import PropertyGraph
 from .query import (
     Constraint,
     ConstraintKind,
+    ESTIMATE_KINDS,
     PartialEstimate,
     PredicateKind,
     QueryPattern,
@@ -40,47 +44,23 @@ _DEFAULT_SELECTIVITY = {PredicateKind.EQ: DEFAULT_EQ_SELECTIVITY, PredicateKind.
 
 MAX_STAR_SIZE = 5
 
-# Preference order when two techniques produce estimates for the same
-# constraint set: keep the most trusted one.  Keys are the technique a
-# provenance starts with, or the fallback step of an "individual:" one.
-_TRUST = {
-    "exact": 0,
-    "synopsis": 1,
-    "cs": 2,
-    "sysr": 3,
-    "sampling": 4,
-    "sample": 4,
-    "wj": 4,
-    "histogram": 5,
-    "mdh": 5,
-    "sketch": 6,
-    "default": 7,
-    "ip": 8,
-}
 
-
-def trust_rank(provenance: str) -> int:
-    head = provenance.split(":", 1)
-    base = head[0].split("(", 1)[0]
-    if base == "individual" and len(head) > 1:
-        base = head[1].split(":")[0]
-    return _TRUST.get(base, 9)
+def _preference(pe: PartialEstimate) -> tuple:
+    """Smallest first: exact before estimate before upper, then by
+    technique name and selectivity."""
+    return (ESTIMATE_KINDS.index(pe.kind), pe.provenance, pe.selectivity)
 
 
 def dedup_estimates(estimates: Iterable[PartialEstimate], q: QueryPattern) -> list[PartialEstimate]:
-    """Drop duplicate constraint sets, keeping the most trusted estimate;
-    output order is deterministic (technique tag, then constraint key).
-    Sets are compared as masks of q's compiled form."""
+    """Drop duplicate constraint sets, keeping the preferred estimate of
+    each; output order is deterministic (technique tag, then constraint
+    key).  Sets are compared as masks of q's compiled form."""
     estimates = list(estimates)
     cq, masks = compiled_for(estimates, q)
     best: dict[int, PartialEstimate] = {}
     for pe, mask in zip(estimates, masks):
         old = best.get(mask)
-        if old is None or (trust_rank(pe.provenance), pe.provenance, pe.selectivity) < (
-            trust_rank(old.provenance),
-            old.provenance,
-            old.selectivity,
-        ):
+        if old is None or _preference(pe) < _preference(old):
             best[mask] = pe
     ordered = sorted(best.items(), key=lambda item: (item[1].provenance, cq.bits(item[0])))
     return [pe for _, pe in ordered]
@@ -102,25 +82,26 @@ def _count_sel(count: float, n_ids: int, k: int) -> float:
 
 def individual_prop_estimate(
     c: Constraint, catalog: StatisticsCatalog
-) -> tuple[float, str]:
+) -> tuple[float, str, str]:
     """Fallback chain for one key-value constraint: exact lookup, then
-    histogram, then id sample, then operator defaults."""
+    histogram, then id sample, then operator defaults.  Returns the
+    selectivity, its provenance and its kind."""
     basic = catalog.basic
     n_ids = basic.n_ids if basic else 0
     if basic and n_ids:
         exact = basic.prop_exact.get((c.key, c.op.value, c.value))
         if exact is not None:
-            return _count_sel(exact, n_ids, 1), "individual:exact"
+            return _count_sel(exact, n_ids, 1), "individual:exact", "exact"
         hist = catalog.histogram(c.key)
         if hist is not None:
             est = histogram_estimate(hist, c.op, c.value)
             if est is not None:
-                return _count_sel(est, n_ids, 1), "individual:histogram"
+                return _count_sel(est, n_ids, 1), "individual:histogram", "estimate"
         sample = catalog.sample("id")
         if sample is not None and sample.members:
             hits = sum(1 for m in sample.members if satisfies((c,), m["labels"], m["props"]))
-            return hits / len(sample.members), "individual:sample"
-    return _DEFAULT_SELECTIVITY.get(c.op, DEFAULT_OTHER_SELECTIVITY), "individual:default"
+            return hits / len(sample.members), "individual:sample", "estimate"
+    return _DEFAULT_SELECTIVITY.get(c.op, DEFAULT_OTHER_SELECTIVITY), "individual:default", "estimate"
 
 
 def individual_estimate(c: Constraint, catalog: StatisticsCatalog) -> PartialEstimate:
@@ -139,9 +120,9 @@ def individual_estimate(c: Constraint, catalog: StatisticsCatalog) -> PartialEst
     elif c.kind is ConstraintKind.HAS_KEY:
         count, k = basic.key_sel.get(c.key, 0), 1
     else:
-        s, prov = individual_prop_estimate(c, catalog)
-        return PartialEstimate(frozenset({c}), _clamp(s), prov)
-    return PartialEstimate(frozenset({c}), _count_sel(count, basic.n_ids, k), "individual:exact")
+        s, prov, kind = individual_prop_estimate(c, catalog)
+        return PartialEstimate(frozenset({c}), _clamp(s), prov, kind)
+    return PartialEstimate(frozenset({c}), _count_sel(count, basic.n_ids, k), "individual:exact", "exact")
 
 
 def individual_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[PartialEstimate]:
@@ -229,15 +210,17 @@ def synopsis_estimates(
                 count = syn.count_edge(*ep)
                 if count is None:
                     continue
-                out.append(cq.estimate(mask, _count_sel(count, n_ids_g, 3), "synopsis:EP"))
+                out.append(cq.estimate(mask, _count_sel(count, n_ids_g, 3), "synopsis:EP", "exact"))
 
         elif syn.klass == "chain":
             for m in range(2, len(q.edges) + 1):
+                # past the stored size a chain is a Markov extension, not a count
+                kind = "exact" if m <= use_size else "estimate"
                 for slots, mask in _labeled_chains(q, m):
                     sel = _chain_sel(syn, basic, slots, m, use_size)
                     if sel is None:
                         continue
-                    out.append(cq.estimate(mask, _clamp(sel), f"synopsis:c{use_size}"))
+                    out.append(cq.estimate(mask, _clamp(sel), f"synopsis:c{use_size}", kind))
 
         else:  # source_star / target_star
             outgoing = syn.klass == "source_star"
@@ -254,7 +237,7 @@ def synopsis_estimates(
                 if count is None:
                     continue
                 sel = _count_sel(count, n_ids_g, 2 * len(branches) + 1)
-                out.append(cq.estimate(shape_mask(q, edges), sel, f"synopsis:{tag}{use_size}"))
+                out.append(cq.estimate(shape_mask(q, edges), sel, f"synopsis:{tag}{use_size}", "exact"))
     return out
 
 
@@ -317,7 +300,8 @@ def system_r_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[Part
             for n, d in zip(cards, distincts):
                 est *= n / d
         mask = shape_mask(q, edges)
-        out.append(cq.estimate(mask, _count_sel(est, n_ids_g, cq.ids_of(mask).bit_count()), "sysr"))
+        sel = _count_sel(est, n_ids_g, cq.ids_of(mask).bit_count())
+        out.append(cq.estimate(mask, sel, "sysr", "estimate"))
     return out
 
 
@@ -356,20 +340,21 @@ def bound_sketch_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[
             bound += best or 0.0
         return bound
 
-    # single edges: the sketch stores exact per-pattern counts
+    # single edges: the sketch stores exact per-pattern counts, but they
+    # are stated as bounds like the rest, so that dedup keeps synopsis:EP
     for ep, mask in _edge_patterns(q):
         count = sum(c for c, _ in sketch.partition(*ep, "src").values())
-        out.append(cq.estimate(mask, _count_sel(count, n_ids_g, 3), "sketch"))
+        out.append(cq.estimate(mask, _count_sel(count, n_ids_g, 3), "sketch", "upper"))
 
     for slots, mask in _labeled_chains(q, 2):
         parts = [sketch.partition(*slots[0:3], "trg"), sketch.partition(*slots[2:5], "src")]
-        out.append(cq.estimate(mask, _count_sel(joined_bound(parts), n_ids_g, 5), "sketch"))
+        out.append(cq.estimate(mask, _count_sel(joined_bound(parts), n_ids_g, 5), "sketch", "upper"))
 
     for branches, edges in _labeled_stars(q):
         parts = [sketch.partition(*ep, "src" if outgoing else "trg") for ep, outgoing in branches]
         mask = shape_mask(q, edges)
         sel = _count_sel(joined_bound(parts), n_ids_g, cq.ids_of(mask).bit_count())
-        out.append(cq.estimate(mask, sel, "sketch"))
+        out.append(cq.estimate(mask, sel, "sketch", "upper"))
     return out
 
 
@@ -407,7 +392,8 @@ def char_set_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[Part
                     contribution *= entry.label_counts.get(l, 0) / entry.count
                 card += contribution
             mask = info["mask"]
-            out.append(cq.estimate(mask, _count_sel(card, n_ids_g, cq.ids_of(mask).bit_count()), "cs"))
+            sel = _count_sel(card, n_ids_g, cq.ids_of(mask).bit_count())
+            out.append(cq.estimate(mask, sel, "cs", "estimate"))
     return out
 
 
@@ -458,7 +444,7 @@ def sample_estimates(
                 hits = sum(1 for m in members if satisfies(groups[i], m["labels"], m["props"]))
                 population = basic.n_vertices if is_vertex else basic.n_edges
                 sel = (hits / len(members)) * _count_sel(population, n_ids_g, 1)
-                out.append(cq.estimate(cq.within((i,)), _clamp(sel), tag))
+                out.append(cq.estimate(cq.within((i,)), _clamp(sel), tag, "estimate"))
 
         elif sample.pattern_type == "edge_pattern":
             for e in sorted(q.edges):
@@ -479,7 +465,7 @@ def sample_estimates(
                         continue
                     hits += 1
                 sel = (hits / len(sample.members)) * _count_sel(basic.n_edges, n_ids_g, 2 if loop else 3)
-                out.append(cq.estimate(cq.within((e, s, t)), _clamp(sel), tag))
+                out.append(cq.estimate(cq.within((e, s, t)), _clamp(sel), tag, "estimate"))
     return out
 
 
@@ -575,7 +561,7 @@ def wander_join_estimate(
                 successes += 1
     sel = _count_sel(total / walks, g.n_ids, len(covered_ids))
     provenance = "wj" if successes else "wj:low_confidence"
-    return cq.estimate(cq.within(frozenset(covered_ids)), sel, provenance)
+    return cq.estimate(cq.within(frozenset(covered_ids)), sel, provenance, "estimate")
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +602,6 @@ def md_histogram_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[
                 continue
             frac = md_fraction(mdh, preds)
             sel = frac * _count_sel(mdh.total, n_ids_g, 1)
-            out.append(cq.estimate(cq.within((i,)) & values, _clamp(sel), "mdh"))
+            out.append(cq.estimate(cq.within((i,)) & values, _clamp(sel), "mdh", "estimate"))
             break
     return out

@@ -8,10 +8,10 @@ The oracle counts acyclic patterns bottom-up over the query tree
 (`_count_forest`) and backtracks over the matches of every other
 pattern (`_Matcher`).  The bottom-up count takes its candidates from
 the graph's label index (`_LabelIndex`), which the first such count
-builds and the graph keeps: the ids that carry each label, and each
-edge label's out- and in-adjacency.  Two threads that race to build it
-build equal indexes, and either may be kept; the same holds for what
-other modules derive from a graph through `PropertyGraph.derived`.
+builds and the graph keeps through `PropertyGraph.derived`: the ids
+that carry each label, and each edge label's out- and in-adjacency.
+Two threads that race to build a derived value build equal ones, and
+either may be kept.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ class PropertyGraph:
         "_out",
         "_in",
         "_fingerprint",
-        "_index",
         "_derived",
     )
 
@@ -116,7 +115,6 @@ class PropertyGraph:
         self._out = out
         self._in = inn
         self._fingerprint: Optional[str] = None
-        self._index: Optional[_LabelIndex] = None
         self._derived: dict[Callable[[PropertyGraph], Any], Any] = {}
 
     # -- basic accessors ---------------------------------------------------
@@ -174,16 +172,11 @@ class PropertyGraph:
             self._fingerprint = h.hexdigest()
         return self._fingerprint
 
-    def _label_index(self) -> "_LabelIndex":
-        """The label index, built on first use."""
-        if self._index is None:
-            self._index = _LabelIndex(self)
-        return self._index
-
     def derived(self, build: Callable[["PropertyGraph"], _T]) -> _T:
         """build(self), computed on the first call with that function and
         kept with the graph, which never changes: the statistics builders
-        share their per-element arrays this way."""
+        share their per-element arrays this way, and the oracle its label
+        index."""
         if build not in self._derived:
             self._derived[build] = build(self)
         return self._derived[build]
@@ -489,7 +482,7 @@ def _count_forest(g: PropertyGraph, q: QueryPattern) -> int:
     label's adjacency.  `satisfies` checks what the label leaves open.
     """
     data = data_constraints_by_id(q)
-    index = g._label_index()
+    index = g.derived(_LabelIndex)
     labels, props, n = g._labels, g._props, g.n_vertices
     adjacent: dict[str, list[tuple[str, str]]] = {v: [] for v in q.vertices}
     for e, (s, t) in q.endpoints.items():

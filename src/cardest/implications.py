@@ -36,7 +36,8 @@ PATTERN_CLASSES = ("id", "ep")
 
 def add_implied_closures(pes: Iterable[PartialEstimate], q: QueryPattern) -> list[PartialEstimate]:
     """For every estimate containing a src/trg or value predicate, derive
-    the estimate over its implied closure at the same selectivity.
+    the estimate over its implied closure at the same selectivity and of
+    the same kind.
 
     The implied constraints hold whenever the original ones do, so the
     selectivity carries over exactly.  Returns only estimates whose
@@ -47,7 +48,9 @@ def add_implied_closures(pes: Iterable[PartialEstimate], q: QueryPattern) -> lis
     cq, masks = compiled_for(pes, q)
     trigger = cq.kinds(_TRIGGER_KINDS)
     closures = (
-        (cq.closure(mask), pe.selectivity, pe.provenance) for pe, mask in zip(pes, masks) if mask & trigger
+        (cq.closure(mask), pe.selectivity, pe.provenance, pe.kind)
+        for pe, mask in zip(pes, masks)
+        if mask & trigger
     )
     return _new_sets(cq, masks, closures)
 
@@ -65,7 +68,8 @@ def add_implication_unions(
     whose constraints all belong to `constraint_class` ('pv' value
     predicates, 'p' property constraints, 'a' all kinds) and whose ids
     fall inside the instance.  With at least two of them, the one with
-    the lowest selectivity is assumed to imply the union of them all.
+    the lowest selectivity is assumed to imply the union of them all; the
+    union rests on that assumption, so it is an "estimate".
     """
     if pattern_class not in PATTERN_CLASSES:
         raise ValueError(f"unknown pattern class: {pattern_class!r}")
@@ -83,7 +87,7 @@ def add_implication_unions(
     # (mask, estimate) of each estimate of allowed kinds only
     kinds = cq.kinds(allowed)
     eligible = [(mask, pe) for pe, mask in zip(pes, masks) if not mask & ~kinds]
-    unions: list[tuple[int, float, str]] = []
+    unions: list[tuple[int, float, str, str]] = []
     for ids in instances:
         inside = cq.within(ids)
         group = [(mask, pe) for mask, pe in eligible if not mask & ~inside]
@@ -92,19 +96,19 @@ def add_implication_unions(
         # lowest selectivity wins; ties prefer the more informative
         # implicant, then the canonical key
         _, chosen = min(group, key=lambda g: (g[1].selectivity, -len(g[1].constraints), cq.bits(g[0])))
-        unions.append((union(mask for mask, _ in group), chosen.selectivity, tag))
+        unions.append((union(mask for mask, _ in group), chosen.selectivity, tag, "estimate"))
     return _new_sets(cq, masks, unions)
 
 
 def _new_sets(
-    cq: CompiledQuery, masks: list[int], derived: Iterable[tuple[int, float, str]]
+    cq: CompiledQuery, masks: list[int], derived: Iterable[tuple[int, float, str, str]]
 ) -> list[PartialEstimate]:
-    """Estimates for the derived (mask, selectivity, provenance) triples
-    whose sets neither `masks` nor an earlier derived triple holds."""
+    """Estimates for the derived (mask, selectivity, provenance, kind)
+    tuples whose sets neither `masks` nor an earlier derived tuple holds."""
     present = set(masks)
     out: list[PartialEstimate] = []
-    for mask, selectivity, provenance in derived:
+    for mask, selectivity, provenance, kind in derived:
         if mask not in present:
             present.add(mask)
-            out.append(cq.estimate(mask, selectivity, provenance))
+            out.append(cq.estimate(mask, selectivity, provenance, kind))
     return out

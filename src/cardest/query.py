@@ -20,7 +20,9 @@ intersections, subset tests, closures (an OR of per-bit closures) and
 overlap counts (`int.bit_count`).  A `PartialEstimate` keeps its
 frozenset of constraints as the public view and caches its mask in the
 compiled query it was last read through, so each estimate's mask is
-computed once per `estimate()` call.
+computed once per `estimate()` call.  It also states its kind (one of
+`ESTIMATE_KINDS`), set by the technique that makes it: later phases
+read that field and never the provenance text.
 """
 
 from __future__ import annotations
@@ -234,13 +236,24 @@ def constraint_set_key(constraints: Iterable[Constraint]) -> tuple:
     return tuple(sorted(c.sort_key() for c in constraints))
 
 
+# What an estimate's number is, in the order dedup prefers them: an exact
+# count, an estimate, an upper bound (Cai, Balazinska and Suciu's
+# pessimistic bounds).
+ESTIMATE_KINDS = ("exact", "estimate", "upper")
+
+
 @dataclass(frozen=True)
 class PartialEstimate:
-    """A constraint set together with a selectivity estimate for it."""
+    """A constraint set together with a selectivity estimate for it.
+
+    `kind` says what the selectivity is (see ESTIMATE_KINDS).  It defaults
+    to "exact": whoever builds an estimate by hand vouches for its number.
+    """
 
     constraints: frozenset[Constraint]
     selectivity: float
     provenance: str = ""
+    kind: str = "exact"
     # (compiled query, the constraint set as its mask), see CompiledQuery.mask_of
     _mask: tuple = field(default=(None, 0), init=False, repr=False, compare=False)
 
@@ -249,6 +262,8 @@ class PartialEstimate:
             raise ValueError("partial estimate needs at least one constraint")
         if not (0.0 <= self.selectivity <= 1.0):
             raise ValueError(f"selectivity out of range: {self.selectivity}")
+        if self.kind not in ESTIMATE_KINDS:
+            raise ValueError(f"unknown estimate kind: {self.kind!r}")
 
     def key(self) -> tuple:
         """The canonical key of the constraint set."""
@@ -507,9 +522,9 @@ class CompiledQuery:
             object.__setattr__(pe, "_mask", (self, mask))
         return mask
 
-    def estimate(self, mask: int, selectivity: float, provenance: str) -> PartialEstimate:
-        """A partial estimate over the constraints of mask."""
-        pe = PartialEstimate(self.view(mask), selectivity, provenance)
+    def estimate(self, mask: int, selectivity: float, provenance: str, kind: str) -> PartialEstimate:
+        """A partial estimate of the given kind over the constraints of mask."""
+        pe = PartialEstimate(self.view(mask), selectivity, provenance, kind)
         object.__setattr__(pe, "_mask", (self, mask))
         return pe
 

@@ -310,5 +310,5 @@ def test_csv_golden_digest(tmp_path):
     path = tmp_path / "rows.csv"
     write_csv(rows, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "440fd21a3d94905ccf3ff2f27096be3b1b0409f1b83c00642757b018ff134865"
+        "9a41a19bd2cb9eedece5b6908cf07e9552a7b6498414e2e8051c6e109381c200"
     )

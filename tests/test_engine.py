@@ -34,7 +34,7 @@ from cardest.query import (
 )
 from cardest.stats import StaleCatalogWarning, build_catalog
 
-from conftest import ONE_EDGE_DOC, random_graph, random_query
+from conftest import ONE_EDGE_DOC, decorated_shape, random_graph, random_query
 
 
 class TestConfig:
@@ -551,7 +551,7 @@ def test_estimates_golden_digest():
         row = (qid, config.label, repr(report.cardinality), report.flags)
         h.update(repr(row).encode())
     assert h.hexdigest() == (
-        "864013a31c83b796bdbde5169e59060f634c91e1371e97b27bce63762b920b03"
+        "9897404549f7c922e72302d30e5ede5a6d0d0e95b2fdb12090612924865c3619"
     )
 
 
@@ -569,8 +569,50 @@ def test_report_golden_digest():
         n_reports += 1
     assert n_reports == 340
     assert h.hexdigest() == (
-        "c2a5c5bf5808ce09d0b1eafa6d953ae70f240b73243ba75e6f18ad5d632f17ea"
+        "688065f352ab31dc1325363fa85ac886cc5744a31613fbfbf02e6e9d3a029cd7"
     )
+
+
+def _stated_kind(pe: PartialEstimate) -> str:
+    """The kind each technique states for its estimates: counts the
+    catalog holds are exact, the bound sketch gives upper bounds, and a
+    synopsis chain longer than the stored size is a Markov extension."""
+    prov = pe.provenance
+    if prov.startswith("synopsis:c"):
+        n_edges = sum(c.kind is ConstraintKind.EDGE for c in pe.constraints)
+        return "exact" if n_edges <= int(prov[len("synopsis:c") :]) else "estimate"
+    if prov in ("individual:exact", "synopsis:EP") or prov.startswith(("synopsis:s", "synopsis:t")):
+        return "exact"
+    return "upper" if prov == "sketch" else "estimate"
+
+
+def test_estimates_state_their_technique_kind():
+    """Every phase-1 and phase-2 estimate on the golden inputs carries the
+    kind its technique states; implied closures keep their source's."""
+    g, catalog = golden_inputs()
+    rng = random.Random(7)
+    queries = [
+        random_query(rng, n_edges=rng.randint(1, 3), labels=("A", "B"), keys=("k1", "k2", "w")) for _ in range(10)
+    ]
+    # and a directed 3-chain, which c2 extends past its stored size
+    chain = [{"id": f"e{i}", "src": f"v{i}", "trg": f"v{i + 1}"} for i in range(3)]
+    queries.append(parse_query({"vertices": [{"id": f"v{i}"} for i in range(4)], "edges": chain}))
+    seen = set()
+    for q in queries:
+        for with_props in (True, False):
+            for _, sub in enumerate_subqueries(q, 3, include_props=with_props):
+                for config in GOLDEN_CONFIGS:
+                    phase1 = engine_mod.run_techniques(sub, g, catalog, config)
+                    for pe in phase1 + engine_mod.extend_estimates(phase1, sub, config):
+                        assert pe.kind == _stated_kind(pe), (pe.provenance, sorted(map(repr, pe.constraints)))
+                        n_edges = sum(c.kind is ConstraintKind.EDGE for c in pe.constraints)
+                        seen.add((pe.provenance, n_edges, pe.kind))
+    # a c2 chain of 3 edges is estimated, a sketch estimate is a bound,
+    # and the fallback steps of a value predicate state their own kinds
+    assert ("synopsis:c2", 3, "estimate") in seen
+    assert ("synopsis:c2", 2, "exact") in seen
+    assert {kind for prov, _, kind in seen if prov == "sketch"} == {"upper"}
+    assert {kind for prov, _, kind in seen if prov.startswith("individual:")} == {"exact", "estimate"}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -589,6 +631,38 @@ def test_masks_match_frozenset_view(seed, n_edges, config):
         assert {cq.constraints[i] for i in cq.bits(mask)} == pe.constraints
         assert cq.view(cq.closure(mask)) == implied_closure(pe.constraints)
         assert pe.key() == constraint_set_key(pe.constraints)
+
+
+BOUNDS_CONFIG = EstimatorConfig.parse("pets=EP,c2,s3,BS; ct=bounds")
+# float products and sums of selectivities may land an ulp or so off the
+# true bound: grade's q2/e0+e1/noprops reads 212.99999999999997 against 213
+BOUNDS_RTOL = 1e-9
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), n_edges=st.integers(3, 4), chain=st.booleans())
+def test_bounds_hold_end_to_end(seed, n_edges, chain):
+    """On random small graphs with self-loops, parallel edges and
+    multi-labelled elements, the bounds combiner's upper and lower values,
+    scaled to match counts, bracket the exact count of 3- and 4-edge
+    chains, which c2 extends past its stored size, and trees."""
+    rng = random.Random(seed)
+    g = random_graph(rng, n_vertices=rng.randint(3, 7), n_edges=rng.randint(4, 14))
+    if chain:
+        q = decorated_shape(rng, [(f"f{i}", f"u{i}", f"u{i + 1}") for i in range(n_edges)])
+    else:
+        q = random_query(rng, n_edges=n_edges, keys=("k1", "k2"))
+    catalog = build_catalog(
+        g,
+        synopses=[("edge", 1), ("chain", 2), ("source_star", 3)],
+        sketch_buckets=16,
+        sketch_seed=seed,
+    )
+    report = estimate(q, g, catalog, BOUNDS_CONFIG)
+    n_k = float(g.n_ids) ** len(q.ids)
+    truth = exact_matches(g, q)
+    assert report.upper * n_k >= truth * (1.0 - BOUNDS_RTOL)
+    assert report.lower * n_k <= truth * (1.0 + BOUNDS_RTOL)
 
 
 def test_compiled_query_builds_no_constraint(monkeypatch):

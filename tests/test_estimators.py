@@ -15,7 +15,6 @@ from cardest.estimators import (
     sample_estimates,
     synopsis_estimates,
     system_r_estimates,
-    trust_rank,
     walk_plan,
     wander_join_estimate,
 )
@@ -698,27 +697,14 @@ class TestInvariantsAndDedup:
             assert pe.constraints <= full
 
     def test_dedup_prefers_trusted(self):
+        """Exact beats estimate, which beats upper, whatever the
+        provenance text; within a kind the technique name decides."""
         c = frozenset({Constraint.vertex("a")})
-        pes = [
-            PartialEstimate(c, 0.4, "sketch"),
-            PartialEstimate(c, 0.5, "individual:exact"),
-            PartialEstimate(c, 0.3, "sysr"),
-        ]
-        out = dedup_estimates(pes, parse_query({"vertices": [{"id": "a"}]}))
-        assert len(out) == 1
-        assert out[0].provenance == "individual:exact"
-
-    def test_trust_rank_ordering(self):
-        order = [
-            "individual:exact",
-            "synopsis:EP",
-            "cs",
-            "sysr",
-            "sampling:S(id,0.5)",
-            "individual:histogram",
-            "sketch",
-            "individual:default",
-            "ip(id,p)",
-        ]
-        ranks = [trust_rank(p) for p in order]
-        assert ranks == sorted(ranks)
+        q = parse_query({"vertices": [{"id": "a"}]})
+        exact = PartialEstimate(c, 0.5, "z", "exact")
+        estimate = PartialEstimate(c, 0.3, "b", "estimate")
+        upper = PartialEstimate(c, 0.4, "a", "upper")
+        assert dedup_estimates([upper, exact, estimate], q) == [exact]
+        assert dedup_estimates([upper, estimate], q) == [estimate]
+        other = PartialEstimate(c, 0.2, "c", "estimate")
+        assert dedup_estimates([other, upper, estimate], q) == [estimate]

@@ -294,7 +294,7 @@ def test_backtracker_expansions_pinned(name, count, expansions):
         matcher = graph._Matcher(g, q, isomorphic, 10**8)
         assert matcher.count() == count
         assert matcher.expansions == expansions
-        g._label_index()
+        g.derived(graph._LabelIndex)
 
 
 class TestLabelIndex:
@@ -302,7 +302,7 @@ class TestLabelIndex:
         g = random_graph(random.Random(4), n_vertices=6, n_edges=9)
         vf, ef = tmp_path / "v.jsonl", tmp_path / "e.jsonl"
         save_graph(g, str(vf), str(ef))
-        assert load_graph(str(vf), str(ef))._index is None
+        assert graph._LabelIndex not in load_graph(str(vf), str(ef))._derived
 
     def test_built_once_by_the_tree_counter(self, movie_query, two_chain_query):
         g = random_graph(random.Random(8), n_vertices=8, n_edges=12)
@@ -313,18 +313,18 @@ class TestLabelIndex:
             exact_matches(g, two_chain_query, semantics="isomorphic")
             assert build.call_count == 0
             exact_matches(g, two_chain_query)
-            index = g._index
+            index = g.derived(graph._LabelIndex)
             exact_matches(g, movie_query)
             exact_matches(g, two_chain_query)
+            assert g.derived(graph._LabelIndex) is index
         assert build.call_count == 1
-        assert g._index is index
 
     def test_content(self):
         g = PropertyGraph(
             [("v0", ["a"], {}), ("v1", ["a", "b"], {}), ("v2", [], {})],
             [("e0", "v1", "v0", ["a"], {}), ("e1", "v0", "v1", ["a", "b"], {}), ("e2", "v1", "v1", ["a"], {})],
         )
-        index = g._label_index()
+        index = g.derived(graph._LabelIndex)
         assert index.vertices == {"a": [0, 1], "b": [1]}
         assert index.edges == {"a": [3, 4, 5], "b": [4]}
         runs = {
@@ -344,7 +344,7 @@ class TestLabelIndex:
         twin = random_graph(random.Random(6), n_vertices=8, n_edges=12)
         fingerprint = g.fingerprint()
         exact_matches(g, movie_query)
-        assert g._index is not None and twin._index is None
+        assert graph._LabelIndex in g._derived and graph._LabelIndex not in twin._derived
         assert g.fingerprint() == fingerprint == twin.fingerprint()
         assert g == twin and twin == g
 

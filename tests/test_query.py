@@ -351,6 +351,15 @@ class TestPartialEstimate:
             PartialEstimate(c, 1.5)
         PartialEstimate(c, 0.5, "t")
 
+    def test_kind(self):
+        c = frozenset({Constraint.vertex("a")})
+        assert PartialEstimate(c, 0.5, "t").kind == "exact"
+        for kind in ("exact", "estimate", "upper"):
+            assert PartialEstimate(c, 0.5, "t", kind).kind == kind
+        for kind in ("lower", "Exact", "sketch", ""):
+            with pytest.raises(ValueError, match="unknown estimate kind"):
+                PartialEstimate(c, 0.5, "t", kind)
+
     def test_random_queries_enumerate_cleanly(self):
         rng = random.Random(5)
         for _ in range(20):
