@@ -47,7 +47,9 @@ class PropertyGraph:
     """Immutable property graph with adjacency indexes.
 
     Internally ids are ints: vertices are 0..n_vertices-1 and edges
-    n_vertices..n_ids-1.  External string names are kept for I/O.
+    n_vertices..n_ids-1.  External string names are kept for I/O.  Equal
+    label sets are one shared frozenset object.  The constructor reads
+    `vertices` and then `edges` once each, so either may be a generator.
     """
 
     __slots__ = (
@@ -73,20 +75,21 @@ class PropertyGraph:
         name_to_id: dict[str, int] = {}
         labels: list[frozenset[str]] = []
         props: list[dict[str, Scalar]] = []
+        shared: dict[frozenset[str], frozenset[str]] = {}
 
-        vertex_rows = list(vertices)
-        edge_rows = list(edges)
-        for name, labs, pr in vertex_rows:
+        # no list(): a record streamed from a file is freed once it has been read
+        for name, labs, pr in vertices:
             if name in name_to_id:
                 raise GraphIntegrityError(f"duplicate id {name!r}")
             name_to_id[name] = len(names)
             names.append(name)
-            labels.append(frozenset(labs))
+            fs = frozenset(labs)
+            labels.append(shared.setdefault(fs, fs))
             props.append(dict(pr))
         self.n_vertices = len(names)
 
         endpoints: list[tuple[int, int]] = []
-        for name, src, trg, labs, pr in edge_rows:
+        for name, src, trg, labs, pr in edges:
             if name in name_to_id:
                 raise GraphIntegrityError(f"duplicate id {name!r}")
             if src not in name_to_id or name_to_id[src] >= self.n_vertices:
@@ -95,7 +98,8 @@ class PropertyGraph:
                 raise GraphIntegrityError(f"edge {name!r} references missing vertex {trg!r}")
             name_to_id[name] = len(names)
             names.append(name)
-            labels.append(frozenset(labs))
+            fs = frozenset(labs)
+            labels.append(shared.setdefault(fs, fs))
             props.append(dict(pr))
             endpoints.append((name_to_id[src], name_to_id[trg]))
         self.n_edges = len(endpoints)
@@ -267,13 +271,20 @@ class EdgeRecord(VertexRecord):
 
 
 _CHUNK = 128
+_DECODER = json.JSONDecoder()
 
 
 def _read_records(path: str, form: type) -> Iterable[dict]:
     """The records of one line-delimited JSON file, each checked against
-    `form`; a malformed line raises GraphFormatError naming it.  Records
-    are checked _CHUNK at a time: holding every parsed line until the end
-    made the garbage collector's passes cost more than the check."""
+    `form`; a malformed line raises GraphFormatError naming it.
+
+    The records are yielded as they are read, and checked _CHUNK at a
+    time, so that few of them are alive at once: a parsed record that
+    outlives a few young-generation collections is promoted, and enough
+    promoted objects start a full collection, which traverses the whole
+    heap.  Each line is decoded by the C scanner alone; a line that it
+    rejects, or that has text after its value, is decoded again by
+    json.loads for json.loads's own error."""
     chunk: list = []
     linenos: list[int] = []
 
@@ -292,9 +303,15 @@ def _read_records(path: str, form: type) -> Iterable[dict]:
                 if not line:
                     continue
                 try:
-                    chunk.append(json.loads(line))
+                    try:
+                        rec, end = _DECODER.raw_decode(line)
+                    except json.JSONDecodeError:
+                        end = -1
+                    if end != len(line):
+                        rec = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise GraphFormatError(f"{path}:{lineno}: {exc}") from exc
+                chunk.append(rec)
                 linenos.append(lineno)
                 if len(chunk) == _CHUNK:
                     yield from checked()
@@ -305,15 +322,22 @@ def _read_records(path: str, form: type) -> Iterable[dict]:
 
 
 def load_graph(vertex_file: str, edge_file: str) -> PropertyGraph:
-    """Load a graph from line-delimited JSON vertex and edge files."""
-    vertices = [
+    """Load a graph from line-delimited JSON vertex and edge files.
+
+    The records stream into the graph, the vertex file's first, and a
+    duplicate id or a dangling edge raises when the graph reads it.  So
+    any error in the vertex file raises before the edge file is opened
+    (a duplicate vertex id wins over a missing edge file), and within a
+    file a record's integrity error wins over the format errors of later
+    chunks of _CHUNK lines."""
+    vertices = (
         (rec["id"], rec.get("labels", ()), rec.get("props", {}))
         for rec in _read_records(vertex_file, VertexRecord)
-    ]
-    edges = [
+    )
+    edges = (
         (rec["id"], rec["src"], rec["trg"], rec.get("labels", ()), rec.get("props", {}))
         for rec in _read_records(edge_file, EdgeRecord)
-    ]
+    )
     return PropertyGraph(vertices, edges)
 
 

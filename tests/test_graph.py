@@ -83,6 +83,63 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match=":2"):
             load_graph(str(vf), str(ef))
 
+    @pytest.mark.parametrize(
+        "line",
+        ['{"id": "g1"} {"id": "g2"}', '\ufeff{"id": "g1"}', "3"],
+        ids=["trailing-data", "bom", "bare-number"],
+    )
+    def test_undecodable_line_keeps_json_loads_error(self, tmp_path, line):
+        """A line that the fast decoder rejects, or that holds more than
+        one value, reports json.loads's own error for it."""
+        vf, ef = tmp_path / "v.jsonl", tmp_path / "e.jsonl"
+        write_lines(vf, ['{"id": "g0"}', line])
+        write_lines(ef, [])
+        try:
+            message = f"expected object, got {json.loads(line)!r}"
+        except json.JSONDecodeError as exc:
+            message = str(exc)
+        with pytest.raises(GraphFormatError) as info:
+            load_graph(str(vf), str(ef))
+        assert str(info.value) == f"{vf}:2: {message}"
+
+    def test_vertex_error_before_edge_file_opens(self, tmp_path):
+        """Records stream into the graph, vertices first, so a duplicate
+        vertex id raises before a missing edge file is noticed."""
+        vf = tmp_path / "v.jsonl"
+        write_lines(vf, ['{"id": "g1"}', '{"id": "g1"}'])
+        with pytest.raises(GraphIntegrityError, match="duplicate id 'g1'"):
+            load_graph(str(vf), str(tmp_path / "missing.jsonl"))
+
+    def test_label_sets_shared(self, tmp_path):
+        """Equal label sets are one frozenset object, in a loaded graph and
+        in a generated one."""
+        spec = GraphSpec(
+            n_vertices=40,
+            n_edges=120,
+            vertex_labels=("A", "B"),
+            edge_labels=("a", "b"),
+            vertex_label_prob=0.7,
+            edge_label_prob=0.7,
+        )
+        g = generate_graph(spec, seed=3)
+        vf, ef = tmp_path / "v.jsonl", tmp_path / "e.jsonl"
+        save_graph(g, str(vf), str(ef))
+        for h in (g, load_graph(str(vf), str(ef))):
+            sets = [h.labels_of(i) for i in range(h.n_ids)]
+            assert len({id(s) for s in sets}) == len(set(sets)) == 5
+
+    def test_one_shot_inputs(self):
+        """A graph built from generators equals one built from lists."""
+        rng = random.Random(11)
+        g = random_graph(rng, n_vertices=7, n_edges=12)
+        vertices = [(g.names[v], sorted(g.labels_of(v)), g.props_of(v)) for v in g.vertices]
+        edges = [
+            (g.names[e], *(g.names[x] for x in g.endpoints(e)), sorted(g.labels_of(e)), g.props_of(e))
+            for e in g.edges
+        ]
+        once = PropertyGraph(iter(vertices), (row for row in edges))
+        assert once.fingerprint() == PropertyGraph(vertices, edges).fingerprint() == g.fingerprint()
+
     def test_round_trip(self, tmp_path):
         rng = random.Random(7)
         g = random_graph(rng, n_vertices=6, n_edges=8)
