@@ -31,6 +31,7 @@ from .query import (
     shape_mask,
 )
 from .stats import (
+    Member,
     StatisticsCatalog,
     WILDCARD,
     histogram_estimate,
@@ -99,8 +100,7 @@ def individual_prop_estimate(
                 return _count_sel(est, n_ids, 1), "individual:histogram", "estimate"
         sample = catalog.sample("id")
         if sample is not None and sample.members:
-            hits = sum(1 for m in sample.members if satisfies((c,), m["labels"], m["props"]))
-            return hits / len(sample.members), "individual:sample", "estimate"
+            return _hits(sample.members, (c,)) / len(sample.members), "individual:sample", "estimate"
     return _DEFAULT_SELECTIVITY.get(c.op, DEFAULT_OTHER_SELECTIVITY), "individual:default", "estimate"
 
 
@@ -401,6 +401,14 @@ def char_set_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[Part
 # Sampling
 
 
+def _hits(members: list[Member], *checks: Iterable[Constraint]) -> int:
+    """How many members meet checks[0] on their record, then checks[1] on `src` and checks[2] on `trg`."""
+    for check, slot in zip(checks, (None, "src", "trg")):
+        records = members if slot is None else [m[slot] for m in members]
+        members = [m for m, r in zip(members, records) if satisfies(check, r["labels"], r["props"])]
+    return len(members)
+
+
 def sample_estimates(
     q: QueryPattern,
     catalog: StatisticsCatalog,
@@ -441,29 +449,17 @@ def sample_estimates(
                     members = by_kind[kind] = [m for m in sample.members if m["kind"] == kind]
                 if not members:
                     continue
-                hits = sum(1 for m in members if satisfies(groups[i], m["labels"], m["props"]))
                 population = basic.n_vertices if is_vertex else basic.n_edges
-                sel = (hits / len(members)) * _count_sel(population, n_ids_g, 1)
+                sel = (_hits(members, groups[i]) / len(members)) * _count_sel(population, n_ids_g, 1)
                 out.append(cq.estimate(cq.within((i,)), _clamp(sel), tag, "estimate"))
 
         elif sample.pattern_type == "edge_pattern":
             for e in sorted(q.edges):
                 s, t = q.endpoints[e]
                 loop = s == t
-                data_e = groups.get(e, frozenset())
-                data_s = groups.get(s, frozenset())
-                data_t = groups.get(t, frozenset())
-                hits = 0
-                for m in sample.members:
-                    if loop and not m.get("loop"):
-                        continue
-                    if not satisfies(data_e, m["labels"], m["props"]):
-                        continue
-                    if not satisfies(data_s, m["src"]["labels"], m["src"]["props"]):
-                        continue
-                    if not loop and not satisfies(data_t, m["trg"]["labels"], m["trg"]["props"]):
-                        continue
-                    hits += 1
+                # a loop member's trg is its src, so checking it again moves no hit
+                members = [m for m in sample.members if m.get("loop")] if loop else sample.members
+                hits = _hits(members, *(groups.get(i, frozenset()) for i in (e, s, t)))
                 sel = (hits / len(sample.members)) * _count_sel(basic.n_edges, n_ids_g, 2 if loop else 3)
                 out.append(cq.estimate(cq.within((e, s, t)), _clamp(sel), tag, "estimate"))
     return out

@@ -2,25 +2,28 @@
 
 Graphs are immutable after construction and safe for unsynchronized
 concurrent reads.  Element ids are opaque strings in files and densely
-re-numbered to integers internally (vertices first, then edges).
+re-numbered to integers internally (vertices first, then edges).  Each
+graph has one element layout (`_Elements`), built on first use through
+`PropertyGraph.derived`; the adjacency lists, the oracle's label index
+and the statistics builders all read it.
 
 The oracle counts acyclic patterns bottom-up over the query tree
 (`_count_forest`) and backtracks over the matches of every other
 pattern (`_Matcher`).  The bottom-up count takes its candidates from
 the graph's label index (`_LabelIndex`), which the first such count
-builds and the graph keeps through `PropertyGraph.derived`: the ids
-that carry each label, and each edge label's out- and in-adjacency.
-Two threads that race to build a derived value build equal ones, and
-either may be kept.
+builds: the ids that carry each label, and each edge label's out- and
+in-adjacency.  Two threads that race to build a derived value build
+equal ones, and either may be kept.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
-from array import array
-from bisect import bisect_left
-from typing import Any, Callable, Iterable, Optional, TypedDict, TypeVar
+from typing import Any, Callable, Iterable, NamedTuple, Optional, TypedDict, TypeVar
+
+import numpy as np
 
 from .fileform import FormError, MissingKey, codec
 from .query import Constraint, ConstraintKind, QueryPattern, Scalar, data_constraints_by_id, satisfies
@@ -60,8 +63,6 @@ class PropertyGraph:
         "_endpoints",
         "_labels",
         "_props",
-        "_out",
-        "_in",
         "_fingerprint",
         "_derived",
     )
@@ -109,15 +110,6 @@ class PropertyGraph:
         self._endpoints = tuple(endpoints)
         self._labels = tuple(labels)
         self._props = tuple(props)
-
-        out: dict[int, list[int]] = {}
-        inn: dict[int, list[int]] = {}
-        for k, (s, t) in enumerate(endpoints):
-            e = self.n_vertices + k
-            out.setdefault(s, []).append(e)
-            inn.setdefault(t, []).append(e)
-        self._out = out
-        self._in = inn
         self._fingerprint: Optional[str] = None
         self._derived: dict[Callable[[PropertyGraph], Any], Any] = {}
 
@@ -157,12 +149,12 @@ class PropertyGraph:
         return self._name_to_id[name]
 
     def out_edges(self, v: int) -> list[int]:
-        """Edges whose source is v."""
-        return self._out.get(v, [])
+        """Edges whose source is v, ascending; [] if v is no vertex."""
+        return self.derived(_adjacency)[0][v] if 0 <= v < self.n_vertices else []
 
     def in_edges(self, v: int) -> list[int]:
-        """Edges whose target is v."""
-        return self._in.get(v, [])
+        """Edges whose target is v, ascending; [] if v is no vertex."""
+        return self.derived(_adjacency)[1][v] if 0 <= v < self.n_vertices else []
 
     # -- content hash --------------------------------------------------------
 
@@ -178,9 +170,8 @@ class PropertyGraph:
 
     def derived(self, build: Callable[["PropertyGraph"], _T]) -> _T:
         """build(self), computed on the first call with that function and
-        kept with the graph, which never changes: the statistics builders
-        share their per-element arrays this way, and the oracle its label
-        index."""
+        kept with the graph, which never changes: its element layout, the
+        adjacency lists and the oracle's label index."""
         if build not in self._derived:
             self._derived[build] = build(self)
         return self._derived[build]
@@ -192,45 +183,82 @@ class PropertyGraph:
         return f"PropertyGraph(|V|={self.n_vertices}, |E|={self.n_edges})"
 
 
+class _Elements(NamedTuple):
+    """The graph's element layout: each element's label set as an id into
+    `sets`, the distinct label sets, every edge's source and target in
+    edge order, and the edges grouped by source (`out`) and by target
+    (`into`) as `_runs` of those arrays.  Built once, so read-only."""
+
+    of: np.ndarray
+    sets: list[frozenset[str]]
+    src: np.ndarray
+    trg: np.ndarray
+    out: tuple[np.ndarray, np.ndarray]
+    into: tuple[np.ndarray, np.ndarray]
+
+
+def _elements(g: PropertyGraph) -> _Elements:
+    ids: dict[frozenset[str], int] = {}
+    of = np.fromiter((ids.setdefault(labels, len(ids)) for labels in g._labels), np.int64, g.n_ids)
+    src, trg = np.fromiter(itertools.chain.from_iterable(g._endpoints), np.int64, 2 * g.n_edges).reshape(-1, 2).T
+    layout = _Elements(of, list(ids), src, trg, _runs(src, g.n_vertices), _runs(trg, g.n_vertices))
+    for a in (of, src, trg, *layout.out, *layout.into):
+        a.flags.writeable = False
+    return layout
+
+
+def _runs(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets of every key's run, for keys in 0..n-1, and the
+    positions of `keys` ordered by key, stably: the positions of key k
+    are positions[offsets[k] : offsets[k + 1]], ascending."""
+    offsets = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=offsets[1:])
+    return offsets, np.argsort(keys, kind="stable")
+
+
+def _listed(a: np.ndarray, ints: list[int]) -> list[int]:
+    """The values of `a` as the objects at those positions of `ints`, so
+    that the lists built from one `ints` hold each int once."""
+    return list(map(ints.__getitem__, a.tolist()))
+
+
+def _adjacency(g: PropertyGraph) -> list[list[list[int]]]:
+    """Each vertex's out-edges and in-edges, cut once from the layout."""
+    layout, edge, lists = g.derived(_elements), list(g.edges), []
+    for offsets, positions in (layout.out, layout.into):
+        ids, bounds = _listed(positions, edge), offsets.tolist()
+        lists.append([ids[bounds[v] : bounds[v + 1]] for v in g.vertices])
+    return lists
+
+
 class _LabelIndex:
     """Per label, the ascending ids of the vertices and of the edges that
     carry it, and per edge label the adjacency restricted to it.
 
     `out_of[label]` is (offsets, ids): the edges with that label whose
     source is v are ids[offsets[v]:offsets[v + 1]], ascending.  `into`
-    holds the same by target.  The lists share the edge-id ints of the
-    graph's adjacency lists, and the offsets are arrays of C ints.
+    holds the same by target.  All are lists of ints, derived from the
+    graph's element layout, that hold each int once.
     """
 
     __slots__ = ("vertices", "edges", "out_of", "into")
 
     def __init__(self, g: PropertyGraph) -> None:
-        n = g.n_vertices
-        self.vertices = _by_label(g.vertices, g._labels)
-        # the adjacency lists' edge ids, so that the index copies no int
-        self.edges = _by_label(sorted(e for es in g._out.values() for e in es), g._labels)
-        # every edge's source and target, indexed by edge id
-        self.out_of = _grouped(self.edges, [0] * n + [s for s, _ in g._endpoints], n)
-        self.into = _grouped(self.edges, [0] * n + [t for _, t in g._endpoints], n)
+        n, layout, ints = g.n_vertices, g.derived(_elements), list(range(g.n_ids + 1))
+        edges = _ids_by_label(layout.of[n:], layout.sets)
+        self.vertices = {a: _listed(ids, ints) for a, ids in _ids_by_label(layout.of[:n], layout.sets).items()}
+        self.edges = {a: _listed(ids + n, ints) for a, ids in edges.items()}
+        self.out_of, self.into = {}, {}
+        for a, ids in edges.items():
+            for by_end, ends in ((self.out_of, layout.src), (self.into, layout.trg)):
+                offsets, order = _runs(ends[ids], n)
+                by_end[a] = _listed(offsets, ints), _listed(ids[order] + n, ints)
 
 
-def _by_label(ids: Iterable[int], labels: tuple[frozenset[str], ...]) -> dict[str, list[int]]:
-    out: dict[str, list[int]] = {}
-    for i in ids:
-        for a in labels[i]:
-            out.setdefault(a, []).append(i)
-    return out
-
-
-def _grouped(edges: dict[str, list[int]], end: list[int], n: int) -> dict[str, tuple[array, list[int]]]:
-    """Each label's edges ordered by their vertex end[e] (stably, so each
-    vertex's run stays ascending), with the offsets of every run."""
-    grouped: dict[str, tuple[array, list[int]]] = {}
-    for a, ids in edges.items():
-        run = sorted(ids, key=end.__getitem__)
-        keys = [end[e] for e in run]
-        grouped[a] = (array("i", [bisect_left(keys, v) for v in range(n + 1)]), run)
-    return grouped
+def _ids_by_label(of: np.ndarray, sets: list[frozenset[str]]) -> dict[str, np.ndarray]:
+    """Per label, the ascending positions in `of` of the label sets that carry it."""
+    carrying = {a: np.flatnonzero(np.array([a in s for s in sets], bool)[of]) for a in set().union(*sets)}
+    return {a: ids for a, ids in carrying.items() if len(ids)}
 
 
 # the compact, key-sorted JSON text of a record, as json.dumps writes it
@@ -565,8 +593,8 @@ def _count_forest(g: PropertyGraph, q: QueryPattern) -> int:
                 cands = g.edges if label is None else index.edges.get(label, ())
                 weighted = ((e, 1) for e in cands)
             elif label is None:
-                walk = g._in if far == 0 else g._out
-                weighted = ((e, c) for y, c in f.items() for e in walk.get(y, ()))
+                runs = g.derived(_adjacency)[1 - far]
+                weighted = ((e, c) for y, c in f.items() for e in runs[y])
             elif label not in index.edges:
                 weighted = ()
             else:

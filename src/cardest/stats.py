@@ -4,7 +4,9 @@ Builders scan an immutable graph and produce exact summaries: basic
 counts, labeled topological synopses, per-edge-pattern join statistics,
 characteristic sets, bound sketches, samples, and histograms.  The whole
 bundle persists as a single JSON file tied to the source graph by a
-content fingerprint.
+content fingerprint.  The label counts, the synopses, SysR and the bound
+sketch read the graph's one element layout (`graph._Elements`): label-set
+ids, edge endpoints and the edges grouped by source and by target.
 
 Each section is a dataclass whose file form follows its field
 annotations: `to_dict` and `from_dict` come from one codec
@@ -23,17 +25,16 @@ JSON arrays so arbitrary label strings stay unambiguous.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypedDict, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypedDict, Union
 
 import numpy as np
 
 from .fileform import FormError, MissingKey, codec, require, stored
-from .graph import PropertyGraph
+from .graph import PropertyGraph, _elements
 from .query import PredicateKind, Scalar, predicate_holds
 
 WILDCARD = "*"
@@ -134,19 +135,21 @@ def build_basic(
     prop_exact_triples: Iterable[tuple[str, Union[str, PredicateKind], Any]] = (),
 ) -> BasicStats:
     """Exact element counts plus, optionally, exact counts for configured
-    (key, op, value) triples."""
-    label_sel: dict[str, list[int]] = {}
-    key_sel: dict[str, int] = {}
-    for i in range(g.n_ids):
-        slot = 0 if g.is_vertex(i) else 1
-        for l in g.labels_of(i):
-            label_sel.setdefault(l, [0, 0])[slot] += 1
-        for k in g.props_of(i):
-            key_sel[k] = key_sel.get(k, 0) + 1
+    (key, op, value) triples; an IN triple's value must be a list."""
+    layout, n = g.derived(_elements), g.n_vertices
+    per_set = (np.bincount(of, minlength=len(layout.sets)).tolist() for of in (layout.of[:n], layout.of[n:]))
+    label_sel: dict[str, tuple[int, int]] = {}
+    for labels, v, e in zip(layout.sets, *per_set):
+        for l in labels:
+            lv, le = label_sel.get(l, (0, 0))
+            label_sel[l] = (lv + v, le + e)
+    key_sel = dict(Counter(k for i in range(g.n_ids) for k in g.props_of(i)))
 
     prop_exact: dict[tuple[str, str, Any], int] = {}
     for key, op, value in prop_exact_triples:
         kind = op if isinstance(op, PredicateKind) else PredicateKind.from_op(op)
+        if kind is PredicateKind.IN and not isinstance(value, (list, tuple)):
+            raise ValueError(f"IN predicate on {key!r} needs a list value")
         value = _freeze(value)
         n = 0
         for i in range(g.n_ids):
@@ -159,7 +162,7 @@ def build_basic(
         n_vertices=g.n_vertices,
         n_edges=g.n_edges,
         n_ids=g.n_ids,
-        label_sel={l: (c[0], c[1]) for l, c in label_sel.items()},
+        label_sel=label_sel,
         key_sel=key_sel,
         prop_exact=prop_exact,
     )
@@ -192,26 +195,6 @@ class LabeledTopoSynopsis(_Section):
 
     def count_star(self, center: str, branches: Iterable[tuple[str, str]]) -> Optional[int]:
         return self.counts.get(star_key(center, branches))
-
-
-class _Elements(NamedTuple):
-    """Each element's label set as an id into `sets`, the distinct label
-    sets, and every edge's source and target, in edge order.  Built once
-    per graph (PropertyGraph.derived) for the edge, chain, SysR and
-    sketch builders, so the arrays are read-only."""
-
-    of: np.ndarray
-    sets: list[frozenset[str]]
-    src: np.ndarray
-    trg: np.ndarray
-
-
-def _elements(g: PropertyGraph) -> _Elements:
-    ids: dict[frozenset[str], int] = {}
-    of = np.fromiter((ids.setdefault(g.labels_of(i), len(ids)) for i in range(g.n_ids)), np.int64, g.n_ids)
-    ends = np.fromiter(itertools.chain.from_iterable(map(g.endpoints, g.edges)), np.int64, 2 * g.n_edges)
-    of.flags.writeable = ends.flags.writeable = False
-    return _Elements(of, list(ids), ends[0::2], ends[1::2])
 
 
 def _positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -285,7 +268,7 @@ def _keys(signatures: np.ndarray, sets: Sequence[frozenset[str]]) -> tuple[list[
 def _chain_counts(g: PropertyGraph, max_size: int) -> dict[str, int]:
     """The chain synopsis's counts by key (see build_labeled_synopsis)."""
     n = g.n_vertices
-    of, sets, src, trg = g.derived(_elements)
+    of, sets, src, trg, (offsets, by_source), _ = g.derived(_elements)
     # no count below exceeds the number of walks of its size, and the
     # float sums of those numbers err by far less than the factor 2 that
     # 2**62 leaves below int64's limit
@@ -296,10 +279,8 @@ def _chain_counts(g: PropertyGraph, max_size: int) -> dict[str, int]:
     dtype = np.int64 if most < 2**62 else object
     # each edge's step (L(edge), L(target)) as a row of steps; edges by source
     steps, step = _extended(np.arange(len(sets))[:, None], of[n:] * len(sets) + of[trg], len(sets))
-    by_source = np.argsort(src, kind="stable")
     step, trg = step[by_source], trg[by_source]
-    degree = np.bincount(src, minlength=n)
-    first = np.cumsum(degree) - degree
+    first, degree = offsets[:-1], np.diff(offsets)
     # walk states: end vertex, signature (a row of signatures: L(v0), then
     # a step per edge) and the number of walks
     end, sig, count = np.arange(n), of[:n], np.ones(n, dtype)
@@ -336,7 +317,7 @@ def _edge_pattern_degrees(g: PropertyGraph) -> Iterator[tuple[str, list[tuple[np
     of its own edges' vertices, and a key sums those of the signatures it
     matches, one key at a time, so no vertex-length array outlives its key."""
     n = g.n_vertices
-    of, sets, src, trg = g.derived(_elements)
+    of, sets, src, trg, _, _ = g.derived(_elements)
     pairs, pair = _extended(np.arange(len(sets))[:, None], of[src] * len(sets) + of[n:], len(sets))
     signatures, sig = _extended(pairs, pair * len(sets) + of[trg], len(sets))
     # per role, each signature's (vertex, degree) pairs, signature after signature
@@ -382,37 +363,29 @@ def _multiset_sums(m: np.ndarray, max_size: int) -> Iterator[tuple[tuple[int, ..
 
 def _star_counts(g: PropertyGraph, outgoing: bool, max_size: int) -> dict[str, int]:
     """The star synopsis's counts by key (see build_labeled_synopsis)."""
-    # each edge's center and the label sets of its branch (L(e), L(other end))
-    centers: list[int] = []
-    branches: list[tuple[frozenset[str], frozenset[str]]] = []
-    for e in g.edges:
-        s, t = g.endpoints(e)
-        centers.append(s if outgoing else t)
-        branches.append((g.labels_of(e), g.labels_of(t if outgoing else s)))
-    descriptors = {b: list(itertools.product(*map(_label_options, b))) for b in set(branches)}
-    columns = sorted({d for ds in descriptors.values() for d in ds})
-    index = {d: j for j, d in enumerate(columns)}
-    width = len(columns)
-    cells = [c * width + index[d] for c, b in zip(centers, branches) for d in descriptors[b]]
+    n = g.n_vertices
+    of, sets, src, trg, _, _ = g.derived(_elements)
+    center, other = (src, trg) if outgoing else (trg, src)
+    # each edge's branch (L(e), L(other end)) as descriptor columns, sorted as star keys sort them
+    texts, edge, descriptor = _keys(np.column_stack([of[n:], of[other]]), sets)
+    order = sorted(range(len(texts)), key=lambda j: json.loads(texts[j]))
+    texts, width = [texts[j] for j in order], len(texts)
+    cells = center[edge] * width + np.argsort(order)[descriptor]
     # center x descriptor: the center's incident edges that match it
-    delta = np.bincount(cells, minlength=g.n_vertices * width).reshape(g.n_vertices, width)
-    degree = np.bincount(centers, minlength=g.n_vertices).tolist()
+    delta = np.bincount(cells, minlength=n * width).reshape(n, width)
+    degree = np.bincount(center, minlength=n)
     # no sum or product below exceeds sum(deg(v) ** max_size)
-    if sum(d**max_size for d in degree) >= 2**63:
+    if sum(d**max_size for d in degree.tolist()) >= 2**63:
         delta = delta.astype(object)
-    groups: dict[frozenset[str], list[int]] = {}
-    for v, d in enumerate(degree):
-        if d:
-            groups.setdefault(g.labels_of(v), []).append(v)
-    texts = [_compact(list(d)) for d in columns]
+    centers = np.flatnonzero(degree)
     counts: dict[str, int] = {}
-    for labels, rows in groups.items():
-        center_options = [_compact(lc) for lc in _label_options(labels)]
-        for multiset, n in _multiset_sums(delta[rows], max_size):
+    for s in np.unique(of[centers]).tolist():
+        center_options = [_compact(lc) for lc in _label_options(sets[s])]
+        for multiset, n_matches in _multiset_sums(delta[centers[of[centers] == s]], max_size):
             parts = [texts[j] for j in multiset]
-            for center in center_options:
-                key = _star_text(center, parts)
-                counts[key] = counts.get(key, 0) + n
+            for center_text in center_options:
+                key = _star_text(center_text, parts)
+                counts[key] = counts.get(key, 0) + n_matches
     return counts
 
 
@@ -423,23 +396,23 @@ def build_labeled_synopsis(g: PropertyGraph, klass: str, max_size: int = 1) -> L
     Chains (an edge is a 1-chain) count walks by a sparse DP over numpy
     arrays.  A walk state is an end vertex, a signature (L(v0), then
     L(e), L(v) per edge, as an id) and a count.  Each step joins the
-    states with their end vertex's out-edges through CSR offsets by
-    source, re-indexes the longer signatures so that their ids stay
-    dense however many label sets occur, and merges the states that
+    states with their end vertex's out-edges, grouped by source in the
+    graph's layout, re-indexes the longer signatures so that their ids
+    stay dense however many label sets occur, and merges the states that
     share their end vertex and signature by an exact sum.  Each size's
     signatures expand into their label/wildcard combinations by the same
     re-indexed joins, and a key counts the walks of every signature it
     matches.  Stars count from one matrix: a row per center with
     incident edges, a column per branch descriptor (an (L(e) option,
-    L(other end) option) pair, sorted) holding the center's incident
-    edges that match it.  Per center label set, a depth-first walk over
-    the sorted descriptor multisets multiplies the prefix's per-row
-    product by the remaining columns and sums over the rows in one numpy
-    call, descending only into nonzero sums; each sum counts for every
-    label option of the center.  Counts are exact: chains count in int64
-    while the walks of every size number below 2**62, and the star
-    matrix holds int64 when sum(deg(v) ** max_size) fits; both count in
-    Python ints otherwise.
+    L(other end) option) pair, expanded by the same joins, sorted)
+    holding the center's incident edges that match it.  Per center
+    label set, a depth-first walk over the sorted descriptor multisets
+    multiplies the prefix's per-row product by the remaining columns and
+    sums over the rows in one numpy call, descending only into nonzero
+    sums; each sum counts for every label option of the center.  Counts
+    are exact: chains count in int64 while the walks of every size
+    number below 2**62, and the star matrix holds int64 when
+    sum(deg(v) ** max_size) fits; both count in Python ints otherwise.
     """
     if klass not in SYNOPSIS_CLASSES:
         raise ValueError(f"unknown synopsis class: {klass!r}")
@@ -758,13 +731,15 @@ def build_histogram(
 
     Numeric values get range buckets (equi-width or equi-depth); if any
     value is non-numeric the key is summarized by PREFIX_LEN-character
-    string prefixes instead.  An absent key yields an empty histogram.
+    string prefixes instead.  A None value satisfies no value predicate
+    (`query.satisfies`), so it is left out.  An absent key, or one that
+    holds only None, yields an empty histogram.
     """
     if kind not in ("equi_width", "equi_depth"):
         raise ValueError(f"unknown histogram kind: {kind!r}")
     if n_buckets < 1:
         raise ValueError("n_buckets must be >= 1")
-    values = [g.prop(i, key) for i in range(g.n_ids) if key in g.props_of(i)]
+    values = [v for i in range(g.n_ids) if (v := g.prop(i, key)) is not None]
     if not values:
         return Histogram(key, kind, "numeric", 0, [])
     if all(_is_number(v) for v in values):

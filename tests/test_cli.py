@@ -97,6 +97,7 @@ class TestStatsBuild:
             ("--histogram", "k1:bogus", "unknown histogram kind: 'bogus'"),
             ("--histogram", "k1:equi_width:0", "n_buckets must be >= 1"),
             ("--md-histogram", "k1", "md histogram takes 2..3 keys"),
+            ("--prop-exact", "k1:IN:3", "IN predicate on 'k1' needs a list value"),
         ],
     )
     def test_builder_rejection_reported(self, rich_graph_dir, tmp_path, capsys, flag, value, message):

@@ -421,6 +421,68 @@ class TestAdjacency:
         assert collected == sorted(g.edges)
 
 
+@st.composite
+def layout_graphs(draw):
+    """Graphs with isolated vertices, self-loops, parallel edges, and
+    unlabelled and multi-labelled elements."""
+    labels = st.lists(st.sampled_from("abc"), max_size=3)
+    n_vertices = draw(st.integers(0, 6))
+    vertices = [(f"v{i}", draw(labels), {}) for i in range(n_vertices)]
+    edges = []
+    if n_vertices:
+        ends = st.integers(0, n_vertices - 1)
+        for j in range(draw(st.integers(0, 12))):
+            edges.append((f"e{j}", f"v{draw(ends)}", f"v{draw(ends)}", draw(labels), {}))
+    return PropertyGraph(vertices, edges)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(layout_graphs())
+def test_layout_matches_brute_force(g):
+    """The element layout, the adjacency lists and the label index agree
+    with a scan of every element's labels and endpoints, and every id they
+    hand out is an int, so the tree counter's sums stay unbounded."""
+    n = g.n_vertices
+    layout = g.derived(graph._elements)
+    assert [layout.sets[s] for s in layout.of.tolist()] == list(g._labels)
+    assert len(set(layout.sets)) == len(layout.sets)
+    assert list(zip(layout.src.tolist(), layout.trg.tolist())) == list(g._endpoints)
+
+    def at(end, v, ids):
+        return [e for e in ids if g._endpoints[e - n][end] == v]
+
+    for (offsets, positions), end in ((layout.out, 0), (layout.into, 1)):
+        runs = [positions[offsets[v] : offsets[v + 1]] + n for v in g.vertices]
+        assert [r.tolist() for r in runs] == [at(end, v, g.edges) for v in g.vertices]
+    assert [g.out_edges(v) for v in g.vertices] == [at(0, v, g.edges) for v in g.vertices]
+    assert [g.in_edges(v) for v in g.vertices] == [at(1, v, g.edges) for v in g.vertices]
+    for v in (-1, n, g.n_ids, g.n_ids + 1):
+        assert g.out_edges(v) == [] and g.in_edges(v) == []
+
+    index = g.derived(graph._LabelIndex)
+
+    def carrying(ids):
+        out = {}
+        for i in ids:
+            for a in g._labels[i]:
+                out.setdefault(a, []).append(i)
+        return out
+
+    assert index.vertices == carrying(g.vertices)
+    assert index.edges == carrying(g.edges)
+    handed = [g.out_edges(v) + g.in_edges(v) for v in g.vertices]
+    handed += [*index.vertices.values(), *index.edges.values()]
+    for by_end, end in ((index.out_of, 0), (index.into, 1)):
+        assert by_end.keys() == index.edges.keys()
+        for a, (offsets, ids) in by_end.items():
+            assert len(offsets) == n + 1
+            assert [ids[offsets[v] : offsets[v + 1]] for v in g.vertices] == [
+                at(end, v, index.edges[a]) for v in g.vertices
+            ]
+            handed += [offsets, ids]
+    assert all(type(i) is int for ids in handed for i in ids)
+
+
 # Scalars that meet across types: bool against int, str against number.
 SCALARS = st.sampled_from([True, False, 0, 1, 1.0, 1.5, "", "1", "a", "ab", "b"])
 

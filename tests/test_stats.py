@@ -191,6 +191,16 @@ class TestSynopses:
         q = star_query_from_key("*", [["a", "t"], ["a", "t"]], outgoing=True)
         assert exact_matches(g, q) == 4
 
+    def test_star_branches_sorted_as_label_pairs(self):
+        # ("a", "z") sorts before ("a!", "c"), but the JSON text ["a!","c"]
+        # sorts before ["a","z"]: keys follow star_key's order
+        g = PropertyGraph(
+            [("c", [], {}), ("x", ["z"], {}), ("y", ["c"], {})],
+            [("e0", "c", "x", ["a"], {}), ("e1", "c", "y", ["a!"], {})],
+        )
+        syn = build_labeled_synopsis(g, "source_star", 2)
+        assert syn.count_star("*", [("a", "z"), ("a!", "c")]) == 1
+
     def test_edge_counts_match_oracle(self):
         rng = random.Random(17)
         g = random_graph(rng, n_vertices=6, n_edges=9)
@@ -372,11 +382,13 @@ def test_chains_over_many_label_sets_match_brute_force():
 
 
 def test_catalog_builders_share_element_arrays():
-    """The edge, chain, SysR and sketch builders of one catalog read one
-    set of per-element arrays, which the graph keeps read-only."""
+    """The basic, edge, chain, star, SysR and sketch builders of one
+    catalog read one set of per-element arrays, which the graph keeps
+    read-only."""
     g = generate_graph(GraphSpec(60, 200), seed=4)
     with mock.patch.object(stats, "_elements", wraps=stats._elements) as elements:
-        build_catalog(g, synopses=[("edge", 1), ("chain", 2)], with_sysr=True, sketch_buckets=4)
+        synopses = [("edge", 1), ("chain", 2), ("source_star", 2), ("target_star", 2)]
+        build_catalog(g, synopses=synopses, with_sysr=True, sketch_buckets=4)
         build_labeled_synopsis(g, "chain", 3)
     elements.assert_called_once_with(g)
     of = g.derived(elements).of
@@ -757,6 +769,18 @@ class TestHistograms:
         h = build_histogram(g4, "nope")
         assert h.total == 0 and h.buckets == []
         assert histogram_estimate(h, PredicateKind.EQ, 5) == 0.0
+
+    def test_null_values_skipped(self):
+        # a null satisfies no value predicate, so it neither flips the key
+        # to the string-prefix domain nor counts in the total; key_sel
+        # still counts the key
+        g = PropertyGraph([(f"v{i}", [], {"k": k}) for i, k in enumerate([1, 5, None, 3])], [])
+        h = build_histogram(g, "k", "equi_depth", 2)
+        assert (h.domain, h.total) == ("numeric", 3)
+        assert histogram_estimate(h, PredicateKind.LEQ, 3) == 2.0
+        assert build_basic(g).key_sel == {"k": 4}
+        only_null = build_histogram(PropertyGraph([("v", [], {"k": None})], []), "k")
+        assert only_null.total == 0 and only_null.buckets == []
 
     def test_point_estimates(self):
         vertices = [(f"v{i}", [], {"x": i % 10}) for i in range(100)]
