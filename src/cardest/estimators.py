@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from typing import Any, Iterable, Iterator, Optional
 
-from .graph import PropertyGraph
+from .graph import PropertyGraph, allowed
 from .query import (
     Constraint,
     ConstraintKind,
@@ -522,7 +522,7 @@ def wander_join_estimate(
         steps.append((e, s, t, forward, forward and t in covered_ids))
         covered_ids.update((e, s, t))
     cq = q.compiled
-    data_checks = [(i, cs) for i, cs in sorted(cq.data_by_id.items()) if i in covered_ids]
+    data_checks = [(i, allowed(g, cs).tolist()) for i, cs in sorted(cq.data_by_id.items()) if i in covered_ids]
 
     rng = random.Random(seed)
     randrange = rng.randrange
@@ -549,8 +549,8 @@ def wander_join_estimate(
             m[s] = cgs
             m[t] = cgt
         else:
-            for i, cs in data_checks:
-                if not satisfies(cs, g.labels_of(m[i]), g.props_of(m[i])):
+            for i, ok in data_checks:
+                if not ok[m[i]]:
                     break
             else:
                 total += inv_prob

@@ -4,16 +4,19 @@ Graphs are immutable after construction and safe for unsynchronized
 concurrent reads.  Element ids are opaque strings in files and densely
 re-numbered to integers internally (vertices first, then edges).  Each
 graph has one element layout (`_Elements`), built on first use through
-`PropertyGraph.derived`; the adjacency lists, the oracle's label index
-and the statistics builders all read it.
+`PropertyGraph.derived`; the adjacency lists, the data masks and the
+statistics builders all read it.
 
-The oracle counts acyclic patterns bottom-up over the query tree
+A query id's data constraints select graph elements through one mask
+(`allowed`), a boolean array over all ids.  It decides labels once per
+distinct label set of the layout and key and value predicates once per
+distinct value of a key, which it reads from the graph's column view
+(`_columns`), built by the first mask that names a key.  The oracle
+counts acyclic patterns bottom-up over the query tree with numpy
 (`_count_forest`) and backtracks over the matches of every other
-pattern (`_Matcher`).  The bottom-up count takes its candidates from
-the graph's label index (`_LabelIndex`), which the first such count
-builds: the ids that carry each label, and each edge label's out- and
-in-adjacency.  Two threads that race to build a derived value build
-equal ones, and either may be kept.
+pattern (`_Matcher`); both check data constraints on the mask.  Two
+threads that race to build a derived value build equal ones, and either
+may be kept.
 """
 
 from __future__ import annotations
@@ -171,7 +174,7 @@ class PropertyGraph:
     def derived(self, build: Callable[["PropertyGraph"], _T]) -> _T:
         """build(self), computed on the first call with that function and
         kept with the graph, which never changes: its element layout, the
-        adjacency lists and the oracle's label index."""
+        adjacency lists and the column view."""
         if build not in self._derived:
             self._derived[build] = build(self)
         return self._derived[build]
@@ -231,34 +234,48 @@ def _adjacency(g: PropertyGraph) -> list[list[list[int]]]:
     return lists
 
 
-class _LabelIndex:
-    """Per label, the ascending ids of the vertices and of the edges that
-    carry it, and per edge label the adjacency restricted to it.
-
-    `out_of[label]` is (offsets, ids): the edges with that label whose
-    source is v are ids[offsets[v]:offsets[v + 1]], ascending.  `into`
-    holds the same by target.  All are lists of ints, derived from the
-    graph's element layout, that hold each int once.
-    """
-
-    __slots__ = ("vertices", "edges", "out_of", "into")
-
-    def __init__(self, g: PropertyGraph) -> None:
-        n, layout, ints = g.n_vertices, g.derived(_elements), list(range(g.n_ids + 1))
-        edges = _ids_by_label(layout.of[n:], layout.sets)
-        self.vertices = {a: _listed(ids, ints) for a, ids in _ids_by_label(layout.of[:n], layout.sets).items()}
-        self.edges = {a: _listed(ids + n, ints) for a, ids in edges.items()}
-        self.out_of, self.into = {}, {}
-        for a, ids in edges.items():
-            for by_end, ends in ((self.out_of, layout.src), (self.into, layout.trg)):
-                offsets, order = _runs(ends[ids], n)
-                by_end[a] = _listed(offsets, ints), _listed(ids[order] + n, ints)
+def _columns(g: PropertyGraph) -> dict[str, tuple[np.ndarray, list[Optional[Scalar]]]]:
+    """Per key, (codes, values): each id's value under the key as a code
+    into the key's distinct values, -1 where the key is absent.  Values
+    are told apart by type too, as `1`, `1.0` and `True` hash alike."""
+    ids: dict[str, list[int]] = {}
+    codes: dict[str, list[int]] = {}
+    seen: dict[str, dict[tuple[type, Any], int]] = {}
+    for i, props in enumerate(g._props):
+        for key, v in props.items():
+            if key not in seen:
+                ids[key], codes[key], seen[key] = [], [], {}
+            ids[key].append(i)
+            codes[key].append(seen[key].setdefault((type(v), v), len(seen[key])))
+    columns = {}
+    for key, distinct in seen.items():
+        column = np.full(g.n_ids, -1, np.int64)
+        column[ids[key]] = codes[key]
+        column.flags.writeable = False
+        columns[key] = column, [v for _, v in distinct]
+    return columns
 
 
-def _ids_by_label(of: np.ndarray, sets: list[frozenset[str]]) -> dict[str, np.ndarray]:
-    """Per label, the ascending positions in `of` of the label sets that carry it."""
-    carrying = {a: np.flatnonzero(np.array([a in s for s in sets], bool)[of]) for a in set().union(*sets)}
-    return {a: ids for a, ids in carrying.items() if len(ids)}
+def allowed(g: PropertyGraph, constraints: Iterable[Constraint]) -> np.ndarray:
+    """A new boolean array over all ids: which elements meet every one of
+    the data constraints.  `satisfies` decides it once per distinct label
+    set and once per distinct value of each key the constraints name; only
+    a key or value constraint builds the graph's column view (`_columns`)."""
+    layout = g.derived(_elements)
+    labels: list[Constraint] = []
+    by_key: dict[Optional[str], list[Constraint]] = {}
+    for c in constraints:
+        if c.kind is ConstraintKind.HAS_LABEL:
+            labels.append(c)
+        else:
+            by_key.setdefault(c.key, []).append(c)
+    mask = np.array([satisfies(labels, s, {}) for s in layout.sets], bool)[layout.of]
+    for key, cs in by_key.items():
+        codes, values = g.derived(_columns).get(key, (-1, []))
+        # the absent key's answer goes last, where code -1 reads it
+        answers = [satisfies(cs, (), {key: v}) for v in values] + [satisfies(cs, (), {})]
+        mask &= np.array(answers, bool)[codes]
+    return mask
 
 
 # the compact, key-sorted JSON text of a record, as json.dumps writes it
@@ -392,7 +409,7 @@ class _Matcher:
         self.budget = budget
         self.expansions = 0
         # Per-id data constraints are checked eagerly while extending.
-        self.data_constraints = data_constraints_by_id(q)
+        self.masks = {i: allowed(g, cs).tolist() for i, cs in data_constraints_by_id(q).items()}
 
     def count(self) -> int:
         q = self.q
@@ -460,7 +477,7 @@ class _Matcher:
             best_cands = list(g.edges) if best_id in self.q.edges else list(g.vertices)
 
         remaining.discard(best_id)
-        data = self.data_constraints.get(best_id)
+        ok = self.masks.get(best_id)
         total = 0
         for cand in best_cands:
             self.expansions += 1
@@ -470,7 +487,7 @@ class _Matcher:
                 )
             if self.isomorphic and cand in used:
                 continue
-            if data and not satisfies(data, g._labels[cand], g._props[cand]):
+            if ok is not None and not ok[cand]:
                 continue
             assignment[best_id] = cand
             if self.isomorphic:
@@ -500,42 +517,28 @@ def _is_forest(q: QueryPattern) -> bool:
     return True
 
 
-def _narrowest(
-    own: frozenset[Constraint], lists: dict[str, list[int]]
-) -> tuple[Optional[str], frozenset[Constraint]]:
-    """The label of `own` that the fewest ids in `lists` carry (None when
-    `own` requires none), and the constraints that it leaves to check."""
-    required = [c for c in own if c.kind is ConstraintKind.HAS_LABEL]
-    if not required:
-        return None, own
-    best = min(required, key=lambda c: (len(lists.get(c.label, ())), c.label))
-    return best.label, own - {best}
-
-
 def _count_forest(g: PropertyGraph, q: QueryPattern) -> int:
     """Homomorphic match count of an acyclic pattern, bottom-up.
 
-    Each query tree is rooted and visited in post-order.  f[u] maps a
-    graph vertex to the number of matches of u's subtree with u on that
-    vertex; None stands for "every vertex, weight 1".  A leaf's table
-    is 1 on each vertex that meets the leaf's constraints.  A child's table
-    is pushed through the graph edges that satisfy the connecting query
-    edge's constraints into a message on the parent's vertices, and the
-    parent's table is the product of its messages, taken over the
-    support of the smallest one and filtered by the parent's own
-    constraints.  The count is the product over trees of the sum of the
-    root's table.
+    Each query tree is rooted and visited in post-order.  A query
+    vertex's table holds, per graph vertex, the number of matches of its
+    subtree with the query vertex there; it starts as the vertex's mask
+    (`allowed`), 1 where the vertex meets the query vertex's constraints.
+    A child's table is pushed to its parent over the graph edges that the
+    connecting query edge allows, from the child's end of each edge to
+    the parent's, and the parent's table is multiplied by that message.
+    The count is the product over trees of the sum of the root's table.
 
-    Candidates come from the graph's label index: a leaf with a label
-    tries only the vertices of its rarest label, an inner vertex checks
-    that label by set membership before the rest, an unconstrained
-    child's message runs over the edges of the connecting query edge's
-    rarest label, and a labelled query edge pushes a table through that
-    label's adjacency.  `satisfies` checks what the label leaves open.
+    A table entry is at most max_degree ** (edges below it), where
+    max_degree is the largest out- or in-degree, so the tables hold int64
+    while n_vertices * max_degree ** len(q.edges) stays below 2**63, and
+    Python ints in object arrays beyond it.
     """
     data = data_constraints_by_id(q)
-    index = g.derived(_LabelIndex)
-    labels, props, n = g._labels, g._props, g.n_vertices
+    layout, n = g.derived(_elements), g.n_vertices
+    max_degree = max(int(np.diff(offsets).max(initial=0)) for offsets, _ in (layout.out, layout.into))
+    dtype = np.int64 if n * max_degree ** len(q.edges) < 2**63 else object
+    tables = {u: allowed(g, data.get(u, ()))[:n].astype(np.int64).astype(dtype) for u in q.vertices}
     adjacent: dict[str, list[tuple[str, str]]] = {v: [] for v in q.vertices}
     for e, (s, t) in q.endpoints.items():
         adjacent[s].append((e, t))
@@ -559,55 +562,15 @@ def _count_forest(g: PropertyGraph, q: QueryPattern) -> int:
                     seen.add(w)
                     stack.append((w, e, u))
 
-        messages: dict[str, list[dict[int, int]]] = {}
         for u, via, up in reversed(order):
-            own = data.get(u)
-            if own:
-                label, rest = _narrowest(own, index.vertices)
-            inbox = sorted(messages.pop(u, ()), key=len)
-            f: Optional[dict[int, int]] = None
-            if inbox:
-                f = inbox[0]
-                for m in inbox[1:]:
-                    f = {x: c * m[x] for x, c in f.items() if x in m}
-                if own:
-                    f = {
-                        x: c
-                        for x, c in f.items()
-                        if (label is None or label in labels[x])
-                        and (not rest or satisfies(rest, labels[x], props[x]))
-                    }
-            elif own:
-                cands = g.vertices if label is None else index.vertices.get(label, ())
-                f = {x: 1 for x in cands if not rest or satisfies(rest, labels[x], props[x])}
-            if f is not None and not f:
-                return 0
             if via is None:
+                total *= int(tables[u].sum())
                 continue
-            # push f[u] to the parent over the graph edges that end (or
-            # start) on u's vertices, as the query edge points; `far` is
-            # the parent's end of such an edge
-            far = 0 if q.endpoints[via][1] == u else 1
-            label, rest = _narrowest(data.get(via, frozenset()), index.edges)
-            if f is None:
-                cands = g.edges if label is None else index.edges.get(label, ())
-                weighted = ((e, 1) for e in cands)
-            elif label is None:
-                runs = g.derived(_adjacency)[1 - far]
-                weighted = ((e, c) for y, c in f.items() for e in runs[y])
-            elif label not in index.edges:
-                weighted = ()
-            else:
-                offsets, ids = (index.into if far == 0 else index.out_of)[label]
-                weighted = ((e, c) for y, c in f.items() for e in ids[offsets[y] : offsets[y + 1]])
-            message: dict[int, int] = {}
-            for e, c in weighted:
-                if rest and not satisfies(rest, labels[e], props[e]):
-                    continue
-                x = g._endpoints[e - n][far]
-                message[x] = message.get(x, 0) + c
-            messages.setdefault(up, []).append(message)
-        total *= n if f is None else sum(f.values())
+            near, far = (layout.trg, layout.src) if q.endpoints[via][1] == u else (layout.src, layout.trg)
+            keep = np.flatnonzero(allowed(g, data.get(via, ()))[n:])
+            message = np.zeros(n, dtype)
+            np.add.at(message, far[keep], tables[u][near[keep]])
+            tables[up] *= message
     return total
 
 
@@ -622,8 +585,7 @@ def exact_matches(
     semantics is 'homomorphic' (default) or 'isomorphic' (all query ids
     map to pairwise-distinct graph ids).  A homomorphic call on an
     acyclic pattern without a budget is counted bottom-up over the query
-    tree, in time that does not grow with the number of matches; the
-    first such call on a graph builds the graph's label index.  Every
+    tree, in time that does not grow with the number of matches.  Every
     other call, and every call that passes a budget, runs the
     backtracking matcher, which visits each match and raises
     OracleBudgetError past `budget` expansions (DEFAULT_ORACLE_BUDGET

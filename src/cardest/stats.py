@@ -34,8 +34,8 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypedD
 import numpy as np
 
 from .fileform import FormError, MissingKey, codec, require, stored
-from .graph import PropertyGraph, _elements
-from .query import PredicateKind, Scalar, predicate_holds
+from .graph import PropertyGraph, _elements, allowed
+from .query import Constraint, PredicateKind, Scalar, predicate_holds
 
 WILDCARD = "*"
 CATALOG_VERSION = 1
@@ -126,10 +126,6 @@ class BasicStats(_Section):
         return v + e
 
 
-def _freeze(v: Any) -> Any:
-    return tuple(v) if isinstance(v, list) else v
-
-
 def build_basic(
     g: PropertyGraph,
     prop_exact_triples: Iterable[tuple[str, Union[str, PredicateKind], Any]] = (),
@@ -150,13 +146,8 @@ def build_basic(
         kind = op if isinstance(op, PredicateKind) else PredicateKind.from_op(op)
         if kind is PredicateKind.IN and not isinstance(value, (list, tuple)):
             raise ValueError(f"IN predicate on {key!r} needs a list value")
-        value = _freeze(value)
-        n = 0
-        for i in range(g.n_ids):
-            w = g.prop(i, key)
-            if w is not None and predicate_holds(kind, w, value):
-                n += 1
-        prop_exact[(key, kind.value, value)] = n
+        c = Constraint.prop_value("x", key, kind, value)
+        prop_exact[(key, kind.value, c.value)] = int(np.count_nonzero(allowed(g, [c])))
 
     return BasicStats(
         n_vertices=g.n_vertices,

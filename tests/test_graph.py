@@ -4,7 +4,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cardest import graph
@@ -317,6 +317,14 @@ class TestTreeCounter:
         )
         assert exact_matches(g, _path_query(2000)) == 2 * 2**2000
 
+    @pytest.mark.parametrize("loops", [55108, 55109])
+    def test_exact_at_the_int64_edge(self, loops):
+        # one vertex with `loops` self-loops: loops**4 walks of length 4,
+        # which fit in int64 at 55108 and overflow it at 55109
+        g = PropertyGraph([("v", [], {})], [(f"e{j}", "v", "v", [], {}) for j in range(loops)])
+        assert (loops**4 < 2**63) is (loops == 55108)
+        assert exact_matches(g, _path_query(4)) == loops**4
+
     def test_budget_selects_backtracker(self, movie_query):
         g = random_graph(random.Random(8), n_vertices=8, n_edges=12)
         exact_matches(g, movie_query)
@@ -344,64 +352,67 @@ def _matcher_cases():
 )
 def test_backtracker_expansions_pinned(name, count, expansions):
     """The backtracker's expansion count decides which queries fit a
-    budget, so it must not move: these are its counts before the label
-    index existed, and a warm index must not change them."""
+    budget, so it must not move: these are its counts before the data
+    masks existed, and a warm layout and column view must not change them."""
     _, g, q, isomorphic = next(case for case in _matcher_cases() if case[0] == name)
     for _ in range(2):
         matcher = graph._Matcher(g, q, isomorphic, 10**8)
         assert matcher.count() == count
         assert matcher.expansions == expansions
-        g.derived(graph._LabelIndex)
+        graph.allowed(g, [Constraint.has_label("x", "a"), Constraint.has_key("x", "k1")])
 
 
-class TestLabelIndex:
+class TestColumns:
     def test_not_built_by_loading(self, tmp_path):
         g = random_graph(random.Random(4), n_vertices=6, n_edges=9)
         vf, ef = tmp_path / "v.jsonl", tmp_path / "e.jsonl"
         save_graph(g, str(vf), str(ef))
-        assert graph._LabelIndex not in load_graph(str(vf), str(ef))._derived
+        assert graph._columns not in load_graph(str(vf), str(ef))._derived
 
-    def test_built_once_by_the_tree_counter(self, movie_query, two_chain_query):
+    def test_built_once_by_a_key_constraint(self):
+        """Label-only counts, by the tree counter and the backtracker, do
+        not build the view; the first count with a key predicate does."""
         g = random_graph(random.Random(8), n_vertices=8, n_edges=12)
-        triangle = decorated_shape(random.Random(1), CYCLIC_SHAPES["triangle"])
-        with mock.patch.object(graph, "_LabelIndex", wraps=graph._LabelIndex) as build:
-            exact_matches(g, movie_query, budget=10**8)
-            exact_matches(g, triangle)
-            exact_matches(g, two_chain_query, semantics="isomorphic")
+        labelled = [random_query(random.Random(seed), n_edges=3, prop_prob=0.0, label_prob=0.6) for seed in range(4)]
+        keyed = parse_query(
+            {"vertices": [{"id": "x", "props": [{"key": "k1", "op": ">", "value": 0}]}, {"id": "y"}]}
+        )
+        with mock.patch.object(graph, "_columns", wraps=graph._columns) as build:
+            for q in labelled:
+                assert q.labels and not q.prop_constraints
+                exact_matches(g, q)
+                exact_matches(g, q, budget=10**8)
+                exact_matches(g, q, semantics="isomorphic")
             assert build.call_count == 0
-            exact_matches(g, two_chain_query)
-            index = g.derived(graph._LabelIndex)
-            exact_matches(g, movie_query)
-            exact_matches(g, two_chain_query)
-            assert g.derived(graph._LabelIndex) is index
+            exact_matches(g, keyed)
+            columns = g.derived(graph._columns)
+            exact_matches(g, keyed, budget=10**8)
+            exact_matches(g, keyed)
+            assert g.derived(graph._columns) is columns
         assert build.call_count == 1
 
     def test_content(self):
         g = PropertyGraph(
-            [("v0", ["a"], {}), ("v1", ["a", "b"], {}), ("v2", [], {})],
-            [("e0", "v1", "v0", ["a"], {}), ("e1", "v0", "v1", ["a", "b"], {}), ("e2", "v1", "v1", ["a"], {})],
+            [("v0", [], {"k": 1}), ("v1", [], {"k": True, "j": None}), ("v2", [], {"k": 1.0})],
+            [("e0", "v1", "v0", [], {"k": True}), ("e1", "v0", "v1", [], {"j": "a"})],
         )
-        index = g.derived(graph._LabelIndex)
-        assert index.vertices == {"a": [0, 1], "b": [1]}
-        assert index.edges == {"a": [3, 4, 5], "b": [4]}
-        runs = {
-            (a, end): [list(ids[offsets[v] : offsets[v + 1]]) for v in g.vertices]
-            for end, by_label in (("out", index.out_of), ("in", index.into))
-            for a, (offsets, ids) in by_label.items()
-        }
-        assert runs == {
-            ("a", "out"): [[4], [3, 5], []],
-            ("a", "in"): [[3], [4, 5], []],
-            ("b", "out"): [[4], [], []],
-            ("b", "in"): [[], [4], []],
-        }
+        columns = g.derived(graph._columns)
+        assert columns.keys() == {"k", "j"}
+        codes, values = columns["k"]
+        assert codes.tolist() == [0, 1, 2, 1, -1]
+        assert [(type(v), v) for v in values] == [(int, 1), (bool, True), (float, 1.0)]
+        codes, values = columns["j"]
+        assert codes.tolist() == [-1, 0, -1, -1, 1] and values == [None, "a"]
+        mask = graph.allowed(g, [Constraint.prop_value("x", "k", PredicateKind.EQ, True)])
+        assert mask.tolist() == [False, True, False, True, False]
+        assert graph.allowed(g, [Constraint.has_key("x", "j")]).tolist() == [False, True, False, False, True]
 
-    def test_identity_unchanged(self, movie_query):
+    def test_identity_unchanged(self):
         g = random_graph(random.Random(6), n_vertices=8, n_edges=12)
         twin = random_graph(random.Random(6), n_vertices=8, n_edges=12)
         fingerprint = g.fingerprint()
-        exact_matches(g, movie_query)
-        assert graph._LabelIndex in g._derived and graph._LabelIndex not in twin._derived
+        graph.allowed(g, [Constraint.has_key("x", "k1")])
+        assert graph._columns in g._derived and graph._columns not in twin._derived
         assert g.fingerprint() == fingerprint == twin.fingerprint()
         assert g == twin and twin == g
 
@@ -439,9 +450,9 @@ def layout_graphs(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(layout_graphs())
 def test_layout_matches_brute_force(g):
-    """The element layout, the adjacency lists and the label index agree
-    with a scan of every element's labels and endpoints, and every id they
-    hand out is an int, so the tree counter's sums stay unbounded."""
+    """The element layout and the adjacency lists agree with a scan of
+    every element's labels and endpoints, and every id the lists hand out
+    is an int."""
     n = g.n_vertices
     layout = g.derived(graph._elements)
     assert [layout.sets[s] for s in layout.of.tolist()] == list(g._labels)
@@ -459,27 +470,7 @@ def test_layout_matches_brute_force(g):
     for v in (-1, n, g.n_ids, g.n_ids + 1):
         assert g.out_edges(v) == [] and g.in_edges(v) == []
 
-    index = g.derived(graph._LabelIndex)
-
-    def carrying(ids):
-        out = {}
-        for i in ids:
-            for a in g._labels[i]:
-                out.setdefault(a, []).append(i)
-        return out
-
-    assert index.vertices == carrying(g.vertices)
-    assert index.edges == carrying(g.edges)
     handed = [g.out_edges(v) + g.in_edges(v) for v in g.vertices]
-    handed += [*index.vertices.values(), *index.edges.values()]
-    for by_end, end in ((index.out_of, 0), (index.into, 1)):
-        assert by_end.keys() == index.edges.keys()
-        for a, (offsets, ids) in by_end.items():
-            assert len(offsets) == n + 1
-            assert [ids[offsets[v] : offsets[v + 1]] for v in g.vertices] == [
-                at(end, v, index.edges[a]) for v in g.vertices
-            ]
-            handed += [offsets, ids]
     assert all(type(i) is int for ids in handed for i in ids)
 
 
@@ -518,9 +509,15 @@ def data_constraints(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(graphs_with_props(), st.lists(data_constraints(), max_size=4))
+@example(
+    # 1, 1.0 and True hash alike, but True meets only a bool predicate
+    PropertyGraph([("v0", [], {"k1": 1}), ("v1", [], {"k1": 1.0}), ("v2", [], {"k1": True})], []),
+    [Constraint.prop_value("x", "k1", op, v) for op, v in ((PredicateKind.EQ, True), (PredicateKind.LEQ, 1))],
+)
 def test_satisfies_matches_check_constraint(g, constraints):
     """`satisfies` agrees with the reference `check_constraint` on a
-    graph element and on its sample record as a loaded catalog holds it."""
+    graph element and on its sample record as a loaded catalog holds it,
+    and so does the graph's data mask on every id."""
     for i in range(g.n_ids):
         record = json.loads(json.dumps(_element_record(g, i)))
         views = [(g.labels_of(i), g.props_of(i)), (record["labels"], record["props"])]
@@ -531,6 +528,9 @@ def test_satisfies_matches_check_constraint(g, constraints):
         want = all(check_constraint(g, {"x": i}, c) for c in constraints)
         for labels, props in views:
             assert satisfies(constraints, labels, props) is want
+    for cs in [[c] for c in constraints] + [constraints]:
+        want = [all(check_constraint(g, {"x": i}, c) for c in cs) for i in range(g.n_ids)]
+        assert graph.allowed(g, cs).tolist() == want, cs
 
 
 @pytest.mark.parametrize(
@@ -671,8 +671,8 @@ def wide_forests(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(indexed_graphs(), wide_forests())
 def test_tree_counter_matches_backtracker(g, q):
-    """The tree counter, which takes its candidates from the label index,
-    counts what the backtracker counts."""
+    """The tree counter, which pushes numpy tables over the edges the
+    data masks allow, counts what the backtracker counts."""
     with _refusing(graph._Matcher, "count"):
         count = exact_matches(g, q)
     with _refusing(graph, "_count_forest"):
