@@ -13,7 +13,9 @@ sketch.
 from __future__ import annotations
 
 import random
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .graph import PropertyGraph, allowed
 from .query import (
@@ -27,11 +29,10 @@ from .query import (
     iter_chains,
     iter_stars,
     cs_pattern_of,
-    satisfies,
     shape_mask,
 )
 from .stats import (
-    Member,
+    Sample,
     StatisticsCatalog,
     WILDCARD,
     histogram_estimate,
@@ -100,7 +101,7 @@ def individual_prop_estimate(
                 return _count_sel(est, n_ids, 1), "individual:histogram", "estimate"
         sample = catalog.sample("id")
         if sample is not None and sample.members:
-            return _hits(sample.members, (c,)) / len(sample.members), "individual:sample", "estimate"
+            return _hits(sample, [(c,)]) / len(sample.members), "individual:sample", "estimate"
     return _DEFAULT_SELECTIVITY.get(c.op, DEFAULT_OTHER_SELECTIVITY), "individual:default", "estimate"
 
 
@@ -401,12 +402,16 @@ def char_set_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[Part
 # Sampling
 
 
-def _hits(members: list[Member], *checks: Iterable[Constraint]) -> int:
-    """How many members meet checks[0] on their record, then checks[1] on `src` and checks[2] on `trg`."""
-    for check, slot in zip(checks, (None, "src", "trg")):
-        records = members if slot is None else [m[slot] for m in members]
-        members = [m for m, r in zip(members, records) if satisfies(check, r["labels"], r["props"])]
-    return len(members)
+def _hits(sample: Sample, checks: Sequence[Iterable[Constraint]], among: Optional[np.ndarray] = None) -> int:
+    """How many members, of those `among` marks (all by default), meet
+    checks[0] on their record, checks[1] on `src` and checks[2] on `trg`.
+    Each check is one `graph.allowed` mask over the sample's view, sliced
+    to its slot's records."""
+    records, n = sample.view.records, len(sample.members)
+    hits = np.ones(n, bool) if among is None else among
+    for slot, check in enumerate(checks):
+        hits = hits & allowed(records, check)[slot * n : (slot + 1) * n]
+    return int(np.count_nonzero(hits))
 
 
 def sample_estimates(
@@ -438,19 +443,16 @@ def sample_estimates(
         tag = f"sampling:S({sample.pattern_type},{sample.probability})"
 
         if sample.pattern_type in ("id", "vertex"):
-            by_kind: dict[str, list] = {}  # each kind's members, split on first use
             for i in sorted(groups):
                 is_vertex = i in q.vertices
                 if sample.pattern_type == "vertex" and not is_vertex:
                     continue
-                kind = "vertex" if is_vertex else "edge"
-                members = by_kind.get(kind)
-                if members is None:
-                    members = by_kind[kind] = [m for m in sample.members if m["kind"] == kind]
-                if not members:
+                among = sample.view.vertex if is_vertex else ~sample.view.vertex
+                size = int(np.count_nonzero(among))
+                if not size:
                     continue
                 population = basic.n_vertices if is_vertex else basic.n_edges
-                sel = (_hits(members, groups[i]) / len(members)) * _count_sel(population, n_ids_g, 1)
+                sel = (_hits(sample, [groups[i]], among) / size) * _count_sel(population, n_ids_g, 1)
                 out.append(cq.estimate(cq.within((i,)), _clamp(sel), tag, "estimate"))
 
         elif sample.pattern_type == "edge_pattern":
@@ -458,8 +460,8 @@ def sample_estimates(
                 s, t = q.endpoints[e]
                 loop = s == t
                 # a loop member's trg is its src, so checking it again moves no hit
-                members = [m for m in sample.members if m.get("loop")] if loop else sample.members
-                hits = _hits(members, *(groups.get(i, frozenset()) for i in (e, s, t)))
+                checks = [groups.get(i, frozenset()) for i in (e, s, t)]
+                hits = _hits(sample, checks, sample.view.loop if loop else None)
                 sel = (hits / len(sample.members)) * _count_sel(basic.n_edges, n_ids_g, 2 if loop else 3)
                 out.append(cq.estimate(cq.within((e, s, t)), _clamp(sel), tag, "estimate"))
     return out

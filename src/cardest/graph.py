@@ -7,16 +7,16 @@ graph has one element layout (`_Elements`), built on first use through
 `PropertyGraph.derived`; the adjacency lists, the data masks and the
 statistics builders all read it.
 
-A query id's data constraints select graph elements through one mask
-(`allowed`), a boolean array over all ids.  It decides labels once per
-distinct label set of the layout and key and value predicates once per
-distinct value of a key, which it reads from the graph's column view
-(`_columns`), built by the first mask that names a key.  The oracle
-counts acyclic patterns bottom-up over the query tree with numpy
-(`_count_forest`) and backtracks over the matches of every other
-pattern (`_Matcher`); both check data constraints on the mask.  Two
-threads that race to build a derived value build equal ones, and either
-may be kept.
+A query id's data constraints select graph elements, and the records of
+a sample (`stats.Sample.view`), through one mask (`allowed`), a boolean
+array over all ids.  It decides labels once per distinct label set of
+the layout and key and value predicates once per distinct value of a
+key, which it reads from the graph's column view (`_columns`), built by
+the first mask that names a key.  The oracle counts acyclic patterns
+bottom-up over the query tree with numpy (`_count_forest`) and
+backtracks over the matches of every other pattern (`_Matcher`); both
+check data constraints on the mask.  Two threads that race to build a
+derived value build equal ones, and either may be kept.
 """
 
 from __future__ import annotations

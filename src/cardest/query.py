@@ -110,9 +110,11 @@ def predicate_holds(op: PredicateKind, actual: Scalar, expected: Any) -> bool:
 def satisfies(constraints: Iterable[Constraint], labels: Collection[str], props: dict) -> bool:
     """Does an element meet every hasLabel, hasKey and propValue constraint?
 
-    The element is given by its labels and props: a graph element's, or
-    a sample record's "labels"/"props" or those of its "src"/"trg"
-    sub-records.  Topology constraints raise ValueError.
+    The element is given by its labels and props.  `graph.allowed`, the
+    data mask over a graph's ids and over a sample's records, calls it
+    once per distinct label set and once per distinct value of a key; it
+    is the predicate's one definition.  Topology constraints raise
+    ValueError.
     """
     for c in constraints:
         kind = c.kind

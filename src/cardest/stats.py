@@ -15,9 +15,11 @@ wrong-typed value or a missing key raises CatalogFormatError naming its
 path.  A field whose file form differs from its annotation's declares it
 with `fileform.stored`, next to the field.  A condition that spans a
 section's fields is checked in its `__post_init__`, when the section is
-built and when it is read: an edge-pattern sample's members must hold
-their endpoints, a histogram's domain must be known and its buckets hold
-the domain's keys, and a grid's cells must lie within its axes.
+built and when it is read: a sample's pattern type must be known, its
+probability in (0, 1] and its members of the kinds the pattern type
+holds, with their endpoints in an edge-pattern sample; a histogram's
+domain must be known and its buckets hold the domain's keys; and a
+grid's cells must lie within its axes.
 
 Wildcard label slots are encoded as "*"; synopsis/sketch keys are compact
 JSON arrays so arbitrary label strings stay unambiguous.
@@ -25,11 +27,13 @@ JSON arrays so arbitrary label strings stay unambiguous.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypedDict, Union
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypedDict, Union
 
 import numpy as np
 
@@ -598,7 +602,14 @@ def _bucketed(buckets: np.ndarray, degrees: np.ndarray) -> dict[int, tuple[int, 
 # ---------------------------------------------------------------------------
 # Samples
 
-SAMPLE_TYPES = ("id", "vertex", "edge_pattern")
+# per pattern type, the records a member holds (its own, then its
+# endpoints' under `src` and `trg`) and the kinds each record may have
+_RECORDS = {
+    "id": (("", ("vertex", "edge")),),
+    "vertex": (("", ("vertex",)),),
+    "edge_pattern": (("", ("edge",)), ("src", ("vertex",)), ("trg", ("vertex",))),
+}
+SAMPLE_TYPES = tuple(_RECORDS)
 # short names a sample tag or token may use for a pattern type
 SAMPLE_TYPE_ALIASES = {"ep": "edge_pattern"}
 
@@ -618,10 +629,22 @@ class Member(_Element, total=False):
     loop: bool
 
 
+class SampleView(NamedTuple):
+    """A sample's records as the vertices of an edgeless graph, for
+    `graph.allowed`: the members in order, then an edge-pattern sample's
+    sources, then its targets; and per member, is it a vertex, a loop?"""
+
+    records: PropertyGraph
+    vertex: np.ndarray
+    loop: np.ndarray
+
+
 @dataclass
 class Sample(_Section):
     """An i.i.d. sample of instances of one pattern type, with labels and
-    properties materialized; reproducible from the seed."""
+    properties materialized; reproducible from the seed.  The estimators
+    score its members through `view`, so that one data mask,
+    `graph.allowed`, serves graph elements and sample records alike."""
 
     pattern_type: str
     probability: float
@@ -630,9 +653,36 @@ class Sample(_Section):
     members: list[Member] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        """An edge-pattern sample's members hold their endpoints."""
-        if self.pattern_type == "edge_pattern":
-            require(self.members, ("src", "trg"), "members")
+        """A known pattern type, a probability in (0, 1], and members of
+        the kinds the pattern type holds (`_RECORDS`): an edge-pattern
+        sample's are edges that hold their endpoints, which are vertices."""
+        if self.pattern_type not in _RECORDS:
+            raise FormError(" or ".join(SAMPLE_TYPES), self.pattern_type, path=".pattern_type")
+        if not 0.0 < self.probability <= 1.0:
+            raise FormError("a probability in (0, 1]", self.probability, path=".probability")
+        slots = _RECORDS[self.pattern_type]
+        require(self.members, [slot for slot, _ in slots if slot], "members")
+        for slot, ok in slots:
+            for n, r in enumerate(self._records(slot)):
+                if r["kind"] not in ok:
+                    where = f".members[{n}].{slot}" if slot else f".members[{n}]"
+                    raise FormError(" or ".join(ok), r["kind"], path=f"{where}.kind")
+
+    def _records(self, slot: str) -> list[_Element]:
+        """Each member's own record, or that of its endpoint under `slot`."""
+        return [m[slot] for m in self.members] if slot else self.members
+
+    @functools.cached_property
+    def view(self) -> SampleView:
+        """The view the estimators score, built on first use and kept, as
+        a sample's members do not change once it is built; not a field,
+        so the file form and equality never see it."""
+        records = itertools.chain.from_iterable(self._records(slot) for slot, _ in _RECORDS[self.pattern_type])
+        graph = PropertyGraph(((str(n), r["labels"], r["props"]) for n, r in enumerate(records)), ())
+        vertex = np.array([m["kind"] == "vertex" for m in self.members], bool)
+        loop = np.array([m.get("loop", False) for m in self.members], bool)
+        vertex.flags.writeable = loop.flags.writeable = False
+        return SampleView(graph, vertex, loop)
 
 
 def _element_record(g: PropertyGraph, i: int) -> Member:

@@ -199,6 +199,18 @@ def md_catalog(axes=None, grid=None) -> str:
     return json.dumps({"version": 1, "md_histograms": [mdh]})
 
 
+def record(kind: str, **endpoints) -> dict:
+    """A sample member's record of the given kind, with the given endpoints."""
+    return {"kind": kind, "labels": [], "props": {}, **endpoints}
+
+
+def sample_catalog(pattern_type="id", probability=1.0, members=()) -> str:
+    """A catalog holding one sample of the given type, probability and members."""
+    sample = {"pattern_type": pattern_type, "probability": probability, "seed": 0, "population": 1,
+              "members": list(members)}  # fmt: skip
+    return json.dumps({"version": 1, "samples": [sample]})
+
+
 @pytest.mark.parametrize(
     "kind, text, message",
     [
@@ -235,6 +247,20 @@ def md_catalog(axes=None, grid=None) -> str:
          "stats.json: md_histograms[0].axes: expected 2 axes, one per key, got [{"),
         ("stats", md_catalog(axes=[{"bounds": [0.0, 1.0, 2.0], "distincts": [1]}] * 2),
          "stats.json: md_histograms[0].axes[0].distincts: expected a count per bucket, got [1]"),
+        ("stats", sample_catalog(pattern_type="foo"),
+         "stats.json: samples[0].pattern_type: expected id or vertex or edge_pattern, got 'foo'"),
+        ("stats", sample_catalog(probability=1.5),
+         "stats.json: samples[0].probability: expected a probability in (0, 1], got 1.5"),
+        ("stats", sample_catalog(probability=0),
+         "stats.json: samples[0].probability: expected a probability in (0, 1], got 0"),
+        ("stats", sample_catalog(members=[record("foo")]),
+         "stats.json: samples[0].members[0].kind: expected vertex or edge, got 'foo'"),
+        ("stats", sample_catalog("vertex", members=[record("vertex"), record("edge")]),
+         "stats.json: samples[0].members[1].kind: expected vertex, got 'edge'"),
+        ("stats", sample_catalog("edge_pattern", members=[record("vertex", src=record("vertex"), trg=record("edge"))]),
+         "stats.json: samples[0].members[0].kind: expected edge, got 'vertex'"),
+        ("stats", sample_catalog("edge_pattern", members=[record("edge", src=record("edge"), trg=record("vertex"))]),
+         "stats.json: samples[0].members[0].src.kind: expected vertex, got 'edge'"),
         ("stats", None, "No such file or directory"),
         ("workload", "[oops", "workload.json: Expecting value"),
         ("workload", json.dumps([{"query": ONE_EDGE_DOC}]), "workload must be a JSON list of {id, query} objects"),
@@ -252,6 +278,9 @@ def md_catalog(axes=None, grid=None) -> str:
          "synopsis-without-key", "sample-member-without-src", "numeric-bucket-without-lo",
          "sample-member-without-trg", "prefix-bucket-without-prefix", "histogram-domain-unknown",
          "grid-cell-outside-axes", "grid-cell-of-three-indexes", "grid-axis-dropped", "grid-distincts-short",
+         "sample-type-unknown", "sample-probability-above-one", "sample-probability-zero",
+         "id-sample-member-kind-unknown", "vertex-sample-edge-member", "edge-pattern-sample-vertex-member",
+         "edge-pattern-sample-edge-source",
          "catalog-missing",
          "workload-not-json", "workload-item-without-id",
          "edge-labels-string", "vertex-labels-number", "vertex-props-string", "vertex-props-list",

@@ -1,9 +1,11 @@
 import math
+import os
 import random
 import statistics
+import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cardest.estimators import (
@@ -24,8 +26,11 @@ from cardest.query import (
     ConstraintKind,
     PartialEstimate,
     PredicateKind,
+    QueryPattern,
+    data_constraints_by_id,
     extract_constraints,
     parse_query,
+    satisfies,
 )
 from cardest.stats import (
     CharacteristicSetStore,
@@ -33,6 +38,8 @@ from cardest.stats import (
     StatisticsCatalog,
     build_basic,
     build_catalog,
+    load_catalog,
+    save_catalog,
 )
 
 from conftest import (
@@ -479,6 +486,150 @@ class TestSampling:
         assert len(pes) == 4
         for pe in pes:
             assert pe.selectivity == pytest.approx(oracle_sel(g, movie_query, pe.constraints))
+
+
+# Scalars that meet across types: 1, 1.0 and True hash alike.
+SCALARS = st.sampled_from([True, False, 0, 1, 1.0, 1.5, "", "1", "a"])
+
+
+@st.composite
+def sampled_graphs(draw):
+    """Graphs of 1-3 vertices and 0-6 edges, so that self-loops and
+    parallel edges are common, with unlabelled and multi-labelled
+    elements whose props may hold a null value."""
+    labels = st.lists(st.sampled_from("ab"), max_size=2, unique=True)
+    props = st.dictionaries(st.sampled_from(["k1", "k2"]), st.none() | SCALARS, max_size=2)
+    n_vertices = draw(st.integers(1, 3))
+    ends = st.integers(0, n_vertices - 1)
+    vertices = [(f"v{i}", draw(labels), draw(props)) for i in range(n_vertices)]
+    edges = [
+        (f"e{j}", f"v{draw(ends)}", f"v{draw(ends)}", draw(labels), draw(props))
+        for j in range(draw(st.integers(0, 6)))
+    ]
+    return PropertyGraph(vertices, edges)
+
+
+@st.composite
+def one_edge_queries(draw):
+    """A query edge, a self-loop or not, whose ids draw labels and predicates."""
+    loop = draw(st.booleans())
+    vertices = frozenset({"a"} if loop else {"a", "b"})
+    endpoints = {"e": ("a", "a" if loop else "b")}
+    ids = sorted(vertices | {"e"})
+    labels = {i: frozenset(draw(st.sampled_from([(), (), ("a",), ("b",), ("a", "b")]))) for i in ids}
+    props = []
+    for i in ids:
+        for _ in range(draw(st.integers(0, 1))):
+            op = draw(st.sampled_from(PredicateKind))
+            value = tuple(draw(st.lists(SCALARS, max_size=3))) if op is PredicateKind.IN else draw(SCALARS)
+            props.append((i, draw(st.sampled_from(["k1", "k2"])), op, value))
+    return QueryPattern(vertices, frozenset({"e"}), endpoints, {i: ls for i, ls in labels.items() if ls}, props)
+
+
+def reference_hits(members, *checks):
+    """How many members meet checks[0] on their record, then checks[1] on
+    `src` and checks[2] on `trg`: `satisfies` on one record at a time."""
+    for check, slot in zip(checks, (None, "src", "trg")):
+        records = members if slot is None else [m[slot] for m in members]
+        members = [m for m, r in zip(members, records) if satisfies(check, r["labels"], r["props"])]
+    return len(members)
+
+
+def reference_sample_estimates(q, catalog):
+    """Per (provenance, ids covered), the selectivity of every `sampling:`
+    and `individual:sample` estimate, scored record by record."""
+    basic, groups, out = catalog.basic, data_constraints_by_id(q), {}
+    for sample in catalog.samples:
+        tag, members = f"sampling:S({sample.pattern_type},{sample.probability})", sample.members
+        if not members:
+            continue
+        if sample.pattern_type == "edge_pattern":
+            s, t = q.endpoints["e"]
+            among = [m for m in members if m.get("loop")] if s == t else members
+            hits = reference_hits(among, *(groups.get(i, frozenset()) for i in ("e", s, t)))
+            out[tag, frozenset(q.ids)] = (hits / len(members)) * (basic.n_edges / basic.n_ids ** len(q.ids))
+            continue
+        for i, group in groups.items():
+            kind = "vertex" if i in q.vertices else "edge"
+            of_kind = [m for m in members if m["kind"] == kind]
+            if of_kind:
+                population = basic.n_vertices if kind == "vertex" else basic.n_edges
+                out[tag, frozenset({i})] = (reference_hits(of_kind, group) / len(of_kind)) * (population / basic.n_ids)
+    sample = catalog.sample("id")
+    if sample is not None and sample.members:
+        for i, key, op, value in q.prop_constraints:
+            c = Constraint.prop_value(i, key, op, value)
+            out["individual:sample", frozenset({c})] = reference_hits(sample.members, (c,)) / len(sample.members)
+    return out
+
+
+def alone(i, edge, labels, props):
+    """The pattern of query id i alone: a vertex, or an edge between two
+    vertices that have no constraints."""
+    return QueryPattern(
+        frozenset({"_s", "_t"} if edge else {i}),
+        frozenset({i} if edge else ()),
+        {i: ("_s", "_t")} if edge else {},
+        {i: labels} if labels else {},
+        props,
+    )
+
+
+def exact_count(g, q, provenance, covered):
+    """The exact count an estimate of `covered` (ids, or one constraint
+    for `individual:sample`) reads over all n_ids ** k mappings."""
+    if provenance == "individual:sample":
+        (c,) = covered
+        props = [(c.ids[0], c.key, c.op, c.value)]
+        return sum(exact_matches(g, alone(c.ids[0], edge, frozenset(), props)) for edge in (False, True))
+    if len(covered) > 1:
+        return exact_matches(g, q)
+    (i,) = covered
+    props = [p for p in q.prop_constraints if p[0] == i]
+    return exact_matches(g, alone(i, i in q.edges, q.labels_of(i), props))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sampled_graphs(), one_edge_queries(), st.integers(0, 3))
+@example(
+    # 1, 1.0 and True under one key, and a loop query edge that e0 meets;
+    # e1 meets it on each of its records but is no loop, e2 holds 1, not True
+    PropertyGraph(
+        [("v0", ["a"], {"k1": 1}), ("v1", ["a", "b"], {"k1": 1.0}), ("v2", [], {"k1": True, "k2": None})],
+        [
+            ("e0", "v0", "v0", ["a"], {"k1": True}),
+            ("e1", "v0", "v1", [], {"k1": True}),
+            ("e2", "v0", "v1", ["b"], {"k1": 1}),
+        ],
+    ),
+    QueryPattern(
+        frozenset({"a"}), frozenset({"e"}), {"e": ("a", "a")}, {"a": frozenset({"a"})},
+        [("e", "k1", PredicateKind.EQ, True), ("a", "k1", PredicateKind.LEQ, 1)],
+    ),
+    0,
+)
+def test_sample_estimates_match_per_record_reference(g, q, seed):
+    """Every `sampling:` and `individual:sample` estimate from id, vertex
+    and edge-pattern samples in a saved and reloaded catalog equals the
+    per-record reference; from full samples, it is the exact count over
+    n_ids ** k, k the ids it covers."""
+    for pr in (0.5, 1.0):
+        built = build_catalog(g, samples=[(pt, pr, seed) for pt in ("id", "vertex", "edge_pattern")])
+        with tempfile.TemporaryDirectory() as d:
+            save_catalog(built, os.path.join(d, "catalog.json"))
+            catalog = load_catalog(os.path.join(d, "catalog.json"))
+        got = {}
+        for pe in sample_estimates(q, catalog):
+            got[pe.provenance, frozenset(i for c in pe.constraints for i in c.ids)] = pe.selectivity
+        for pe in individual_estimates(q, catalog):
+            if pe.provenance == "individual:sample":
+                got[pe.provenance, pe.constraints] = pe.selectivity
+        assert got == reference_sample_estimates(q, catalog)
+        if pr == 1.0:
+            for (provenance, covered), sel in got.items():
+                k = 1 if provenance == "individual:sample" else len(covered)
+                want = exact_count(g, q, provenance, covered) / g.n_ids**k
+                assert sel == pytest.approx(want, rel=1e-12, abs=1e-15), (provenance, covered)
 
 
 class TestWanderJoin:

@@ -20,7 +20,7 @@ from cardest.graph import (
     save_graph,
 )
 from cardest.query import Constraint, PredicateKind, parse_query, satisfies
-from cardest.stats import _element_record
+from cardest.stats import Sample, _element_record, build_sample
 
 from conftest import (
     CYCLIC_SHAPES,
@@ -517,7 +517,8 @@ def data_constraints(draw):
 def test_satisfies_matches_check_constraint(g, constraints):
     """`satisfies` agrees with the reference `check_constraint` on a
     graph element and on its sample record as a loaded catalog holds it,
-    and so does the graph's data mask on every id."""
+    and so does the data mask on every id of the graph and on every member
+    of a full id sample's view, read back as a loaded catalog holds it."""
     for i in range(g.n_ids):
         record = json.loads(json.dumps(_element_record(g, i)))
         views = [(g.labels_of(i), g.props_of(i)), (record["labels"], record["props"])]
@@ -528,9 +529,11 @@ def test_satisfies_matches_check_constraint(g, constraints):
         want = all(check_constraint(g, {"x": i}, c) for c in constraints)
         for labels, props in views:
             assert satisfies(constraints, labels, props) is want
+    sample = Sample.from_dict(json.loads(json.dumps(build_sample(g, "id", 1.0).to_dict())))
     for cs in [[c] for c in constraints] + [constraints]:
         want = [all(check_constraint(g, {"x": i}, c) for c in cs) for i in range(g.n_ids)]
         assert graph.allowed(g, cs).tolist() == want, cs
+        assert graph.allowed(sample.view.records, cs).tolist() == want, cs
 
 
 @pytest.mark.parametrize(
