@@ -501,55 +501,66 @@ def wander_join_estimate(
     """Unbiased cardinality estimate from random walks over the query's
     edges; covers every constraint on ids reachable by the walk plan.
 
-    The plan is compiled once per call: each step after the first records
-    whether it extends from its source (along out-edges) or from its
-    target (along in-edges), and whether its other endpoint is mapped
-    already, in which case the chosen edge must agree with it.  A
-    completed walk thus satisfies every topology constraint by
-    construction, and only the covered ids' data constraints are
-    checked.  The random draws and the accepted walks are those of a walk
-    that checks every constraint of its mapping, so the estimate does not
-    change.
+    The plan is compiled once per call into slots: each covered query id
+    is an index into the walk's mapping `m`, numbered in plan order, and
+    each step after the first is (edge, source, target, forward, check):
+    it extends from its source along out-edges or from its target along
+    in-edges, and `check` says that its other endpoint is mapped already,
+    so the chosen edge must agree with it.  A completed walk thus
+    satisfies every topology constraint by construction, and only the
+    covered ids' data constraints are checked.  Each index is drawn as
+    `randrange(n)` draws it (CPython's `_randbelow_with_getrandbits`), so
+    the random words, the accepted walks and the sums are those of a walk
+    that calls `randrange` and checks every constraint of its mapping.
     """
     plan = walk_plan(q)
     if plan is None or g.n_edges == 0 or g.n_ids == 0 or walks < 1:
         return None
-    e0 = plan[0]
-    s0, t0 = q.endpoints[e0]
-    covered_ids = {e0, s0, t0}
-    steps: list[tuple[str, str, str, bool, bool]] = []
+    slots: dict[str, int] = {}
+    slot = lambda i: slots.setdefault(i, len(slots))  # noqa: E731
+    s0, t0 = q.endpoints[plan[0]]
+    f_e, f_s, f_t = slot(plan[0]), slot(s0), slot(t0)
+    steps: list[tuple[int, int, int, bool, bool]] = []
     for e in plan[1:]:
         s, t = q.endpoints[e]
-        forward = s in covered_ids
-        steps.append((e, s, t, forward, forward and t in covered_ids))
-        covered_ids.update((e, s, t))
+        forward = s in slots
+        check = forward and t in slots
+        steps.append((slot(e), slot(s), slot(t), forward, check))
     cq = q.compiled
-    data_checks = [(i, allowed(g, cs).tolist()) for i, cs in sorted(cq.data_by_id.items()) if i in covered_ids]
+    data_checks = [(slots[i], allowed(g, cs).tolist()) for i, cs in sorted(cq.data_by_id.items()) if i in slots]
 
-    rng = random.Random(seed)
-    randrange = rng.randrange
-    endpoints, out_edges, in_edges = g.endpoints, g.out_edges, g.in_edges
+    getrandbits = random.Random(seed).getrandbits
+    ends, out, into = g.adjacency()
+    nv, ne = g.n_vertices, g.n_edges
+    ke = ne.bit_length()
+    loop = s0 == t0
+    m = [0] * len(slots)
     total = 0.0
     successes = 0
     for _ in range(walks):
-        inv_prob = float(g.n_edges)
-        first = g.n_vertices + randrange(g.n_edges)
-        gs, gt = endpoints(first)
-        if s0 == t0 and gs != gt:
+        r = getrandbits(ke)
+        while r >= ne:
+            r = getrandbits(ke)
+        gs, gt = ends[r]
+        if loop and gs != gt:
             continue
-        m = {e0: first, s0: gs, t0: gt}
+        inv_prob = float(ne)
+        m[f_e], m[f_s], m[f_t] = nv + r, gs, gt
         for e, s, t, forward, check in steps:
-            cands = out_edges(m[s]) if forward else in_edges(m[t])
-            if not cands:
+            cands = out[m[s]] if forward else into[m[t]]
+            n = len(cands)
+            if not n:
                 break
-            choice = cands[randrange(len(cands))]
-            inv_prob *= len(cands)
-            cgs, cgt = endpoints(choice)
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            choice = cands[r]
+            inv_prob *= n
+            cgs, cgt = ends[choice - nv]
             if check and m[t] != cgt:
                 break
-            m[e] = choice
-            m[s] = cgs
-            m[t] = cgt
+            m[e], m[s], m[t] = choice, cgs, cgt
         else:
             for i, ok in data_checks:
                 if not ok[m[i]]:
@@ -557,9 +568,9 @@ def wander_join_estimate(
             else:
                 total += inv_prob
                 successes += 1
-    sel = _count_sel(total / walks, g.n_ids, len(covered_ids))
+    sel = _count_sel(total / walks, g.n_ids, len(slots))
     provenance = "wj" if successes else "wj:low_confidence"
-    return cq.estimate(cq.within(frozenset(covered_ids)), sel, provenance, "estimate")
+    return cq.estimate(cq.within(frozenset(slots)), sel, provenance, "estimate")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from typing import Any, Callable, Iterable, NamedTuple, Optional, TypedDict, TypeVar
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, TypedDict, TypeVar
 
 import numpy as np
 
@@ -159,6 +159,13 @@ class PropertyGraph:
         """Edges whose target is v, ascending; [] if v is no vertex."""
         return self.derived(_adjacency)[1][v] if 0 <= v < self.n_vertices else []
 
+    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], list[list[int]], list[list[int]]]:
+        """(ends, out, into), for loops that take many steps: ends[e -
+        n_vertices] is `endpoints(e)`, and out[v] and into[v] are the lists
+        that `out_edges(v)` and `in_edges(v)` return.  Shared, so read-only."""
+        out, into = self.derived(_adjacency)
+        return self._endpoints, out, into
+
     # -- content hash --------------------------------------------------------
 
     def fingerprint(self) -> str:
@@ -166,8 +173,8 @@ class PropertyGraph:
         if self._fingerprint is None:
             h = hashlib.sha256()
             for ids in (self.vertices, self.edges):
-                for i in sorted(ids, key=self.names.__getitem__):
-                    h.update(_RECORD_ENCODER.encode(_record(self, i)).encode())
+                for text in _record_texts(self, sorted(ids, key=self.names.__getitem__), _RECORD_ENCODER):
+                    h.update(text.encode())
             self._fingerprint = h.hexdigest()
         return self._fingerprint
 
@@ -284,13 +291,29 @@ _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
-def _record(g: PropertyGraph, i: int) -> dict[str, Any]:
-    """Element i as one line of the file format, which the fingerprint hashes too."""
-    rec = {"id": g.names[i], "labels": sorted(g.labels_of(i)), "props": g.props_of(i)}
-    if g.is_edge(i):
-        s, t = g.endpoints(i)
-        rec["src"], rec["trg"] = g.names[s], g.names[t]
-    return rec
+def _record_texts(g: PropertyGraph, ids: Iterable[int], encoder: json.JSONEncoder) -> Iterator[str]:
+    """Each element of `ids` as `encoder` writes its record, one at a time:
+    the line of the file format that the fingerprint hashes too, with keys
+    "id", "labels" (sorted), "props" and an edge's "src" and "trg".  Names
+    and labels go through json's ASCII string encoder, each distinct label
+    set of the layout once; props go through `encoder` only when there
+    are any."""
+    string = json.encoder.encode_basestring_ascii
+    comma, colon = encoder.item_separator, encoder.key_separator
+    layout = g.derived(_elements)
+    # the text between an element's name and its props, per label set
+    middle = [
+        f'{comma}"labels"{colon}[{comma.join(map(string, sorted(s)))}]{comma}"props"{colon}' for s in layout.sets
+    ]
+    at_id, at_src, at_trg = '{"id"' + colon, f'{comma}"src"{colon}', f'{comma}"trg"{colon}'
+    of, names, props, ends, nv = layout.of.tolist(), g.names, g._props, g._endpoints, g.n_vertices
+    for i in ids:
+        text = f"{at_id}{string(names[i])}{middle[of[i]]}{encoder.encode(props[i]) if props[i] else '{}'}"
+        if i < nv:
+            yield text + "}"
+        else:
+            s, t = ends[i - nv]
+            yield f"{text}{at_src}{string(names[s])}{at_trg}{string(names[t])}}}"
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +413,7 @@ def save_graph(g: PropertyGraph, vertex_file: str, edge_file: str) -> None:
     """Write a graph back to the line-delimited file format."""
     for path, ids in ((vertex_file, g.vertices), (edge_file, g.edges)):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(_LINE_ENCODER.encode(_record(g, i)) + "\n" for i in ids)
+            fh.writelines(text + "\n" for text in _record_texts(g, ids, _LINE_ENCODER))
 
 
 # ---------------------------------------------------------------------------

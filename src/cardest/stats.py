@@ -1057,8 +1057,10 @@ class StatisticsCatalog(_Section):
 
 
 def save_catalog(catalog: StatisticsCatalog, path: str) -> None:
+    # one dumps, not json.dump: dumps runs json's C encoder, dump its Python one
+    text = json.dumps(catalog.to_dict(), sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(catalog.to_dict(), fh, sort_keys=True, separators=(",", ":"))
+        fh.write(text)
         fh.write("\n")
 
 

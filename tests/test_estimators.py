@@ -768,6 +768,68 @@ def test_wander_join_matches_reference_walk(seed, shape, walks):
     assert got.selectivity.hex() == want.selectivity.hex()
 
 
+REJECTION_DEGREES = (1, 2, 3, 4, 5, 8, 9, 16, 17)
+
+
+def rejection_graph():
+    """Vertex a<d> has out-degree d and b<d> in-degree d, for degrees at
+    and just past powers of two: d - 1 parallel edges a<d> -> b<d>, labelled
+    y, and one x edge a<d> -> b<next d>.  That makes 65 = 2**6 + 1 edges,
+    so the first edge's draw rejects nearly half of its words too."""
+    vertices = [(f"a{d}", ["A"], {"k": d % 3}) for d in REJECTION_DEGREES]
+    vertices += [(f"b{d}", ["B"], {}) for d in REJECTION_DEGREES]
+    edges = []
+    for d, after in zip(REJECTION_DEGREES, REJECTION_DEGREES[1:] + REJECTION_DEGREES[:1]):
+        edges += [(f"y{d}.{j}", f"a{d}", f"b{d}", ["y"], {}) for j in range(d - 1)]
+        edges.append((f"x{d}", f"a{d}", f"b{after}", ["x"], {"w": d}))
+    return PropertyGraph(vertices, edges)
+
+
+def _edges_query(*edges):
+    """A query over the given (id, src, trg, labels) edges whose walks all
+    end in a data check on u (k < 2)."""
+    ends = sorted({v for _, s, t, _ in edges for v in (s, t)} - {"u"})
+    vertices = [{"id": "u", "props": [{"key": "k", "op": "<", "value": 2}]}] + [{"id": v} for v in ends]
+    return {
+        "vertices": vertices,
+        "edges": [{"id": name, "src": s, "trg": t, "labels": labels} for name, s, t, labels in edges],
+    }
+
+
+REJECTION_QUERIES = {
+    "edge": _edges_query(("e1", "u", "v", [])),
+    "labelled edge": _edges_query(("e1", "u", "v", ["x"])),
+    # a backward step: the in-edges of b<d>
+    "in-star": _edges_query(("e1", "u", "v", []), ("e2", "w", "v", ["y"])),
+    # a closing check: the second edge must end where the first does
+    "parallel": _edges_query(("e1", "u", "v", []), ("e2", "u", "v", ["y"])),
+    "out-star": _edges_query(("e1", "u", "v", ["y"]), ("e2", "u", "w", [])),
+    # backward, then forward from the new source with a closing check
+    "in-star closed": _edges_query(("e1", "u", "v", []), ("e2", "w", "v", []), ("e3", "w", "v", ["x"])),
+    "in-star fanned": _edges_query(("e1", "u", "v", ["x"]), ("e2", "w", "v", []), ("e3", "w", "z", [])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTION_QUERIES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_wander_join_draws_like_randrange(name, seed):
+    """Every index the walk draws, the first edge's too, takes the words
+    `randrange` would take: fan-outs at and just past powers of two, and
+    65 edges, reject many words, so one word too few or too many changes
+    every later walk."""
+    q = parse_query(REJECTION_QUERIES[name])
+    g = rejection_graph()
+    assert g.n_edges == 65
+    degrees = [0] * len(REJECTION_DEGREES) + list(REJECTION_DEGREES)
+    assert sorted(len(g.out_edges(v)) for v in g.vertices) == degrees
+    assert sorted(len(g.in_edges(v)) for v in g.vertices) == degrees
+    got = wander_join_estimate(q, g, 600, seed)
+    want = reference_wander_join_estimate(q, g, 600, seed)
+    assert got.provenance == want.provenance == "wj"
+    assert got.constraints == want.constraints
+    assert got.selectivity.hex() == want.selectivity.hex()
+
+
 class TestMDHEstimates:
     def test_pair_estimate(self):
         rng = random.Random(6)

@@ -472,6 +472,60 @@ def test_layout_matches_brute_force(g):
 
     handed = [g.out_edges(v) + g.in_edges(v) for v in g.vertices]
     assert all(type(i) is int for ids in handed for i in ids)
+    ends, out, into = g.adjacency()
+    assert [ends[e - n] for e in g.edges] == [g.endpoints(e) for e in g.edges]
+    assert out == [g.out_edges(v) for v in g.vertices] and into == [g.in_edges(v) for v in g.vertices]
+
+
+# Text that JSON must escape or that ASCII cannot hold: quotes,
+# backslashes, control characters and non-ASCII, one in and one beyond
+# the basic multilingual plane.
+TRICKY_TEXT = st.text(
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "☃", "𝄞", "a", "b", " "]), max_size=4
+)
+
+
+@st.composite
+def record_graphs(draw):
+    """Graphs whose names, labels, keys and string values hold tricky
+    text, with None, bool, int and float props (NaN and infinities too),
+    empty and shared label sets and self-loops."""
+    names = draw(st.lists(TRICKY_TEXT, min_size=1, max_size=8, unique=True))
+    n_vertices = draw(st.integers(1, min(3, len(names))))
+    labels = st.lists(st.sampled_from(["", "a", 'q"', "\\", "\x01", "é", "𝄞"]), max_size=3)
+    values = st.none() | st.booleans() | st.integers() | st.floats() | TRICKY_TEXT
+    props = st.dictionaries(TRICKY_TEXT, values, max_size=3)
+    vertices = [(name, draw(labels), draw(props)) for name in names[:n_vertices]]
+    ends = st.sampled_from(names[:n_vertices])
+    edges = [(name, draw(ends), draw(ends), draw(labels), draw(props)) for name in names[n_vertices:]]
+    return PropertyGraph(vertices, edges)
+
+
+def reference_record(g, i):
+    """Element i as a record of the file format, built as a dict."""
+    rec = {"id": g.names[i], "labels": sorted(g.labels_of(i)), "props": g.props_of(i)}
+    if g.is_edge(i):
+        rec["src"], rec["trg"] = (g.names[x] for x in g.endpoints(i))
+    return rec
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(record_graphs())
+def test_record_texts_match_json_dumps(g):
+    """The record-text builder writes every element, in any order, as
+    json.dumps writes its record with sorted keys, in the file format's
+    form and in the compact form; the fingerprint hashes the compact texts
+    in name order, vertices first."""
+    ids = list(range(g.n_ids))[::-1]
+    line = [json.dumps(reference_record(g, i), sort_keys=True) for i in ids]
+    compact = [json.dumps(reference_record(g, i), sort_keys=True, separators=(",", ":")) for i in ids]
+    assert list(graph._record_texts(g, ids, graph._LINE_ENCODER)) == line
+    assert list(graph._record_texts(g, ids, graph._RECORD_ENCODER)) == compact
+    h = hashlib.sha256()
+    for part in (g.vertices, g.edges):
+        for i in sorted(part, key=g.names.__getitem__):
+            h.update(json.dumps(reference_record(g, i), sort_keys=True, separators=(",", ":")).encode())
+    assert g.fingerprint() == h.hexdigest()
 
 
 # Scalars that meet across types: bool against int, str against number.
