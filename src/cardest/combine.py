@@ -198,70 +198,59 @@ def combine_cond_indep(
     strategy: str = "MoDi",
     catalog: Optional[StatisticsCatalog] = None,
     trace: Optional[list[CombineStep]] = None,
-    _depth: int = 0,
 ) -> float:
     """Chain rule over the estimates, in strategy order.
 
     Disjoint estimates multiply in directly; partially overlapping ones
-    are conditioned by dividing out an estimate of the shared part
-    (resolved recursively from subset estimates, with a depth cap falling
-    back to the singleton product); fully covered ones are skipped.
+    are conditioned by dividing out an estimate of the shared part; fully
+    covered ones are skipped.  The shared part's estimate is the chain
+    rule again, over the estimates inside it and a singleton estimate for
+    each of its constraints that none of them covers, down to
+    RECURSION_LIMIT levels, where the singleton product stands in.  Every
+    level reads the call's compiled query, singleton selectivities
+    (`_singleton_resolver`) and strategy, and clamps its product to
+    [0, 1]; only the top level's steps go to `trace`.
     """
     pes = list(cpes)
     cq, masks = compiled_for(pes, q)
     resolve = _singleton_resolver(cq, pes, masks, catalog)
-    # the closure of the processed constraints, grown by union as in
-    # _order_estimates
-    done_impl = 0
-    result = 1.0
-    for c_impl, pe in _order_estimates(pes, strategy, resolve, cq):
-        intersection = done_impl & c_impl
-        factor: Optional[float]
-        if not intersection:
-            factor = pe.selectivity
-            reason = "independent"
-        elif intersection != c_impl:
-            if pe.selectivity == 0.0:
-                factor = 0.0
+
+    def chain(pairs: list[tuple[int, PartialEstimate]], depth: int, steps: Optional[list[CombineStep]]) -> float:
+        """The chain rule over (mask, estimate) pairs, at a recursion depth."""
+        # the closure of the processed constraints, grown by union as in
+        # _order_estimates
+        done_impl = 0
+        result = 1.0
+        for c_impl, pe in _order_estimates([pe for _, pe in pairs], strategy, resolve, cq):
+            intersection = done_impl & c_impl
+            factor: Optional[float]
+            if not intersection:
+                factor = pe.selectivity
+                reason = "independent"
+            elif intersection != c_impl:
+                reason = "conditioned"
+                if pe.selectivity == 0.0:
+                    factor = 0.0
+                elif depth >= RECURSION_LIMIT:
+                    factor = pe.selectivity / max(pe.selectivity, _singleton_product(cq, intersection, resolve))
+                else:
+                    inside = [(m, p) for m, p in pairs if not m & ~intersection]
+                    singles = [
+                        (1 << i, cq.estimate(1 << i, resolve(i), "singleton", "estimate"))
+                        for i in _uncovered(cq, intersection, (m for m, _ in inside))
+                    ]
+                    factor = pe.selectivity / max(pe.selectivity, chain(inside + singles, depth + 1, None))
             else:
-                shared = _estimate_subset(
-                    intersection, cq, pes, masks, resolve, q, strategy, catalog, _depth
-                )
-                factor = pe.selectivity / max(pe.selectivity, shared)
-            reason = "conditioned"
-        else:
-            factor = None
-            reason = "covered"
-        if factor is not None:
-            result *= factor
-        if trace is not None:
-            trace.append(CombineStep(pe.provenance, pe.selectivity, factor, reason))
-        done_impl |= c_impl
-    return min(max(result, 0.0), 1.0)
+                factor = None
+                reason = "covered"
+            if factor is not None:
+                result *= factor
+            if steps is not None:
+                steps.append(CombineStep(pe.provenance, pe.selectivity, factor, reason))
+            done_impl |= c_impl
+        return min(max(result, 0.0), 1.0)
 
-
-def _estimate_subset(
-    mask: int,
-    cq: CompiledQuery,
-    pes: list[PartialEstimate],
-    masks: list[int],
-    resolve: Callable[[int], float],
-    q: QueryPattern,
-    strategy: str,
-    catalog: Optional[StatisticsCatalog],
-    depth: int,
-) -> float:
-    """Selectivity of a constraint subset (a mask of cq), for the
-    conditioning step."""
-    if depth >= RECURSION_LIMIT:
-        return _singleton_product(cq, mask, resolve)
-    inside = [(pe, m) for pe, m in zip(pes, masks) if not m & ~mask]
-    sub = [pe for pe, _ in inside]
-    sub += [
-        cq.estimate(1 << i, resolve(i), "singleton", "estimate")
-        for i in _uncovered(cq, mask, (m for _, m in inside))
-    ]
-    return combine_cond_indep(sub, q, strategy, catalog, None, depth + 1)
+    return chain(list(zip(masks, pes)), 0, trace)
 
 
 # ---------------------------------------------------------------------------

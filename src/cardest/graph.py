@@ -53,8 +53,9 @@ class PropertyGraph:
     """Immutable property graph with adjacency indexes.
 
     Internally ids are ints: vertices are 0..n_vertices-1 and edges
-    n_vertices..n_ids-1.  External string names are kept for I/O.  Equal
-    label sets are one shared frozenset object.  The constructor reads
+    n_vertices..n_ids-1.  External string names are kept for I/O.  Each
+    distinct label set is stored once, numbered in order of first
+    occurrence, and each id keeps its set's number.  The constructor reads
     `vertices` and then `edges` once each, so either may be a generator.
     """
 
@@ -64,7 +65,8 @@ class PropertyGraph:
         "n_edges",
         "_name_to_id",
         "_endpoints",
-        "_labels",
+        "_of",
+        "_sets",
         "_props",
         "_fingerprint",
         "_derived",
@@ -77,9 +79,9 @@ class PropertyGraph:
     ) -> None:
         names: list[str] = []
         name_to_id: dict[str, int] = {}
-        labels: list[frozenset[str]] = []
+        of: list[int] = []
+        number: dict[frozenset[str], int] = {}
         props: list[dict[str, Scalar]] = []
-        shared: dict[frozenset[str], frozenset[str]] = {}
 
         # no list(): a record streamed from a file is freed once it has been read
         for name, labs, pr in vertices:
@@ -87,8 +89,7 @@ class PropertyGraph:
                 raise GraphIntegrityError(f"duplicate id {name!r}")
             name_to_id[name] = len(names)
             names.append(name)
-            fs = frozenset(labs)
-            labels.append(shared.setdefault(fs, fs))
+            of.append(number.setdefault(frozenset(labs), len(number)))
             props.append(dict(pr))
         self.n_vertices = len(names)
 
@@ -102,8 +103,7 @@ class PropertyGraph:
                 raise GraphIntegrityError(f"edge {name!r} references missing vertex {trg!r}")
             name_to_id[name] = len(names)
             names.append(name)
-            fs = frozenset(labs)
-            labels.append(shared.setdefault(fs, fs))
+            of.append(number.setdefault(frozenset(labs), len(number)))
             props.append(dict(pr))
             endpoints.append((name_to_id[src], name_to_id[trg]))
         self.n_edges = len(endpoints)
@@ -111,7 +111,8 @@ class PropertyGraph:
         self.names = tuple(names)
         self._name_to_id = name_to_id
         self._endpoints = tuple(endpoints)
-        self._labels = tuple(labels)
+        self._of = of
+        self._sets = tuple(number)
         self._props = tuple(props)
         self._fingerprint: Optional[str] = None
         self._derived: dict[Callable[[PropertyGraph], Any], Any] = {}
@@ -140,7 +141,7 @@ class PropertyGraph:
         return self._endpoints[e - self.n_vertices]
 
     def labels_of(self, i: int) -> frozenset[str]:
-        return self._labels[i]
+        return self._sets[self._of[i]]
 
     def props_of(self, i: int) -> dict[str, Scalar]:
         return self._props[i]
@@ -200,7 +201,7 @@ class _Elements(NamedTuple):
     (`into`) as `_runs` of those arrays.  Built once, so read-only."""
 
     of: np.ndarray
-    sets: list[frozenset[str]]
+    sets: tuple[frozenset[str], ...]
     src: np.ndarray
     trg: np.ndarray
     out: tuple[np.ndarray, np.ndarray]
@@ -208,10 +209,9 @@ class _Elements(NamedTuple):
 
 
 def _elements(g: PropertyGraph) -> _Elements:
-    ids: dict[frozenset[str], int] = {}
-    of = np.fromiter((ids.setdefault(labels, len(ids)) for labels in g._labels), np.int64, g.n_ids)
+    of = np.array(g._of, np.int64)
     src, trg = np.fromiter(itertools.chain.from_iterable(g._endpoints), np.int64, 2 * g.n_edges).reshape(-1, 2).T
-    layout = _Elements(of, list(ids), src, trg, _runs(src, g.n_vertices), _runs(trg, g.n_vertices))
+    layout = _Elements(of, g._sets, src, trg, _runs(src, g.n_vertices), _runs(trg, g.n_vertices))
     for a in (of, src, trg, *layout.out, *layout.into):
         a.flags.writeable = False
     return layout
@@ -296,17 +296,13 @@ def _record_texts(g: PropertyGraph, ids: Iterable[int], encoder: json.JSONEncode
     the line of the file format that the fingerprint hashes too, with keys
     "id", "labels" (sorted), "props" and an edge's "src" and "trg".  Names
     and labels go through json's ASCII string encoder, each distinct label
-    set of the layout once; props go through `encoder` only when there
-    are any."""
+    set once; props go through `encoder` only when there are any."""
     string = json.encoder.encode_basestring_ascii
     comma, colon = encoder.item_separator, encoder.key_separator
-    layout = g.derived(_elements)
     # the text between an element's name and its props, per label set
-    middle = [
-        f'{comma}"labels"{colon}[{comma.join(map(string, sorted(s)))}]{comma}"props"{colon}' for s in layout.sets
-    ]
+    middle = [f'{comma}"labels"{colon}[{comma.join(map(string, sorted(s)))}]{comma}"props"{colon}' for s in g._sets]
     at_id, at_src, at_trg = '{"id"' + colon, f'{comma}"src"{colon}', f'{comma}"trg"{colon}'
-    of, names, props, ends, nv = layout.of.tolist(), g.names, g._props, g._endpoints, g.n_vertices
+    of, names, props, ends, nv = g._of, g.names, g._props, g._endpoints, g.n_vertices
     for i in ids:
         text = f"{at_id}{string(names[i])}{middle[of[i]]}{encoder.encode(props[i]) if props[i] else '{}'}"
         if i < nv:

@@ -649,7 +649,6 @@ class Sample(_Section):
     pattern_type: str
     probability: float
     seed: int
-    population: int
     members: list[Member] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -694,20 +693,17 @@ def _element_record(g: PropertyGraph, i: int) -> Member:
 
 
 def build_sample(g: PropertyGraph, pattern_type: str, pr: float, seed: int = 0) -> Sample:
-    if pattern_type not in SAMPLE_TYPES:
-        raise ValueError(f"unknown sample pattern type: {pattern_type!r}")
-    if not (0.0 < pr <= 1.0):
-        raise ValueError("sampling probability must be in (0, 1]")
+    """Each instance of the pattern type, drawn with the given
+    probability; the sample, made empty first, checks the pattern type
+    and the probability before any draw."""
+    sample = Sample(pattern_type, pr, seed)
     rng = random.Random(seed)
-    members: list[Member] = []
+    members = sample.members
     if pattern_type in ("id", "vertex"):
-        instances = range(g.n_ids) if pattern_type == "id" else g.vertices
-        population = g.n_ids if pattern_type == "id" else g.n_vertices
-        for i in instances:
+        for i in range(g.n_ids) if pattern_type == "id" else g.vertices:
             if rng.random() < pr:
                 members.append(_element_record(g, i))
     else:
-        population = g.n_edges
         for e in g.edges:
             if rng.random() < pr:
                 s, t = g.endpoints(e)
@@ -717,7 +713,7 @@ def build_sample(g: PropertyGraph, pattern_type: str, pr: float, seed: int = 0) 
                 if s == t:
                     rec["loop"] = True
                 members.append(rec)
-    return Sample(pattern_type, pr, seed, population, members)
+    return sample
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,7 @@ class TestRunWorkload:
         assert summary.per_config["rich"]["median"] <= summary.per_config["bare"]["median"]
 
 
+@pytest.mark.hash_seed
 @pytest.mark.parametrize(
     "spec, seed, digest",
     [
@@ -262,14 +263,24 @@ class TestRunWorkload:
 def test_skewed_graph_golden_fingerprint(spec, seed, digest):
     """Seeded skewed graphs, one like the benchmark's (three labels each,
     correlated vertex keys, an edge key), keep their recorded
-    fingerprints: every source and every later draw repeats."""
+    fingerprints: every source and every later draw repeats.
+
+    Hash seed: a draw taken over a set of labels or keys in its iteration
+    order would change the fingerprint.
+    """
     assert generate_graph(spec, seed).fingerprint() == digest
 
 
+@pytest.mark.hash_seed
 def test_csv_golden_digest(tmp_path):
     """The CSV of a seeded workload, with rows past the oracle budget
     (empty exact and qerror fields) and an infinite q-error, hashes to a
-    recorded digest."""
+    recorded digest.
+
+    Hash seed: the subqueries and their constraint sets are frozensets, so
+    rows or sums taken in their iteration order would change the
+    digest.
+    """
     spec = GraphSpec(
         n_vertices=40,
         n_edges=90,

@@ -90,7 +90,8 @@ class TestStatsBuild:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--sample", "foo:0.5", "unknown sample pattern type: 'foo'"),
+            ("--sample", "foo:0.5", "pattern_type: expected id or vertex or edge_pattern, got 'foo'"),
+            ("--sample", "id:1.5", "probability: expected a probability in (0, 1], got 1.5"),
             ("--synopses", "chain9", "max_size > 4 is not supported (resource guard)"),
             ("--cs", "0", "max_entries must be >= 1"),
             ("--sketch", "0", "n_buckets must be >= 1"),

@@ -182,11 +182,12 @@ def reference_order_estimates(pes, strategy, resolve, cq):
     return ordered
 
 
-def reference_cond_indep(pes, q, strategy, depth=0):
+def reference_cond_indep(pes, q, strategy, catalog=None, depth=0):
     """condIndep as first written: the closure of the processed
-    constraints is recomputed for every estimate."""
+    constraints is recomputed for every estimate, and each conditioning
+    step calls it again on the estimates inside the shared part."""
     cq, masks = compiled_for(pes, q)
-    bit_resolve = _singleton_resolver(cq, pes, masks, None)
+    bit_resolve = _singleton_resolver(cq, pes, masks, catalog)
 
     def resolve(c):
         return bit_resolve(cq.constraints.index(c))
@@ -212,7 +213,7 @@ def reference_cond_indep(pes, q, strategy, depth=0):
                 covered = set().union(*(p.constraints for p in sub))
                 for c in sorted(intersection - covered, key=lambda c: c.sort_key()):
                     sub.append(PartialEstimate(frozenset({c}), resolve(c), "singleton"))
-                shared = reference_cond_indep(sub, q, strategy, depth + 1)
+                shared = reference_cond_indep(sub, q, strategy, catalog, depth + 1)
                 result *= pe.selectivity / max(pe.selectivity, shared)
         done |= pe.constraints
     return min(max(result, 0.0), 1.0)
@@ -224,8 +225,13 @@ def reference_cond_indep(pes, q, strategy, depth=0):
     shape=st.sampled_from(["tree"] + sorted(CYCLIC_SHAPES)),
     n_subsets=st.integers(0, 8),
     with_closures=st.booleans(),
+    drop_singletons=st.booleans(),
 )
-def test_order_and_cond_indep_match_reference(seed, shape, n_subsets, with_closures):
+def test_order_and_cond_indep_match_reference(seed, shape, n_subsets, with_closures, drop_singletons):
+    """With drop_singletons, about half the singleton estimates are
+    missing, and both sides read theirs from a catalog: conditioning then
+    synthesizes singleton estimates for the shared parts they left
+    uncovered."""
     rng = random.Random(seed)
     g = random_graph(rng, n_vertices=rng.randint(1, 3), n_edges=rng.randint(0, 6))
     if shape == "tree":
@@ -237,17 +243,21 @@ def test_order_and_cond_indep_match_reference(seed, shape, n_subsets, with_closu
     for _ in range(n_subsets):
         subset = frozenset(rng.sample(constraints, rng.randint(2, min(5, len(constraints)))))
         pes.append(PartialEstimate(subset, oracle_constraint_sel(g, subset), "subset"))
+    catalog = None
+    if drop_singletons:
+        pes = [pe for pe in pes if len(pe.constraints) > 1 or rng.random() < 0.5]
+        catalog = build_catalog(g)
     if with_closures:
         pes.extend(add_implied_closures(pes, q))
     rng.shuffle(pes)
     cq = q.compiled
-    resolve = _singleton_resolver(cq, pes, list(map(cq.mask_of, pes)), None)
+    resolve = _singleton_resolver(cq, pes, list(map(cq.mask_of, pes)), catalog)
     for strategy in SORT_STRATEGIES:
         got = _order_estimates(pes, strategy, resolve, cq)
         assert [pe for _, pe in got] == reference_order_estimates(pes, strategy, resolve, cq), strategy
         assert all(cq.view(closure) == implied_closure(pe.constraints) for closure, pe in got), strategy
-        sel = combine_cond_indep(pes, q, strategy)
-        assert sel.hex() == reference_cond_indep(pes, q, strategy).hex(), strategy
+        sel = combine_cond_indep(pes, q, strategy, catalog)
+        assert sel.hex() == reference_cond_indep(pes, q, strategy, catalog).hex(), strategy
 
 
 def dense_graph(rng):

@@ -543,9 +543,15 @@ def golden_reports():
                     yield qid, config, estimate(sub, g, catalog, config)
 
 
+@pytest.mark.hash_seed
 def test_estimates_golden_digest():
     """Every golden report's cardinality and flags hash to a recorded
-    digest."""
+    digest.
+
+    Hash seed: each estimate's constraints are a frozenset, so a sum, a
+    product or a tie-break taken in their iteration order would change
+    the digest.
+    """
     h = hashlib.sha256()
     for qid, config, report in golden_reports():
         row = (qid, config.label, repr(report.cardinality), report.flags)
@@ -555,11 +561,16 @@ def test_estimates_golden_digest():
     )
 
 
+@pytest.mark.hash_seed
 def test_report_golden_digest():
     """Every golden report's JSON form but its wall time hashes to a
     recorded digest: besides the cardinalities, the estimate sets, the
     condIndep and upper-bound factor traces in their order, the maxEnt
-    partitions and masses, and the lower and upper bounds."""
+    partitions and masses, and the lower and upper bounds.
+
+    Hash seed: the constraint sets are frozensets, so a trace, a partition
+    or a sum taken in their iteration order would change the digest.
+    """
     h = hashlib.sha256()
     n_reports = 0
     for _, _, report in golden_reports():

@@ -396,9 +396,15 @@ def test_catalog_builders_share_element_arrays():
         of[0] = 1
 
 
+@pytest.mark.hash_seed
 def test_golden_digest():
     """The synopses, sysr and sketch sections of a seeded catalog are
-    byte-identical to those of the walk-enumerating builders."""
+    byte-identical to those of the walk-enumerating builders.
+
+    Hash seed: the builders group elements by label sets, which are
+    frozensets, so a key or an order taken from their iteration order
+    would change the bytes.
+    """
     spec = GraphSpec(300, 1200, vertex_labels=("A", "B", "C"), edge_labels=("x", "y", "z"))
     g = generate_graph(spec, seed=1)
     catalog = build_catalog(
@@ -491,9 +497,15 @@ def full_catalog(g, seed=3):
     return catalog
 
 
+@pytest.mark.hash_seed
 def test_full_catalog_golden_digest(tmp_path):
     """The saved bytes of a catalog with every section hash to a recorded
-    digest, so the file form of each section repeats byte for byte."""
+    digest, so the file form of each section repeats byte for byte.
+
+    Hash seed: every section reads label sets or key sets, which are
+    frozensets, so a key or an order taken from their iteration order
+    would change the bytes.
+    """
     g = full_catalog_graph()
     catalog = full_catalog(g)
     assert len(build_char_sets(g, 10000, "in").entries) > 2  # the 'in' store merged
@@ -502,7 +514,7 @@ def test_full_catalog_golden_digest(tmp_path):
     path = tmp_path / "catalog.json"
     save_catalog(catalog, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "89b84c6cc55333bc7f7e35f38cdf8ce4d4807e88c8a8e9a2c1aa942f602ea9b3"
+        "d98ce1b42146d9a21c6b3d7d80699b1463a8e19b62aee996069cd4851f739f75"
     )
 
 
@@ -702,7 +714,6 @@ class TestBoundSketch:
 class TestSamples:
     def test_exhaustive_id_sample(self, g4):
         s = build_sample(g4, "id", 1.0, seed=1)
-        assert s.population == 4
         assert len(s.members) == 4
         kinds = [m["kind"] for m in s.members]
         assert kinds.count("vertex") == 2 and kinds.count("edge") == 2
@@ -718,7 +729,7 @@ class TestSamples:
 
     def test_edge_pattern_sample_materializes_endpoints(self, g4):
         s = build_sample(g4, "edge_pattern", 1.0, seed=0)
-        assert s.population == 2
+        assert len(s.members) == 2
         assert all("src" in m and "trg" in m for m in s.members)
 
     def test_edge_pattern_sample_counts_self_loops(self):
@@ -963,6 +974,23 @@ class TestCatalogPersistence:
         reloaded = load_catalog(str(p1))
         save_catalog(reloaded, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_sample_population_key_still_loads(self, g4, tmp_path):
+        """A catalog file whose samples still hold `population`, the number
+        of instances a sample was drawn from (no estimate reads it), loads
+        as the catalog without it and saves the same bytes."""
+        samples = [("id", 1.0, 0), ("vertex", 1.0, 0), ("edge_pattern", 1.0, 0)]
+        p, old = tmp_path / "c.json", tmp_path / "old.json"
+        save_catalog(build_catalog(g4, samples=samples), str(p))
+        doc = json.loads(p.read_text(encoding="utf-8"))
+        for sample, population in zip(doc["samples"], (4, 2, 2)):
+            sample["population"] = population
+        old.write_text(json.dumps(doc), encoding="utf-8")
+        reloaded = load_catalog(str(old))
+        assert reloaded == load_catalog(str(p))
+        assert [len(s.members) for s in reloaded.samples] == [4, 2, 2]
+        save_catalog(reloaded, str(old))
+        assert old.read_bytes() == p.read_bytes()
 
     def test_corrupted_file(self, tmp_path):
         p = tmp_path / "bad.json"
