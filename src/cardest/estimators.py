@@ -13,7 +13,7 @@ sketch.
 from __future__ import annotations
 
 import random
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .stats import (
     Sample,
     StatisticsCatalog,
     WILDCARD,
+    exact_key,
     histogram_estimate,
     md_fraction,
 )
@@ -91,7 +92,7 @@ def individual_prop_estimate(
     basic = catalog.basic
     n_ids = basic.n_ids if basic else 0
     if basic and n_ids:
-        exact = basic.prop_exact.get((c.key, c.op.value, c.value))
+        exact = basic.prop_exact.get(exact_key(c.key, c.op.value, c.value))
         if exact is not None:
             return _count_sel(exact, n_ids, 1), "individual:exact", "exact"
         hist = catalog.histogram(c.key)
@@ -433,7 +434,7 @@ def sample_estimates(
     n_ids_g = basic.n_ids
     cq = q.compiled
     out: list[PartialEstimate] = []
-    groups = cq.data_by_id
+    groups = q.data_by_id
 
     for sample in catalog.samples:
         if wanted is not None and (sample.pattern_type, sample.probability) not in wanted:
@@ -527,7 +528,7 @@ def wander_join_estimate(
         check = forward and t in slots
         steps.append((slot(e), slot(s), slot(t), forward, check))
     cq = q.compiled
-    data_checks = [(slots[i], allowed(g, cs).tolist()) for i, cs in sorted(cq.data_by_id.items()) if i in slots]
+    data_checks = [(slots[i], allowed(g, cs).tolist()) for i, cs in sorted(q.data_by_id.items()) if i in slots]
 
     getrandbits = random.Random(seed).getrandbits
     ends, out, into = g.adjacency()
@@ -593,23 +594,21 @@ def md_histogram_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[
     if basic is None or basic.n_ids == 0 or not catalog.md_histograms:
         return []
     n_ids_g = basic.n_ids
-    by_id: dict[str, list[tuple[str, PredicateKind, Any]]] = {}
-    for i, key, op, value in q.prop_constraints:
-        by_id.setdefault(i, []).append((key, op, value))
     cq = q.compiled
     values = cq.kinds((ConstraintKind.PROP_VALUE,))
     out: list[PartialEstimate] = []
-    for i in sorted(by_id):
-        preds = by_id[i]
+    for i, group in sorted(q.data_by_id.items()):
+        # canonical order: md_fraction's float product depends on it
+        preds = sorted((c for c in group if c.kind is ConstraintKind.PROP_VALUE), key=Constraint.sort_key)
         if len(preds) < 2:
             continue
-        if any(op not in _MD_OPS for _, op, _ in preds):
+        if any(c.op not in _MD_OPS for c in preds):
             continue
-        keys = {k for k, _, _ in preds}
+        keys = {c.key for c in preds}
         for mdh in catalog.md_histograms:
             if not keys <= set(mdh.keys):
                 continue
-            frac = md_fraction(mdh, preds)
+            frac = md_fraction(mdh, [(c.key, c.op, c.value) for c in preds])
             sel = frac * _count_sel(mdh.total, n_ids_g, 1)
             out.append(cq.estimate(cq.within((i,)) & values, _clamp(sel), "mdh", "estimate"))
             break

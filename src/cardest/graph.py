@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Type
 import numpy as np
 
 from .fileform import FormError, MissingKey, codec
-from .query import Constraint, ConstraintKind, QueryPattern, Scalar, data_constraints_by_id, satisfies
+from .query import Constraint, ConstraintKind, QueryPattern, Scalar, satisfies
 
 
 class GraphFormatError(ValueError):
@@ -428,7 +428,7 @@ class _Matcher:
         self.budget = budget
         self.expansions = 0
         # Per-id data constraints are checked eagerly while extending.
-        self.masks = {i: allowed(g, cs).tolist() for i, cs in data_constraints_by_id(q).items()}
+        self.masks = {i: allowed(g, cs).tolist() for i, cs in q.data_by_id.items()}
 
     def count(self) -> int:
         q = self.q
@@ -553,7 +553,7 @@ def _count_forest(g: PropertyGraph, q: QueryPattern) -> int:
     while n_vertices * max_degree ** len(q.edges) stays below 2**63, and
     Python ints in object arrays beyond it.
     """
-    data = data_constraints_by_id(q)
+    data = q.data_by_id
     layout, n = g.derived(_elements), g.n_vertices
     max_degree = max(int(np.diff(offsets).max(initial=0)) for offsets, _ in (layout.out, layout.into))
     dtype = np.int64 if n * max_degree ** len(q.edges) < 2**63 else object

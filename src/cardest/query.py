@@ -14,15 +14,17 @@ it in canonical order.  Per bit it holds the implied closure as a mask,
 and per query id the mask of the constraints that name it.  A phase-1
 technique names the set it estimates by its ids and kinds,
 `within(ids) & kinds(ks)`; the subpattern some edges span is
-`shape_mask`.  Every constraint the compiled form hands out is one of
-its own objects, and phases 1-3 do their set work on masks: unions,
-intersections, subset tests, closures (an OR of per-bit closures) and
-overlap counts (`int.bit_count`).  A `PartialEstimate` keeps its
-frozenset of constraints as the public view and caches its mask in the
-compiled query it was last read through, so each estimate's mask is
-computed once per `estimate()` call.  It also states its kind (one of
-`ESTIMATE_KINDS`), set by the technique that makes it: later phases
-read that field and never the provenance text.
+`shape_mask`.  Each id's data constraints are grouped on the pattern
+instead (`QueryPattern.data_by_id`), so the exact matcher reads them
+without compiling it.  Every constraint the compiled form hands out is
+one of its own objects, and phases 1-3 do their set work on masks:
+unions, intersections, subset tests, closures (an OR of per-bit
+closures) and overlap counts (`int.bit_count`).  A `PartialEstimate`
+keeps its frozenset of constraints as the public view and caches its
+mask in the compiled query it was last read through, so each estimate's
+mask is computed once per `estimate()` call.  It also states its kind
+(one of `ESTIMATE_KINDS`), set by the technique that makes it: later
+phases read that field and never the provenance text.
 """
 
 from __future__ import annotations
@@ -169,10 +171,17 @@ class Constraint:
     _hash = None
     _sort_key = None
 
+    def __eq__(self, other: object) -> bool:
+        """Equal exactly when the sort keys are: the key reads a value by
+        its repr, so 1, 1.0 and True (all == each other) stay three
+        predicates, as they are for `predicate_holds`."""
+        if other.__class__ is not Constraint:
+            return NotImplemented
+        return self is other or self.sort_key() == other.sort_key()
+
     def __hash__(self) -> int:
         if self._hash is None:
-            fields = (self.kind, self.ids, self.label, self.key, self.op, self.value)
-            object.__setattr__(self, "_hash", hash(fields))
+            object.__setattr__(self, "_hash", hash(self.sort_key()))
         return self._hash
 
     def __reduce__(self) -> tuple:
@@ -318,6 +327,17 @@ class QueryPattern:
         under implied_closure."""
         return frozenset(_pattern_constraints(self))
 
+    @functools.cached_property
+    def data_by_id(self) -> dict[str, frozenset[Constraint]]:
+        """Per query id, its hasLabel, hasKey and propValue constraints
+        (ids without any are absent).  It does not compile the pattern:
+        the oracle, which reads it first, does not pay for a compile."""
+        per_id: dict[str, list[Constraint]] = {}
+        for c in self._constraints:
+            if c.kind in DATA_KINDS:
+                per_id.setdefault(c.ids[0], []).append(c)
+        return {i: frozenset(cs) for i, cs in per_id.items()}
+
     def labels_of(self, i: str) -> frozenset[str]:
         return self.labels.get(i, frozenset())
 
@@ -350,6 +370,10 @@ def label_list(labels: Any, ident: Any) -> list[str]:
     if not isinstance(labels, (list, tuple)) or not all(isinstance(l, str) for l in labels):
         raise QueryFormatError(f"labels of {ident!r} must be a list of strings: {labels!r}")
     return list(labels)
+
+
+# the Python types of a JSON scalar: a predicate value, or an IN list's item
+_JSON_SCALARS = (str, int, float, bool, type(None))
 
 
 def parse_query(doc: Union[str, dict]) -> QueryPattern:
@@ -388,10 +412,15 @@ def parse_query(doc: Union[str, dict]) -> QueryPattern:
                     key, op, value = p["key"], p["op"], p["value"]
                 except (KeyError, TypeError) as exc:
                     raise QueryFormatError(f"bad property constraint on {ident!r}: {p!r}") from exc
+                if not isinstance(key, str):
+                    raise QueryFormatError(f"property key on {ident!r} must be a string: {key!r}")
                 kind = PredicateKind.from_op(op)
-                if kind is PredicateKind.IN and not isinstance(value, (list, tuple)):
+                listed = kind is PredicateKind.IN
+                if listed and not isinstance(value, (list, tuple)):
                     raise QueryFormatError(f"IN predicate on {ident!r} needs a list value")
-                props.append((ident, key, kind, tuple(value) if isinstance(value, list) else value))
+                if not all(isinstance(v, _JSON_SCALARS) for v in (value if listed else (value,))):
+                    raise QueryFormatError(f"predicate value on {ident!r} is not a JSON scalar: {value!r}")
+                props.append((ident, key, kind, tuple(value) if listed else value))
 
     return QueryPattern(
         vertices=frozenset(vertices),
@@ -471,8 +500,8 @@ class CompiledQuery:
     constraints that name it (`naming`; bit j of an id mask stands for
     the j-th id).  A set of constraints is named by its ids and kinds,
     `within(ids) & kinds(ks)`; the shape of the subpattern some edges
-    span is `shape_mask`, and each id's data constraints are
-    `data_by_id`.  A pattern's compiled form is `QueryPattern.compiled`;
+    span is `shape_mask` (each id's data constraints are grouped on the
+    pattern).  A pattern's compiled form is `QueryPattern.compiled`;
     estimates that name constraints outside their pattern compile one
     over both (`compiled_for`).
     """
@@ -480,7 +509,6 @@ class CompiledQuery:
     def __init__(self, constraints: Iterable[Constraint]) -> None:
         """constraints: a set closed under `implied_closure`."""
         cs = tuple(sorted(set(constraints), key=Constraint.sort_key))
-        assert len(set(map(Constraint.sort_key, cs))) == len(cs), "sort_key must tell constraints apart"
         self.constraints = cs
         self._bit = {c: 1 << i for i, c in enumerate(cs)}
         self._bit_tuples: dict[int, tuple[int, ...]] = {}
@@ -510,7 +538,6 @@ class CompiledQuery:
                 closure |= implied[(i, c.key)]
             closures.append(closure)
         self.closures, self.naming = tuple(closures), naming
-        self.data_by_id = _data_groups(cs)
 
     def mask(self, constraints: Iterable[Constraint]) -> int:
         """The mask of constraints equal to some of this set's."""
@@ -661,19 +688,6 @@ def constraints_for_edges(q: QueryPattern, edges: Iterable[str]) -> frozenset[Co
     return q.compiled.view(shape_mask(q, tuple(edges)))
 
 
-def data_constraints_by_id(q: QueryPattern) -> dict[str, frozenset[Constraint]]:
-    """Per query id, its label / key / key-value constraints (non-empty only)."""
-    return _data_groups(q._constraints)
-
-
-def _data_groups(constraints: Iterable[Constraint]) -> dict[str, frozenset[Constraint]]:
-    per_id: dict[str, list[Constraint]] = {}
-    for c in constraints:
-        if c.kind in DATA_KINDS:
-            per_id.setdefault(c.ids[0], []).append(c)
-    return {i: frozenset(cs) for i, cs in per_id.items()}
-
-
 def cs_pattern_of(q: QueryPattern, center: str, direction: str = "out") -> Optional[dict]:
     """The same-direction star of `center` plus its key constraints.
 
@@ -699,7 +713,7 @@ def cs_pattern_of(q: QueryPattern, center: str, direction: str = "out") -> Optio
         if len(labs) != 1:
             return None
         edge_labels.append(next(iter(labs)))
-    keys = sorted({key for i, key, _, _ in q.prop_constraints if i == center})
+    keys = sorted({c.key for c in q.data_by_id.get(center, ()) if c.kind is ConstraintKind.HAS_KEY})
     elements = set(edge_labels) | set(keys)
     if not elements or len(set(edge_labels)) != len(edge_labels):
         return None

@@ -108,6 +108,13 @@ def _joined(texts: Iterable[str]) -> str:
 _Value = Union[Optional[Scalar], tuple[Optional[Scalar], ...]]
 
 
+def exact_key(key: str, op: str, value: _Value) -> tuple[str, str, _Value, str]:
+    """The `BasicStats.prop_exact` key of a (key, op, value) triple: the
+    triple and its value's repr, which tells 1, 1.0 and True apart as
+    `Constraint.sort_key` does (1 == 1.0 == True would merge their rows)."""
+    return key, op, value, repr(value)
+
+
 @dataclass
 class BasicStats(_Section):
     n_vertices: int
@@ -115,13 +122,13 @@ class BasicStats(_Section):
     n_ids: int
     label_sel: dict[str, tuple[int, int]] = field(default_factory=dict)
     key_sel: dict[str, int] = field(default_factory=dict)
-    # stored as [key, op, value, count] rows, in repr order
-    prop_exact: dict[tuple[str, str, _Value], int] = field(
+    # keyed by `exact_key`; stored as [key, op, value, count] rows, in repr order
+    prop_exact: dict[tuple[str, str, _Value, str], int] = field(
         default_factory=dict,
         metadata=stored(
             list[tuple[str, str, _Value, int]],
-            out=lambda m: [(*t, n) for t, n in sorted(m.items(), key=repr)],
-            back=lambda rows: {(k, op, v): n for k, op, v, n in rows},
+            out=lambda m: [(k, op, v, n) for (k, op, v, _), n in sorted(m.items(), key=repr)],
+            back=lambda rows: {exact_key(k, op, v): n for k, op, v, n in rows},
         ),
     )
 
@@ -145,13 +152,13 @@ def build_basic(
             label_sel[l] = (lv + v, le + e)
     key_sel = dict(Counter(k for i in range(g.n_ids) for k in g.props_of(i)))
 
-    prop_exact: dict[tuple[str, str, Any], int] = {}
+    prop_exact: dict[tuple[str, str, _Value, str], int] = {}
     for key, op, value in prop_exact_triples:
         kind = op if isinstance(op, PredicateKind) else PredicateKind.from_op(op)
         if kind is PredicateKind.IN and not isinstance(value, (list, tuple)):
             raise ValueError(f"IN predicate on {key!r} needs a list value")
         c = Constraint.prop_value("x", key, kind, value)
-        prop_exact[(key, kind.value, c.value)] = int(np.count_nonzero(allowed(g, [c])))
+        prop_exact[exact_key(key, kind.value, c.value)] = int(np.count_nonzero(allowed(g, [c])))
 
     return BasicStats(
         n_vertices=g.n_vertices,

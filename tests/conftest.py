@@ -170,9 +170,12 @@ def oracle_constraint_sel(g: PropertyGraph, constraints) -> float:
 
 def brute_force_matches(g: PropertyGraph, q: QueryPattern, isomorphic: bool = False) -> int:
     """Independent reference: enumerate every possible mapping and check
-    every constraint.  Only usable on tiny graphs/queries."""
+    every constraint, and every property predicate as the query writes it
+    (not only as the constraint set holds it).  Only usable on tiny
+    graphs/queries."""
     ids = sorted(q.ids)
-    constraints = extract_constraints(q)
+    written = [Constraint.prop_value(i, key, op, value) for i, key, op, value in q.prop_constraints]
+    constraints = [*extract_constraints(q), *written]
     count = 0
     for combo in itertools.product(range(g.n_ids), repeat=len(ids)):
         if isomorphic and len(set(combo)) != len(combo):

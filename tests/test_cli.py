@@ -265,6 +265,10 @@ def sample_catalog(pattern_type="id", probability=1.0, members=()) -> str:
         ("stats", None, "No such file or directory"),
         ("workload", "[oops", "workload.json: Expecting value"),
         ("workload", json.dumps([{"query": ONE_EDGE_DOC}]), "workload must be a JSON list of {id, query} objects"),
+        ("query", json.dumps({"vertices": [{"id": "x", "props": [{"key": "k", "op": "=", "value": {"a": 1}}]}]}),
+         "predicate value on 'x' is not a JSON scalar: {'a': 1}"),
+        ("query", json.dumps({"vertices": [{"id": "x", "props": [{"key": "k", "op": "IN", "value": [[1]]}]}]}),
+         "predicate value on 'x' is not a JSON scalar: [[1]]"),
         ("edges", '{"id": "e9", "src": "g1", "trg": "g3", "labels": "xy"}', "edges.jsonl:3: labels: expected list"),
         ("vertices", '{"id": "g9", "labels": 5}', "vertices.jsonl:3: labels: expected list, got 5"),
         ("vertices", '{"id": "g9", "props": "x"}', "vertices.jsonl:3: props: expected object, got 'x'"),
@@ -284,6 +288,7 @@ def sample_catalog(pattern_type="id", probability=1.0, members=()) -> str:
          "edge-pattern-sample-edge-source",
          "catalog-missing",
          "workload-not-json", "workload-item-without-id",
+         "query-value-object", "query-in-list-of-lists",
          "edge-labels-string", "vertex-labels-number", "vertex-props-string", "vertex-props-list",
          "catalog-not-utf8", "graph-not-utf8", "query-not-utf8", "workload-not-utf8", "configs-not-utf8"],  # fmt: skip
 )

@@ -281,6 +281,7 @@ class TestWorkedExampleEndToEnd:
             StatisticsCatalog,
             SysRStats,
             edge_key,
+            exact_key,
         )
 
         def cnt(sel, k=1):
@@ -303,9 +304,9 @@ class TestWorkedExampleEndToEnd:
             },
             key_sel={"note": cnt(0.0994), "gender": cnt(0.0157), "name": cnt(0.0491)},
             prop_exact={
-                ("gender", "=", "m"): cnt(0.0101),
-                ("name", "CONTAINS", "Tim"): cnt(1.50e-4),
-                ("note", "IN", ("(producer)", "(executive producer)")): cnt(0.0138),
+                exact_key("gender", "=", "m"): cnt(0.0101),
+                exact_key("name", "CONTAINS", "Tim"): cnt(1.50e-4),
+                exact_key("note", "IN", ("(producer)", "(executive producer)")): cnt(0.0138),
             },
         )
         n_budget = cnt(2.40e-20, 3)

@@ -252,6 +252,18 @@ class TestExactMatches:
         assert iso <= homo
         assert iso == brute_force_matches(g, q, isomorphic=True)
 
+    @pytest.mark.parametrize("values", [(1, True), (True, 1)])
+    def test_number_and_bool_predicates_both_hold(self, values):
+        """`k = 1 AND k = True` has no match (a bool never equals a
+        number), in either order; both predicates stay in the constraint
+        set, and neither counter compiles the pattern."""
+        g = PropertyGraph([("a", [], {"k": 1}), ("b", [], {"k": True}), ("c", [], {"k": 1.0})], [])
+        props = [{"key": "k", "op": "=", "value": v} for v in values]
+        for budget in (None, 10**8):
+            q = parse_query({"vertices": [{"id": "x", "props": props}]})
+            assert exact_matches(g, q, budget=budget) == 0
+            assert "compiled" not in vars(q)
+
     def test_budget_guard(self):
         rng = random.Random(3)
         g = random_graph(rng, n_vertices=8, n_edges=20, labels=(), keys=())
@@ -640,7 +652,8 @@ def oracle_graphs(draw):
 def patterns(draw, shape):
     """A query pattern whose edges form a random forest, isolated
     vertices included (shape "forest"), or one of `CYCLIC_SHAPES` (shape
-    "cyclic"); every element may carry labels and a property predicate."""
+    "cyclic"); every element may carry labels and up to two property
+    predicates."""
     if shape == "forest":
         n = 3 - draw(st.integers(0, 2))
         edges = []
@@ -659,10 +672,11 @@ def patterns(draw, shape):
     }
     for item in doc["vertices"] + doc["edges"]:
         item["labels"] = draw(st.sampled_from([[], [], ["a"], ["b"], ["a", "b"], ["c"]]))
-        if draw(st.integers(0, 4)) == 4:
+        item["props"] = []
+        for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
             op = draw(st.sampled_from(PredicateKind))
             value = draw(st.lists(SCALARS, max_size=2) if op is PredicateKind.IN else SCALARS)
-            item["props"] = [{"key": draw(st.sampled_from(["k1", "k2"])), "op": op.value, "value": value}]
+            item["props"].append({"key": draw(st.sampled_from(["k1", "k2"])), "op": op.value, "value": value})
     return parse_query(doc)
 
 

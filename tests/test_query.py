@@ -9,13 +9,13 @@ from cardest.graph import PropertyGraph
 from cardest.query import (
     Constraint,
     ConstraintKind,
+    DATA_KINDS,
     PartialEstimate,
     PredicateKind,
     QueryFormatError,
     constraint_set_key,
     constraints_for_edges,
     cs_pattern_of,
-    data_constraints_by_id,
     extract_constraints,
     implied_closure,
     iter_chains,
@@ -111,6 +111,7 @@ class TestParseQuery:
             ),
             ([], [{"key": "k"}], "bad property constraint on 'a': {'key': 'k'}"),
             ([], [{"key": "k", "op": "IN", "value": 1}], "IN predicate on 'a' needs a list value"),
+            ([], [{"key": 1, "op": "=", "value": 1}], "property key on 'a' must be a string: 1"),
         ],
     )
     def test_single_error_messages(self, edges, vertex_props, message):
@@ -233,7 +234,7 @@ class TestEnumerateSubpatterns:
         assert ids == {"id0", "id1", "id2", "id3", "id4"}
 
     def test_per_id_returns_data_constraints(self, movie_query):
-        groups = data_constraints_by_id(movie_query)
+        groups = movie_query.data_by_id
         assert len(groups) == 9  # every id carries at least a label
         for cs in groups.values():
             assert all(
@@ -305,7 +306,7 @@ def test_sets_by_ids_and_kinds_match_brute_force(seed, n_edges):
         edges = tuple(e for e in sorted(q.edges) if rng.random() < 0.5)
         assert cq.view(shape_mask(q, edges)) == reference_shape(q, edges)
         assert constraints_for_edges(q, edges) == reference_shape(q, edges)
-    assert cq.data_by_id == data_constraints_by_id(q)
+    assert q.data_by_id == {i: v for i in q.ids if (v := cq.view(cq.within((i,)) & cq.kinds(DATA_KINDS)))}
     for center in sorted(q.vertices):
         for direction, star_edges in (("out", q.out_query_edges(center)), ("in", q.in_query_edges(center))):
             info = cs_pattern_of(q, center, direction)
@@ -370,7 +371,7 @@ class TestPartialEstimate:
                 star_sets(q, 2, "source"),
                 star_sets(q, 2, "target"),
                 cs_pattern_sets(q),
-                list(data_constraints_by_id(q).values()),
+                list(q.data_by_id.values()),
                 edge_pattern_sets(q),
             ]:
                 for cs in sets:

@@ -12,7 +12,7 @@ from cardest import stats
 from cardest.bench import GraphSpec, generate_graph
 from cardest.estimators import individual_estimate, sample_estimates
 from cardest.graph import PropertyGraph, exact_matches, exact_selectivity
-from cardest.query import ConstraintKind, PredicateKind, extract_constraints, parse_query, predicate_holds
+from cardest.query import Constraint, ConstraintKind, PredicateKind, extract_constraints, parse_query, predicate_holds
 from cardest.stats import (
     WILDCARD,
     BoundSketch,
@@ -32,6 +32,7 @@ from cardest.stats import (
     build_system_r,
     chain_key,
     edge_key,
+    exact_key,
     histogram_estimate,
     load_catalog,
     md_fraction,
@@ -118,8 +119,21 @@ class TestBasicStats:
             for i in range(g.n_ids)
             if g.prop(i, "k1") is not None and g.prop(i, "k1") < 2
         )
-        assert b.prop_exact[("k1", "=", 2)] == eq
-        assert b.prop_exact[("k1", "<", 2)] == lt
+        assert b.prop_exact[exact_key("k1", "=", 2)] == eq
+        assert b.prop_exact[exact_key("k1", "<", 2)] == lt
+
+    def test_prop_exact_keeps_number_and_bool_apart(self, tmp_path):
+        """(k, =, 1) and (k, =, True) are two rows, built and loaded, and
+        the exact estimate of `k = 1` counts only the 1."""
+        g = PropertyGraph([("a", [], {"k": 1}), ("b", [], {"k": True}), ("c", [], {"k": True})], [])
+        catalog = build_catalog(g, prop_exact=[("k", "=", 1), ("k", "=", True)])
+        path = str(tmp_path / "catalog.json")
+        save_catalog(catalog, path)
+        for read in (catalog, load_catalog(path)):
+            assert read.basic.to_dict()["prop_exact"] == [["k", "=", 1, 1], ["k", "=", True, 2]]
+            for value, count in ((1, 1), (True, 2)):
+                pe = individual_estimate(Constraint.prop_value("x", "k", PredicateKind.EQ, value), read)
+                assert (pe.selectivity, pe.provenance) == (count / 3, "individual:exact")
 
 
 class TestSynopses:
