@@ -138,6 +138,8 @@ def enumerate_subqueries(
     Labels stay on included ids; property constraints are kept atomically
     per id (all of an id's predicates or, with include_props=False, none).
     """
+    if max_edges < 1:
+        return []
     edges = sorted(q.edges)
     adjacency: dict[str, set[str]] = {e: set() for e in edges}
     for e1 in edges:

@@ -147,6 +147,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.subqueries is not None and args.subqueries < 1:
+        raise ConfigError(f"--subqueries must be >= 1, got {args.subqueries}")
     g = _load_graph_dir(args.graph)
     catalog = load_catalog(args.stats) if args.stats else build_catalog(g)
     try:

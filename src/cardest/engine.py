@@ -324,8 +324,9 @@ def expand_disjunctions(doc: Union[str, dict], cap: int = 64) -> list[dict]:
     Each group lists alternatives; an alternative is an object with an
     "id" plus "labels" and/or "props" to merge into that element.
     Raises QueryFormatError for a document whose part outside the
-    groups `parse_query` rejects and for labels or props that are not
-    lists, and ExpansionLimitError for a malformed group.
+    groups `parse_query` rejects, for an alternative whose id is not a
+    string and for labels or props that are not lists, and
+    ExpansionLimitError for a malformed group.
     """
     doc = load_document(doc)
     groups = doc.get("anyOf") or []
@@ -351,7 +352,9 @@ def expand_disjunctions(doc: Union[str, dict], cap: int = 64) -> list[dict]:
         for item in expanded.get("vertices", []) + expanded.get("edges", []):
             index[item["id"]] = item
         for alt in combo:
-            target = index.get(alt.get("id"))
+            if not isinstance(alt.get("id"), str):
+                raise QueryFormatError(f"anyOf alternative id must be a string: {alt.get('id')!r}")
+            target = index.get(alt["id"])
             if target is None:
                 raise ExpansionLimitError(f"anyOf refers to unknown id {alt.get('id')!r}")
             if "labels" in alt:

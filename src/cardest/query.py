@@ -399,11 +399,16 @@ def parse_query(doc: Union[str, dict]) -> QueryPattern:
             ident = item.get("id")
             if not ident:
                 raise QueryFormatError(f"{noun} without id")
+            if not isinstance(ident, str):
+                raise QueryFormatError(f"{noun} id must be a string: {ident!r}")
             if ident in vertices or ident in edges:
                 raise QueryFormatError(f"duplicate id {ident!r}")
             ids.add(ident)
             if ids is edges:
-                endpoints[ident] = (item.get("src"), item.get("trg"))
+                ends = (item.get("src"), item.get("trg"))
+                if not all(end is None or isinstance(end, str) for end in ends):
+                    raise QueryFormatError(f"src and trg of edge {ident!r} must be strings: {ends!r}")
+                endpoints[ident] = ends
             labs = frozenset(label_list(item.get("labels", ()), ident))
             if labs:
                 labels[ident] = labs

@@ -33,7 +33,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypedDict, Union
+from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence, TypedDict, Union
 
 import numpy as np
 
@@ -763,8 +763,8 @@ def _is_number(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# Length of the string prefixes a string histogram buckets by.  Estimates
-# read it back from the stored buckets, so catalogs need not record it.
+# Length of the string prefixes a string histogram buckets by and compares
+# values at (a shorter string is its own prefix); catalogs do not record it.
 PREFIX_LEN = 1
 
 
@@ -773,11 +773,12 @@ def build_histogram(
 ) -> Histogram:
     """Summarize the value distribution of one property key.
 
-    Numeric values get range buckets (equi-width or equi-depth); if any
-    value is non-numeric the key is summarized by PREFIX_LEN-character
-    string prefixes instead.  A None value satisfies no value predicate
-    (`query.satisfies`), so it is left out.  An absent key, or one that
-    holds only None, yields an empty histogram.
+    A key whose values are all numbers gets range buckets (equi-width or
+    equi-depth); any other key gets PREFIX_LEN-character prefix buckets
+    of its strings alone, as no string predicate holds on another type.
+    A None value satisfies no value predicate (`query.satisfies`), so it
+    is left out.  An absent key, or one that holds only None, yields an
+    empty histogram.
     """
     if kind not in ("equi_width", "equi_depth"):
         raise ValueError(f"unknown histogram kind: {kind!r}")
@@ -788,13 +789,9 @@ def build_histogram(
         return Histogram(key, kind, "numeric", 0, [])
     if all(_is_number(v) for v in values):
         return _numeric_histogram(key, kind, n_buckets, [float(v) for v in values])
-    strings = sorted(str(v) for v in values)
-    groups: dict[str, list[str]] = {}
-    for v in strings:
-        groups.setdefault(v[:PREFIX_LEN], []).append(v)
-    buckets = [
-        {"prefix": p, "count": len(vs), "distinct": len(set(vs))} for p, vs in sorted(groups.items())
-    ]
+    strings = sorted(v for v in values if isinstance(v, str))
+    groups = [(p, list(vs)) for p, vs in itertools.groupby(strings, key=lambda v: v[:PREFIX_LEN])]
+    buckets = [{"prefix": p, "count": len(vs), "distinct": len(set(vs))} for p, vs in groups]
     return Histogram(key, kind, "string_prefix", len(strings), buckets)
 
 
@@ -803,12 +800,10 @@ def _numeric_histogram(key: str, kind: str, n_buckets: int, values: list[float])
     total = len(values)
     buckets: list[Bucket] = []
     if kind == "equi_width":
-        bounds, index = _equi_width(values, n_buckets)
-        slots: list[list[float]] = [[] for _ in bounds[1:]]
-        for v in values:
-            slots[index(v)].append(v)
-        for lo, hi, vs in zip(bounds, bounds[1:], slots):
-            buckets.append({"lo": lo, "hi": hi, "count": len(vs), "distinct": len(set(vs))})
+        bounds, column, distincts = _equi_width(values, n_buckets)
+        counts = Counter(column)
+        for b, (lo, hi, distinct) in enumerate(zip(bounds, bounds[1:], distincts)):
+            buckets.append({"lo": lo, "hi": hi, "count": counts[b], "distinct": distinct})
     else:  # equi_depth: quantile slices differing in count by at most one
         n = min(n_buckets, total)
         base, extra = divmod(total, n)
@@ -823,67 +818,49 @@ def _numeric_histogram(key: str, kind: str, n_buckets: int, values: list[float])
     return Histogram(key, kind, "numeric", total, buckets)
 
 
-def _equi_width(values: Sequence[float], n: int) -> tuple[list[float], Callable[[float], int]]:
-    """Bounds of n equal-width buckets spanning the values, and the map
-    from a value in that span to its bucket.  A span of one point (or no
-    values) gets a single bucket."""
+def _equi_width(values: Sequence[float], n: int) -> tuple[list[float], list[int], list[int]]:
+    """Split the values' span into n equal-width buckets: the bounds
+    b0..bn, each value's bucket, and each bucket's distinct count.  A span
+    of one point (or no values) gets a single bucket.  The 1-D equi-width
+    histogram and every grid axis are this split."""
     lo, hi = (min(values), max(values)) if values else (0.0, 0.0)
     if lo == hi:
-        return [lo, hi], lambda v: 0
-    width = (hi - lo) / n
-    return [lo + i * width for i in range(n)] + [hi], lambda v: min(int((v - lo) / width), n - 1)
+        bounds, column = [lo, hi], [0] * len(values)
+    else:
+        width = (hi - lo) / n
+        bounds = [lo + i * width for i in range(n)] + [hi]
+        column = [min(int((v - lo) / width), n - 1) for v in values]
+    distinct = Counter(b for b, _ in set(zip(column, values)))
+    return bounds, column, [distinct[b] for b in range(len(bounds) - 1)]
 
 
 def histogram_estimate(hist: Histogram, op: PredicateKind, value: Any) -> Optional[float]:
-    """Estimated number of elements with the key satisfying ``op value``.
+    """Estimated number of elements with the key satisfying ``op value``:
+    the sum over buckets of each bucket's count times the fraction of it
+    that meets the predicate (`_bucket_fraction` for a numeric bucket,
+    `_prefix_fraction` for a string-prefix one).
 
-    Returns None when the histogram cannot serve the predicate (substring
-    matching, domain mismatch).  Numeric buckets follow the bucket model
-    of `_bucket_fraction`; a string prefix bucket assumes uniformly
-    frequent distinct values.  Cross-type predicates never hold, so a
-    numeric histogram answers `=` and `!=` with a non-number by 0; a
-    string prefix histogram may summarize a key of mixed types, so it
-    has no answer for a non-string value, alone or in an `IN` list.
+    Returns None for substring matching, an `IN` without a list, an
+    order predicate with a non-number on a numeric histogram, and a
+    non-string value (alone or in an `IN` list) on a string histogram,
+    which holds only its key's strings.  Cross-type predicates never
+    hold, so a numeric histogram, which holds every value of its key,
+    answers `=` and `!=` with a non-number by 0; an empty one answers 0.
     """
-    if hist.total == 0:
+    listed = op is PredicateKind.IN
+    if hist.domain == "numeric" and hist.total == 0:
         return 0.0
-    if op is PredicateKind.IN and not isinstance(value, (list, tuple)):
+    if op is PredicateKind.CONTAINS or (listed and not isinstance(value, (list, tuple))):
         return None
     if hist.domain == "numeric":
-        if op is PredicateKind.CONTAINS or (op is not PredicateKind.IN and not _is_number(value)):
+        if not listed and not _is_number(value):
             return 0.0 if op in (PredicateKind.EQ, PredicateKind.NEQ) else None
-        return sum(
-            b["count"] * _bucket_fraction(b["lo"], b["hi"], b["distinct"], op, value)
-            for b in hist.buckets
-        )
-    if op is PredicateKind.IN:
-        parts = [histogram_estimate(hist, PredicateKind.EQ, v) for v in value]
-        if any(p is None for p in parts):
-            return None
-        return min(float(sum(parts)), float(hist.total))
-    # string_prefix domain
-    if not isinstance(value, str):
+        fractions = (_bucket_fraction(b["lo"], b["hi"], b["distinct"], op, value) for b in hist.buckets)
+    elif all(isinstance(v, str) for v in (value if listed else (value,))):
+        fractions = (_prefix_fraction(b["prefix"], b["distinct"], op, value) for b in hist.buckets)
+    else:
         return None
-    if op is PredicateKind.NEQ:
-        return hist.total - histogram_estimate(hist, PredicateKind.EQ, value)
-    plen = len(hist.buckets[0]["prefix"]) if hist.buckets else 1
-    vp = value[:plen]
-    if op is PredicateKind.EQ:
-        for b in hist.buckets:
-            if b["prefix"] == vp and b["distinct"] > 0:
-                return b["count"] / b["distinct"]
-        return 0.0
-    if op in (PredicateKind.LT, PredicateKind.LEQ, PredicateKind.GT, PredicateKind.GEQ):
-        below = 0.0
-        for b in hist.buckets:
-            if b["prefix"] < vp:
-                below += b["count"]
-            elif b["prefix"] == vp:
-                below += b["count"] * 0.5
-        if op in (PredicateKind.LT, PredicateKind.LEQ):
-            return below
-        return hist.total - below
-    return None
+    return sum((b["count"] * f for b, f in zip(hist.buckets, fractions)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -933,13 +910,8 @@ def build_md_histogram(g: PropertyGraph, keys: Sequence[str], n_buckets_per_axis
     axes: list[Axis] = []
     columns: list[list[int]] = []  # per axis, each row's bucket
     for a in range(len(keys)):
-        values = [r[a] for r in rows]
-        bounds, index = _equi_width(values, n_buckets_per_axis)
-        column = [index(v) for v in values]
-        distinct: list[set[float]] = [set() for _ in bounds[1:]]
-        for b, v in zip(column, values):
-            distinct[b].add(v)
-        axes.append({"bounds": bounds, "distincts": [len(vs) for vs in distinct]})
+        bounds, column, distincts = _equi_width([r[a] for r in rows], n_buckets_per_axis)
+        axes.append({"bounds": bounds, "distincts": distincts})
         columns.append(column)
     grid = dict(Counter(zip(*columns)))
     return MDHistogram(keys=keys, axes=axes, grid=grid, total=len(rows))
@@ -971,7 +943,7 @@ def md_fraction(mdh: MDHistogram, constraints: Iterable[tuple[str, PredicateKind
 
 
 # Looking up an Enum member costs about as much as the rest of a bucket's
-# arithmetic, and the kernel below runs once per bucket.
+# arithmetic, and the kernels below run once per bucket.
 _BELOW = (PredicateKind.LT, PredicateKind.LEQ)
 _ABOVE = (PredicateKind.GT, PredicateKind.GEQ)
 
@@ -988,7 +960,7 @@ def _bucket_fraction(lo: float, hi: float, distinct: int, op: PredicateKind, val
     if op is PredicateKind.IN:
         if not isinstance(value, (list, tuple)):
             return 0.0
-        return min(1.0, sum(_bucket_fraction(lo, hi, distinct, PredicateKind.EQ, v) for v in value))
+        return min(1.0, sum(_bucket_fraction(lo, hi, distinct, PredicateKind.EQ, v) for v in _alternatives(value)))
     if not _is_number(value):
         return 0.0
     if lo == hi:
@@ -1012,6 +984,28 @@ def _bucket_fraction(lo: float, hi: float, distinct: int, op: PredicateKind, val
     if op is PredicateKind.NEQ:
         return 1.0 - eq
     return 0.0  # CONTAINS never matches numerics
+
+
+def _prefix_fraction(prefix: str, distinct: int, op: PredicateKind, value: Any) -> float:
+    """Fraction of a string bucket's elements, all with the given prefix,
+    that satisfy ``op value`` (`value` a string, a list of them for `IN`),
+    comparing the value's first PREFIX_LEN characters: `=` takes one of
+    `distinct` equally frequent values, an order predicate half of the
+    bucket with an equal prefix and all or none of any other."""
+    if op is PredicateKind.IN:
+        return min(1.0, sum(_prefix_fraction(prefix, distinct, PredicateKind.EQ, v) for v in _alternatives(value)))
+    at = value[:PREFIX_LEN]
+    if op in _BELOW or op in _ABOVE:
+        below = 1.0 if prefix < at else 0.5 if prefix == at else 0.0
+        return below if op in _BELOW else 1.0 - below
+    eq = (1.0 / (distinct or 1)) if prefix == at else 0.0
+    return eq if op is PredicateKind.EQ else 1.0 - eq
+
+
+def _alternatives(values: Sequence[Any]) -> list[Any]:
+    """An `IN` list's alternatives, each once under the equality of
+    `predicate_holds`: 1 and 1.0 are one number, and True is not one."""
+    return [v for _, v in dict.fromkeys((isinstance(v, bool), v) for v in values)]
 
 
 # ---------------------------------------------------------------------------

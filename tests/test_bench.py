@@ -121,6 +121,10 @@ class TestSubqueries:
         biggest = max(keep, key=lambda p: len(p[1].edges))[1]
         assert len(biggest.prop_constraints) == 3
 
+    @pytest.mark.parametrize("max_edges", [0, -1])
+    def test_none_below_one_edge(self, movie_query, max_edges):
+        assert enumerate_subqueries(movie_query, max_edges) == []
+
     def test_full_query_included(self, movie_query):
         subs = enumerate_subqueries(movie_query, 4)
         sizes = {len(sub.edges) for _, sub in subs}

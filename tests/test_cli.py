@@ -269,6 +269,13 @@ def sample_catalog(pattern_type="id", probability=1.0, members=()) -> str:
          "predicate value on 'x' is not a JSON scalar: {'a': 1}"),
         ("query", json.dumps({"vertices": [{"id": "x", "props": [{"key": "k", "op": "IN", "value": [[1]]}]}]}),
          "predicate value on 'x' is not a JSON scalar: [[1]]"),
+        ("query", json.dumps({"vertices": [{"id": 5}, {"id": "a"}]}), "vertex id must be a string: 5"),
+        ("query", json.dumps({"vertices": [{"id": 5}, {"id": 6}]}), "vertex id must be a string: 5"),
+        ("query", json.dumps({"vertices": [{"id": ["x"]}]}), "vertex id must be a string: ['x']"),
+        ("query", json.dumps({"vertices": [{"id": "x"}], "edges": [{"id": "f", "src": "x", "trg": {"x": 1}}]}),
+         "src and trg of edge 'f' must be strings: ('x', {'x': 1})"),
+        ("query", json.dumps({"vertices": [{"id": "x"}], "anyOf": [[{"id": {"a": 1}, "labels": ["p"]}]]}),
+         "anyOf alternative id must be a string: {'a': 1}"),
         ("edges", '{"id": "e9", "src": "g1", "trg": "g3", "labels": "xy"}', "edges.jsonl:3: labels: expected list"),
         ("vertices", '{"id": "g9", "labels": 5}', "vertices.jsonl:3: labels: expected list, got 5"),
         ("vertices", '{"id": "g9", "props": "x"}', "vertices.jsonl:3: props: expected object, got 'x'"),
@@ -289,6 +296,7 @@ def sample_catalog(pattern_type="id", probability=1.0, members=()) -> str:
          "catalog-missing",
          "workload-not-json", "workload-item-without-id",
          "query-value-object", "query-in-list-of-lists",
+         "query-id-number", "query-ids-all-numbers", "query-id-list", "query-trg-object", "query-anyof-id-object",
          "edge-labels-string", "vertex-labels-number", "vertex-props-string", "vertex-props-list",
          "catalog-not-utf8", "graph-not-utf8", "query-not-utf8", "workload-not-utf8", "configs-not-utf8"],  # fmt: skip
 )
@@ -375,6 +383,15 @@ class TestBenchCommand:
         text = out1.read_text(encoding="utf-8")
         assert text.splitlines()[0] == "query_id,n_edge_ids,config,exact,estimate,qerror,est_ms,oracle_ms"
         assert len(text.splitlines()) == 1 + 9  # header + 3 queries x 3 configs
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_subqueries_below_one_rejected(self, graph_dir, tmp_path, capsys, n):
+        workload, configs = self.write_inputs(tmp_path)
+        argv = ["bench", "--graph", str(graph_dir), "--workload", str(workload), "--configs", str(configs),
+                "--out", str(tmp_path / "out.csv"), "--subqueries", str(n)]  # fmt: skip
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"cardest: error: --subqueries must be >= 1, got {n}\n"
+        assert not (tmp_path / "out.csv").exists()
 
     def test_bench_deterministic_across_processes(self, rich_graph_dir, tmp_path):
         """Separate interpreter runs with different hash randomization must

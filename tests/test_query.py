@@ -112,6 +112,8 @@ class TestParseQuery:
             ([], [{"key": "k"}], "bad property constraint on 'a': {'key': 'k'}"),
             ([], [{"key": "k", "op": "IN", "value": 1}], "IN predicate on 'a' needs a list value"),
             ([], [{"key": 1, "op": "=", "value": 1}], "property key on 'a' must be a string: 1"),
+            ([{"id": 7, "src": "a", "trg": "a"}], [], "edge id must be a string: 7"),
+            ([{"id": "e", "src": 1, "trg": "a"}], [], "src and trg of edge 'e' must be strings: (1, 'a')"),
         ],
     )
     def test_single_error_messages(self, edges, vertex_props, message):

@@ -5,7 +5,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cardest import stats
@@ -41,6 +41,9 @@ from cardest.stats import (
 )
 
 from conftest import random_graph
+
+# strings that share no prefix of stats.PREFIX_LEN characters
+ONE_PER_PREFIX = ["", "a", "b", "cd", "ef"]
 
 # the operators a point bucket answers exactly
 POINT_OPS = [
@@ -827,9 +830,45 @@ class TestHistograms:
         g = PropertyGraph(vertices, [])
         h = build_histogram(g, "s", "equi_depth", 4)
         assert h.domain == "string_prefix"
-        assert h.total == 4  # non-string values are stringified
+        assert h.total == 3  # no string predicate holds on 5, so it is left out
         est = histogram_estimate(h, PredicateKind.EQ, "avocado")
         assert est == pytest.approx(1.0)  # bucket "a": 2 values, 2 distinct
+
+    def test_string_prefix_holds_strings_only(self):
+        g = PropertyGraph([(f"v{i}", [], {"k": i % 10}) for i in range(90)]
+                          + [(f"w{i}", [], {"k": "x"}) for i in range(10)], [])  # fmt: skip
+        h = build_histogram(g, "k", "equi_depth", 10)
+        assert (h.domain, h.total, h.buckets) == ("string_prefix", 10, [{"prefix": "x", "count": 10, "distinct": 1}])
+        for op, value in [("=", "5"), ("<", "9"), ("!=", "x")]:
+            q = parse_query({"vertices": [{"id": "v", "props": [{"key": "k", "op": op, "value": value}]}]})
+            assert histogram_estimate(h, PredicateKind.from_op(op), value) == 0.0 == exact_matches(g, q)
+        assert histogram_estimate(h, PredicateKind.EQ, 5) is None
+
+    def test_key_without_strings_has_no_answer_for_other_values(self):
+        # bools are not numbers, so the key gets the string domain, which holds none of them
+        g = PropertyGraph([(f"v{i}", [], {"k": i % 2 == 0}) for i in range(4)] + [("n", [], {"k": 1})], [])
+        h = build_histogram(g, "k", "equi_depth", 4)
+        assert (h.domain, h.total, h.buckets) == ("string_prefix", 0, [])
+        assert histogram_estimate(h, PredicateKind.EQ, True) is None
+        assert histogram_estimate(h, PredicateKind.IN, [1]) is None
+        assert histogram_estimate(h, PredicateKind.EQ, "a") == 0.0
+
+    def test_empty_string_keeps_the_prefix_length(self):
+        words = ["", "apple", "apricot", "banana", "cherry", "cider"]
+        h = build_histogram(PropertyGraph([(w, [], {"s": w}) for w in words], []), "s", "equi_depth", 4)
+        assert histogram_estimate(h, PredicateKind.EQ, "zebra") == 0.0
+        # "", apple and apricot, and half of the bucket the value's prefix shares
+        assert histogram_estimate(h, PredicateKind.LT, "b") == 3.5
+        assert histogram_estimate(h, PredicateKind.EQ, "") == 1.0
+
+    def test_only_string_is_empty(self):
+        g = PropertyGraph([("a", [], {"s": ""}), ("b", [], {"s": ""}), ("c", [], {"s": 3})], [])
+        h = build_histogram(g, "s", "equi_depth", 4)
+        assert h.buckets == [{"prefix": "", "count": 2, "distinct": 1}]
+        assert histogram_estimate(h, PredicateKind.EQ, "") == 2.0
+        assert histogram_estimate(h, PredicateKind.NEQ, "") == 0.0
+        assert histogram_estimate(h, PredicateKind.EQ, "a") == 0.0
+        assert histogram_estimate(h, PredicateKind.NEQ, "a") == 2.0
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -849,11 +888,61 @@ class TestHistograms:
         exact = sum(predicate_holds(op, v, value) for v in values)
         assert histogram_estimate(h, op, value) == exact
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        strings=st.lists(st.sampled_from(ONE_PER_PREFIX), max_size=8),
+        others=st.lists(st.one_of(st.integers(-2, 2), st.floats(-2, 2), st.booleans(), st.none()), max_size=6),
+        op=st.sampled_from([PredicateKind.EQ, PredicateKind.NEQ, PredicateKind.IN]),
+        probes=st.lists(st.sampled_from(ONE_PER_PREFIX + ["z", "zz"]), min_size=1, max_size=4),
+        other=st.one_of(st.integers(-2, 2), st.floats(-2, 2), st.booleans(), st.none()),
+    )
+    def test_one_string_buckets_are_exact(self, strings, others, op, probes, other):
+        """When each prefix bucket holds one distinct string, `=`, `!=` and
+        `IN` (repeats included) of strings read the exact count, whatever
+        other types the key holds; a non-string value has no answer."""
+        values = strings + others
+        g = PropertyGraph([(f"v{i}", [], {"s": v}) for i, v in enumerate(values)], [])
+        h = build_histogram(g, "s", "equi_depth", 4)
+        assume(h.domain == "string_prefix")
+        assert all(b["distinct"] == 1 for b in h.buckets)
+        value = probes + probes[:1] if op is PredicateKind.IN else probes[0]
+        exact = sum(predicate_holds(op, v, value) for v in values)
+        assert histogram_estimate(h, op, value) == exact
+        assert histogram_estimate(h, op, probes + [other] if op is PredicateKind.IN else other) is None
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        xs=st.lists(st.integers(-3, 6), min_size=1, max_size=12),
+        alternatives=st.lists(st.one_of(st.integers(-4, 7), st.integers(-4, 7).map(float), st.booleans()), max_size=6),
+        kind=st.sampled_from(["equi_width", "equi_depth"]),
+    )
+    def test_in_counts_each_alternative_once(self, xs, alternatives, kind):
+        """`IN` of a numeric list reads `IN` of its distinct alternatives,
+        under the equality of `predicate_holds`, on the 1-D histogram and
+        on the grid."""
+        distinct = [a for i, a in enumerate(alternatives)
+                    if not any(predicate_holds(PredicateKind.EQ, b, a) for b in alternatives[:i])]  # fmt: skip
+        g = PropertyGraph([(f"v{i}", [], {"x": x, "y": 0}) for i, x in enumerate(xs)], [])
+        h = build_histogram(g, "x", kind, 3)
+        assert histogram_estimate(h, PredicateKind.IN, alternatives) == histogram_estimate(h, PredicateKind.IN, distinct)
+        mdh = build_md_histogram(g, ["x", "y"], 3)
+        assert md_fraction(mdh, [("x", PredicateKind.IN, alternatives)]) == md_fraction(
+            mdh, [("x", PredicateKind.IN, distinct)]
+        )
+
     def test_in_clamps_per_bucket(self):
         vertices = [(f"v{i}", [], {"x": i % 4}) for i in range(20)]
         h = build_histogram(PropertyGraph(vertices, []), "x", "equi_depth", 2)
-        # buckets [0, 1] and [2, 3] of 10: repeated alternatives fill at most the first
-        assert histogram_estimate(h, PredicateKind.IN, [0, 0, 0]) == 10.0
+        # buckets [0, 1] and [2, 3] of 10: alternatives that overfill the
+        # first fill it once, and a repeated alternative counts once
+        assert histogram_estimate(h, PredicateKind.IN, [0, 0.5, 1]) == 10.0
+        assert histogram_estimate(h, PredicateKind.IN, [0, 0, 0]) == 5.0
+
+    def test_in_repeats_on_equi_width(self):
+        vertices = [(f"v{i}", [], {"k": i % 4}) for i in range(40)]
+        h = build_histogram(PropertyGraph(vertices, []), "k", "equi_width", 2)
+        for alternatives in ([1], [1, 1], [1, 1.0]):
+            assert histogram_estimate(h, PredicateKind.IN, alternatives) == 10.0
 
     @staticmethod
     def cycled(key, values, value, op="!="):
@@ -879,8 +968,8 @@ class TestHistograms:
         assert exact_matches(g, q) == 0
 
     def test_mixed_key_neq_number_has_no_answer(self):
-        # the buckets hold the stringified 1 and 2, so the histogram
-        # cannot tell how many elements differ from 5
+        # the buckets hold only the strings, so the histogram cannot tell
+        # how many elements differ from 5
         g, h, q = self.cycled("m", [1, 2, "z"], 5)
         assert h.domain == "string_prefix"
         assert histogram_estimate(h, PredicateKind.NEQ, 5) is None
@@ -888,8 +977,8 @@ class TestHistograms:
 
     @pytest.mark.parametrize("op, value, exact", [("=", 1, 3), ("IN", [1, 2], 6)])
     def test_mixed_key_number_falls_back(self, op, value, exact):
-        # the buckets hold the stringified 1 and 2, so the histogram cannot
-        # count the numbers; the singleton comes from the operator default
+        # the buckets hold only the strings, so the histogram cannot count
+        # the numbers; the singleton comes from the operator default
         g, h, q = self.cycled("m", [1, 2, "z"], value, op)
         assert h.domain == "string_prefix"
         assert histogram_estimate(h, PredicateKind.from_op(op), value) is None
@@ -936,6 +1025,13 @@ class TestMDHistogram:
         # one bucket holding 4 distinct x values; EQ picks 1/4 of it
         frac = md_fraction(mdh, [("x", PredicateKind.EQ, 2.0)])
         assert frac == pytest.approx(0.25)
+
+    def test_in_repeats_count_once(self):
+        g = PropertyGraph([(f"v{i}", [], {"x": i % 40, "y": i % 3}) for i in range(400)], [])
+        mdh = build_md_histogram(g, ["x", "y"], 8)
+        once = md_fraction(mdh, [("x", PredicateKind.IN, [1]), ("y", PredicateKind.EQ, 0)])
+        assert 400 * once == pytest.approx(3.4)
+        assert md_fraction(mdh, [("x", PredicateKind.IN, [1, 1]), ("y", PredicateKind.EQ, 0)]) == once
 
     def test_outside_bounds_zero(self):
         vertices = [(f"v{i}", [], {"x": i, "y": i}) for i in range(10)]
