@@ -295,7 +295,8 @@ def _solve_max_ent_partition(
     tol: float,
     max_iter: int,
 ) -> np.ndarray:
-    """Iterative proportional fitting over the 2^k atoms of one partition.
+    """Iterative proportional fitting over the feasible atoms of one
+    partition.
 
     The partition is the mask `part` of cq, and `masks` are the
     estimates' sets in cq.  Atom a makes the partition's j-th constraint
@@ -303,26 +304,47 @@ def _solve_max_ent_partition(
     in `pes` must lie inside the partition; the fit scales the
     atoms until each estimate's selectivity is the mass of the atoms where
     all its constraints hold.  Atoms no such distribution can give mass
-    are structural zeros: they start and stay at mass 0, and the others
-    start uniform.  They are the atoms on which a constraint holds but
-    one it implies (`implied_closure`, within the partition) does not,
-    and the empty cells of estimate pairs: where one estimate holds
-    without an estimate that implies it at no lower selectivity, and
-    where neither of two disjoint estimates holds when their union's
-    estimate says that one of them always does.  Returns the fitted atom
-    masses.
+    are structural zeros: the atoms on which a constraint holds but one
+    it implies (`implied_closure`, within the partition) does not, and
+    the empty cells of estimate pairs: where one estimate holds without
+    an estimate that implies it at no lower selectivity, and where
+    neither of two disjoint estimates holds when their union's estimate
+    says that one of them always does.  They are found on Python-int
+    bitsets, bit a for atom a, and the fit runs over the other atoms
+    alone, in ascending order, from a uniform start: each marginal step
+    sums its atoms and scales every atom by one of two factors, so every
+    sum and product is the one a fit over all 2^k atoms makes.  Returns
+    the fitted masses of all 2^k atoms, 0 at each structural zero.
     """
     positions = cq.bits(part)
-    atom_ids = np.arange(1 << len(positions))
+    n = 1 << len(positions)
+    full = (1 << n) - 1
+    # the atoms where a constraint holds: its base block of 2^(j+1) bits,
+    # upper half set, doubled until it spans all n atoms
+    rows: dict[int, int] = {}
+    for j, i in enumerate(positions):
+        row, width = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
+        while width < n:
+            row |= row << width
+            width <<= 1
+        rows[i] = row
 
-    def holds(mask: int) -> np.ndarray:
-        # the partition's bits of mask, as bits of an atom
-        local = sum(1 << j for j, i in enumerate(positions) if mask >> i & 1)
-        return (atom_ids & local) == local
+    def holds(mask: int) -> int:
+        """The atoms where every constraint of mask in the partition holds."""
+        h = full
+        for i, row in rows.items():
+            if mask >> i & 1:
+                h &= row
+        return h
 
-    feasible = np.ones(len(atom_ids), dtype=bool)
-    for i in positions:
-        feasible &= ~holds(1 << i) | holds(cq.closures[i] & part)
+    def unpacked(atom_set: int) -> np.ndarray:
+        """An int of atoms as one bool per atom."""
+        packed = np.frombuffer(atom_set.to_bytes((n + 7) // 8, "little"), np.uint8)
+        return np.unpackbits(packed, count=n, bitorder="little").view(bool)
+
+    feasible = full
+    for i, row in rows.items():
+        feasible &= ~row | holds(cq.closures[i])
     selectivity = {m: pe.selectivity for m, pe in zip(masks, pes)}
     for m, pe in zip(masks, pes):
         pe_closure = cq.closure(m)
@@ -338,18 +360,19 @@ def _solve_max_ent_partition(
                     >= 1.0 - _EMPTY_CELL_SLACK
                 ):
                     feasible &= holds(o) | holds(rest)
-    atoms = feasible / np.count_nonzero(feasible)
+    ids = unpacked(feasible).nonzero()[0]
+    atoms = np.full(len(ids), 1.0 / len(ids))
+    # per marginal: the positions in atoms where it holds, and per atom 1
+    # where it holds and 0 where it does not
     marginals = []
     for m, pe in zip(masks, pes):
-        included = holds(m)
-        inside = np.flatnonzero(feasible & included)
-        outside = np.flatnonzero(feasible & ~included)
-        marginals.append((inside, outside, pe.selectivity))
+        included = unpacked(holds(m))[ids]
+        marginals.append((included.nonzero()[0], included.astype(np.intp), pe.selectivity))
     worst = math.inf
     for _ in range(max_iter):
         worst = 0.0
-        for inside, outside, s in marginals:
-            m = float(atoms[inside].sum())
+        for inside, side, s in marginals:
+            m = float(np.add.reduce(atoms[inside]))
             worst = max(worst, abs(m - s))
             if m == 0.0:
                 if s > 1e-15:
@@ -357,14 +380,15 @@ def _solve_max_ent_partition(
                 continue
             if m >= 1.0 and s < 1.0:
                 raise MaxEntError("full mass on a partial marginal", residual=1.0 - s)
-            atoms[inside] *= s / m
-            if m < 1.0:
-                atoms[outside] *= (1.0 - s) / (1.0 - m)
+            atoms *= np.array((1.0 if m >= 1.0 else (1.0 - s) / (1.0 - m), s / m))[side]
         if worst < tol:
-            return atoms
-    if worst < FEASIBILITY_TOL:
-        return atoms
-    raise MaxEntError(f"no convergence after {max_iter} iterations", residual=worst)
+            break
+    else:
+        if worst >= FEASIBILITY_TOL:
+            raise MaxEntError(f"no convergence after {max_iter} iterations", residual=worst)
+    fitted = np.zeros(n)
+    fitted[ids] = atoms
+    return fitted
 
 
 def combine_max_ent(

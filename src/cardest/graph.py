@@ -266,8 +266,9 @@ def _columns(g: PropertyGraph) -> dict[str, tuple[np.ndarray, list[Optional[Scal
 def allowed(g: PropertyGraph, constraints: Iterable[Constraint]) -> np.ndarray:
     """A new boolean array over all ids: which elements meet every one of
     the data constraints.  `satisfies` decides it once per distinct label
-    set and once per distinct value of each key the constraints name; only
-    a key or value constraint builds the graph's column view (`_columns`)."""
+    set when a label constraint is among them, and once per distinct value
+    of each key the constraints name; only a key or value constraint
+    builds the graph's column view (`_columns`)."""
     layout = g.derived(_elements)
     labels: list[Constraint] = []
     by_key: dict[Optional[str], list[Constraint]] = {}
@@ -276,7 +277,10 @@ def allowed(g: PropertyGraph, constraints: Iterable[Constraint]) -> np.ndarray:
             labels.append(c)
         else:
             by_key.setdefault(c.key, []).append(c)
-    mask = np.array([satisfies(labels, s, {}) for s in layout.sets], bool)[layout.of]
+    if labels:
+        mask = np.array([satisfies(labels, s, {}) for s in layout.sets], bool)[layout.of]
+    else:
+        mask = np.ones(g.n_ids, bool)
     for key, cs in by_key.items():
         codes, values = g.derived(_columns).get(key, (-1, []))
         # the absent key's answer goes last, where code -1 reads it

@@ -840,12 +840,12 @@ def histogram_estimate(hist: Histogram, op: PredicateKind, value: Any) -> Option
     that meets the predicate (`_bucket_fraction` for a numeric bucket,
     `_prefix_fraction` for a string-prefix one).
 
-    Returns None for substring matching, an `IN` without a list, an
-    order predicate with a non-number on a numeric histogram, and a
+    Returns None for substring matching, an `IN` without a list, and a
     non-string value (alone or in an `IN` list) on a string histogram,
     which holds only its key's strings.  Cross-type predicates never
     hold, so a numeric histogram, which holds every value of its key,
-    answers `=` and `!=` with a non-number by 0; an empty one answers 0.
+    answers any other predicate with a non-number by 0; an empty one
+    answers 0.
     """
     listed = op is PredicateKind.IN
     if hist.domain == "numeric" and hist.total == 0:
@@ -854,7 +854,7 @@ def histogram_estimate(hist: Histogram, op: PredicateKind, value: Any) -> Option
         return None
     if hist.domain == "numeric":
         if not listed and not _is_number(value):
-            return 0.0 if op in (PredicateKind.EQ, PredicateKind.NEQ) else None
+            return 0.0
         fractions = (_bucket_fraction(b["lo"], b["hi"], b["distinct"], op, value) for b in hist.buckets)
     elif all(isinstance(v, str) for v in (value if listed else (value,))):
         fractions = (_prefix_fraction(b["prefix"], b["distinct"], op, value) for b in hist.buckets)
@@ -988,10 +988,16 @@ def _bucket_fraction(lo: float, hi: float, distinct: int, op: PredicateKind, val
 
 def _prefix_fraction(prefix: str, distinct: int, op: PredicateKind, value: Any) -> float:
     """Fraction of a string bucket's elements, all with the given prefix,
-    that satisfy ``op value`` (`value` a string, a list of them for `IN`),
-    comparing the value's first PREFIX_LEN characters: `=` takes one of
-    `distinct` equally frequent values, an order predicate half of the
-    bucket with an equal prefix and all or none of any other."""
+    that satisfy ``op value`` (`value` a string, a list of them for `IN`).
+
+    A prefix shorter than PREFIX_LEN is the one string its bucket holds,
+    and is evaluated exactly.  Any other bucket is compared at the value's
+    first PREFIX_LEN characters: `=` takes one of `distinct` equally
+    frequent values, an order predicate half of the bucket with an equal
+    prefix and all or none of any other.
+    """
+    if len(prefix) < PREFIX_LEN:
+        return 1.0 if predicate_holds(op, prefix, value) else 0.0
     if op is PredicateKind.IN:
         return min(1.0, sum(_prefix_fraction(prefix, distinct, PredicateKind.EQ, v) for v in _alternatives(value)))
     at = value[:PREFIX_LEN]

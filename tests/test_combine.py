@@ -7,7 +7,10 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from cardest.combine import (
+    _EMPTY_CELL_RTOL,
+    _EMPTY_CELL_SLACK,
     BoundsResult,
+    FEASIBILITY_TOL,
     MaxEntError,
     RECURSION_LIMIT,
     SORT_STRATEGIES,
@@ -17,6 +20,8 @@ from cardest.combine import (
     combine_cond_indep,
     combine_max_ent,
     deviation_from_independence,
+    IPF_MAX_ITER,
+    IPF_TOL,
     MPS_HARD_CAP,
     _solve_max_ent_partition,
     make_complete,
@@ -33,6 +38,7 @@ from cardest.query import (
     extract_constraints,
     implied_closure,
     parse_query,
+    union,
 )
 from cardest.implications import add_implied_closures
 from cardest.stats import BasicStats, StatisticsCatalog, build_catalog
@@ -422,6 +428,126 @@ class TestCondIndep:
         assert combine_cond_indep(pes, one_edge_query, "NdSa") == 0.0
 
 
+def reference_solve_max_ent_partition(
+    cq: CompiledQuery,
+    part: int,
+    pes: list[PartialEstimate],
+    masks: list[int],
+    tol: float,
+    max_iter: int,
+) -> np.ndarray:
+    """The fit as first written: structural zeros as boolean masks over
+    all 2^k atoms, and each marginal step scaling the atoms where it
+    holds and those where it does not by two fancy-index multiplies."""
+    positions = cq.bits(part)
+    atom_ids = np.arange(1 << len(positions))
+
+    def holds(mask: int) -> np.ndarray:
+        # the partition's bits of mask, as bits of an atom
+        local = sum(1 << j for j, i in enumerate(positions) if mask >> i & 1)
+        return (atom_ids & local) == local
+
+    feasible = np.ones(len(atom_ids), dtype=bool)
+    for i in positions:
+        feasible &= ~holds(1 << i) | holds(cq.closures[i] & part)
+    selectivity = {m: pe.selectivity for m, pe in zip(masks, pes)}
+    for m, pe in zip(masks, pes):
+        pe_closure = cq.closure(m)
+        for o, other in zip(masks, pes):
+            if o != pe_closure and not o & ~pe_closure and (
+                other.selectivity <= pe.selectivity * (1.0 + _EMPTY_CELL_RTOL)
+            ):
+                feasible &= ~holds(o) | holds(m)
+            if o != m and not o & ~m:
+                rest = m & ~o
+                if rest in selectivity and (
+                    other.selectivity + selectivity[rest] - pe.selectivity
+                    >= 1.0 - _EMPTY_CELL_SLACK
+                ):
+                    feasible &= holds(o) | holds(rest)
+    atoms = feasible / np.count_nonzero(feasible)
+    marginals = []
+    for m, pe in zip(masks, pes):
+        included = holds(m)
+        inside = np.flatnonzero(feasible & included)
+        outside = np.flatnonzero(feasible & ~included)
+        marginals.append((inside, outside, pe.selectivity))
+    worst = math.inf
+    for _ in range(max_iter):
+        worst = 0.0
+        for inside, outside, s in marginals:
+            m = float(atoms[inside].sum())
+            worst = max(worst, abs(m - s))
+            if m == 0.0:
+                if s > 1e-15:
+                    raise MaxEntError("zero mass on a positive marginal", residual=s)
+                continue
+            if m >= 1.0 and s < 1.0:
+                raise MaxEntError("full mass on a partial marginal", residual=1.0 - s)
+            atoms[inside] *= s / m
+            if m < 1.0:
+                atoms[outside] *= (1.0 - s) / (1.0 - m)
+        if worst < tol:
+            return atoms
+    if worst < FEASIBILITY_TOL:
+        return atoms
+    raise MaxEntError(f"no convergence after {max_iter} iterations", residual=worst)
+
+
+def solve_outcome(solve, *args):
+    """A fit's atom bytes, or the message and residual of the error it raises."""
+    try:
+        return solve(*args).tobytes()
+    except MaxEntError as e:
+        return str(e), e.residual
+
+
+# selectivities that meet the empty-cell rules exactly, and zero marginals
+EXACT_SELS = [0.0, 1e-16, 0.25, 0.5, 0.75, 1.0]
+# (A, B, A and B) with A + B - (A and B) >= 1: one of A, B always holds
+UNION_SELS = [(0.75, 0.5, 0.25), (0.5, 0.5, 0.0), (1.0, 0.25, 0.25), (0.625, 0.625, 0.25)]
+
+
+@st.composite
+def max_ent_partitions(draw):
+    """A partition of one to ten estimates over at most the first 12
+    constraints of a 1-2-edge pattern (an implied closure adds only earlier
+    bits, so it stays among them), with (cq, part, pes, masks) as the fit
+    takes them.  An estimate is a random set at a drawn selectivity or at
+    its exact one on a random graph (consistent sets converge at a
+    geometric rate: a small max_iter stops them between tolerances), the
+    implied closure of one, a set nested in an earlier estimate's closure
+    at its selectivity, or two disjoint sets and their union whose parts
+    sum to at least 1."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    g = random_graph(rng)
+    q = random_query(rng, n_edges=draw(st.integers(1, 2)), prop_prob=0.5, label_prob=0.5)
+    cq = q.compiled
+    bits = st.integers(0, min(len(cq.constraints), 12) - 1)
+    sels = st.one_of(st.sampled_from(EXACT_SELS), st.floats(0.0, 1.0))
+    made = []  # (mask, selectivity)
+    n_estimates = draw(st.integers(1, 10))
+    while len(made) < n_estimates:
+        mask = union(1 << i for i in draw(st.sets(bits, min_size=1, max_size=3)))
+        shape = draw(st.sampled_from(["set", "exact", "closure", "nested", "union"]))
+        if shape == "set":
+            made.append((mask, draw(sels)))
+        elif shape == "exact":
+            made.append((mask, oracle_constraint_sel(g, cq.select(mask))))
+        elif shape == "closure":
+            made.append((cq.closure(mask), draw(sels)))
+        elif shape == "nested" and made:
+            outer, sel = made[draw(st.integers(0, len(made) - 1))]
+            inner = cq.closure(outer) & mask or cq.closure(outer)
+            made.append((inner, sel))
+        elif shape == "union" and mask & (mask - 1):
+            low = mask & -mask
+            made.extend(zip((low, mask & ~low, mask), draw(st.sampled_from(UNION_SELS))))
+    part = union(m for m, _ in made) | union(1 << i for i in draw(st.sets(bits, max_size=2)))
+    pes = [cq.estimate(m, sel, "drawn", "estimate") for m, sel in made]
+    return cq, part, pes, [m for m, _ in made]
+
+
 def max_ent_marginal(cpes, q, target, mps=MPS_HARD_CAP, tol=1e-12, max_iter=20000):
     """Marginal probability of a constraint subset under the solved
     distribution (single partition)."""
@@ -545,6 +671,45 @@ class TestMaxEnt:
         for pe in pes:
             marginal = max_ent_marginal(pes, q, pe.constraints)
             assert marginal == pytest.approx(pe.selectivity, abs=1e-6)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        partition=max_ent_partitions(),
+        tol=st.sampled_from([IPF_TOL, 1e-12, 0.0]),
+        max_iter=st.sampled_from([200, 1, 2, 3, 10]),
+    )
+    def test_fit_repeats_the_reference_bit_for_bit(self, partition, tol, max_iter):
+        """The fit over the feasible atoms returns the bytes the fit over
+        all 2^k atoms returns, or raises its message and residual.  A small
+        max_iter stops fits before they converge, and tol 0 sends every fit
+        that ends within FEASIBILITY_TOL through that check."""
+        got = solve_outcome(_solve_max_ent_partition, *partition, tol, max_iter)
+        want = solve_outcome(reference_solve_max_ent_partition, *partition, tol, max_iter)
+        event(want[0] if isinstance(want, tuple) else "fitted")
+        assert got == want
+
+    def test_fit_of_fourteen_constraints_repeats_the_reference(self):
+        rng = random.Random(11)
+        g = random_graph(rng, n_vertices=8, n_edges=14)
+        q = parse_query({
+            "vertices": [
+                {"id": "x", "labels": ["a"], "props": [{"key": "k1", "op": "<", "value": 2}]},
+                {"id": "y", "labels": ["b"]},
+                {"id": "z"},
+            ],
+            "edges": [{"id": "e", "src": "x", "trg": "y"}, {"id": "f", "src": "y", "trg": "z", "labels": ["a"]}],
+        })  # fmt: skip
+        constraints = sorted(extract_constraints(q), key=lambda c: c.sort_key())
+        assert len(constraints) == 14
+        pes = exact_singletons(g, q)
+        for _ in range(6):
+            pair = frozenset(rng.sample(constraints, 2))
+            pes.append(PartialEstimate(pair, oracle_constraint_sel(g, pair), "pair"))
+        cq, masks = compiled_for(pes, q)
+        args = (cq, cq.mask(constraints), pes, masks, IPF_TOL, IPF_MAX_ITER)
+        got = _solve_max_ent_partition(*args)
+        assert got.tobytes() == reference_solve_max_ent_partition(*args).tobytes()
+        assert 0 < np.count_nonzero(got) < len(got) == 1 << 14
 
     def test_infeasible_system_raises(self):
         a, b = Constraint.has_label("x", "a"), Constraint.has_label("x", "b")

@@ -623,6 +623,24 @@ def test_satisfies_matches_check_constraint(g, constraints):
         assert graph.allowed(sample.view.records, cs).tolist() == want, cs
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_allowed_with_and_without_labels_matches_brute_force(seed):
+    """On a graph with many label sets, the data mask of key and value
+    constraints alone (no label set is decided), and with label
+    constraints among them, agrees with `check_constraint` on every id;
+    each call returns a new array, which callers may change in place."""
+    g = random_graph(random.Random(seed), n_vertices=40, n_edges=60, labels=tuple("abcdef"))
+    assert len({g.labels_of(i) for i in range(g.n_ids)}) >= 20
+    keyed = [Constraint.has_key("x", "k1"), Constraint.prop_value("x", "k2", PredicateKind.LEQ, 1)]
+    labelled = [Constraint.has_label("x", "a"), Constraint.has_label("x", "c")]
+    for cs in ([], keyed[:1], keyed, labelled, labelled[:1] + keyed):
+        want = [all(check_constraint(g, {"x": i}, c) for c in cs) for i in range(g.n_ids)]
+        mask = graph.allowed(g, cs)
+        assert mask.tolist() == want, cs
+        mask[:] = ~mask
+        assert graph.allowed(g, cs).tolist() == want, cs
+
+
 @pytest.mark.parametrize(
     "c", [Constraint.vertex("x"), Constraint.edge("x"), Constraint.src("x", "y"), Constraint.trg("x", "y")]
 )

@@ -870,6 +870,15 @@ class TestHistograms:
         assert histogram_estimate(h, PredicateKind.EQ, "a") == 0.0
         assert histogram_estimate(h, PredicateKind.NEQ, "a") == 2.0
 
+    @pytest.mark.parametrize("op", POINT_OPS + [PredicateKind.IN])
+    def test_empty_string_bucket_is_exact(self, op):
+        # the "" bucket holds "" alone, so every predicate on it is exact
+        values = ["", "", "", "", "b"]
+        g = PropertyGraph([(f"v{i}", [], {"s": v}) for i, v in enumerate(values)], [])
+        h = build_histogram(g, "s", "equi_depth", 4)
+        value = [""] if op is PredicateKind.IN else ""
+        assert histogram_estimate(h, op, value) == sum(predicate_holds(op, v, value) for v in values)
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
         runs=st.dictionaries(st.integers(-3, 6), st.integers(1, 3), min_size=1, max_size=5),
@@ -960,6 +969,20 @@ class TestHistograms:
         assert h.domain == "numeric"
         assert histogram_estimate(h, PredicateKind.NEQ, "a") == 0.0
         assert exact_matches(g, q) == 0
+
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+    def test_numeric_order_other_type_is_zero(self, op):
+        # no number is ordered against a string, and the histogram holds
+        # every value of the key, so the estimate is 0 and not the default
+        g = PropertyGraph([(f"v{i}", [], {"k": i % 5}) for i in range(20)], [])
+        q = parse_query({"vertices": [{"id": "v", "props": [{"key": "k", "op": op, "value": "a"}]}]})
+        catalog = build_catalog(g, histogram_keys=[("k", "equi_depth", 4)])
+        assert catalog.histograms[0].domain == "numeric"
+        assert histogram_estimate(catalog.histograms[0], PredicateKind.from_op(op), "a") == 0.0
+        (c,) = [c for c in extract_constraints(q) if c.kind is ConstraintKind.PROP_VALUE]
+        pe = individual_estimate(c, catalog)
+        assert pe.provenance != "individual:default"
+        assert pe.selectivity == 0.0 == exact_matches(g, q)
 
     def test_string_neq_number_has_no_answer(self):
         g, h, q = self.cycled("s", ["p", "q", "r"], 5)
