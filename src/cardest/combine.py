@@ -345,29 +345,26 @@ def _solve_max_ent_partition(
     feasible = full
     for i, row in rows.items():
         feasible &= ~row | holds(cq.closures[i])
-    selectivity = {m: pe.selectivity for m, pe in zip(masks, pes)}
-    for m, pe in zip(masks, pes):
-        pe_closure = cq.closure(m)
-        for o, other in zip(masks, pes):
-            if o != pe_closure and not o & ~pe_closure and (
-                other.selectivity <= pe.selectivity * (1.0 + _EMPTY_CELL_RTOL)
-            ):
-                feasible &= ~holds(o) | holds(m)
+    # per estimate, once: (mask, selectivity, atoms where it holds, closure)
+    cells = [(m, pe.selectivity, holds(m), cq.closure(m)) for m, pe in zip(masks, pes)]
+    selectivity = {m: s for m, s, _, _ in cells}
+    held = {m: h for m, _, h, _ in cells}
+    for m, s, h, closure in cells:
+        for o, s_o, h_o, _ in cells:
+            if o != closure and not o & ~closure and s_o <= s * (1.0 + _EMPTY_CELL_RTOL):
+                feasible &= ~h_o | h
             if o != m and not o & ~m:
                 rest = m & ~o
-                if rest in selectivity and (
-                    other.selectivity + selectivity[rest] - pe.selectivity
-                    >= 1.0 - _EMPTY_CELL_SLACK
-                ):
-                    feasible &= holds(o) | holds(rest)
+                if rest in selectivity and s_o + selectivity[rest] - s >= 1.0 - _EMPTY_CELL_SLACK:
+                    feasible &= h_o | held[rest]
     ids = unpacked(feasible).nonzero()[0]
     atoms = np.full(len(ids), 1.0 / len(ids))
     # per marginal: the positions in atoms where it holds, and per atom 1
     # where it holds and 0 where it does not
     marginals = []
-    for m, pe in zip(masks, pes):
-        included = unpacked(holds(m))[ids]
-        marginals.append((included.nonzero()[0], included.astype(np.intp), pe.selectivity))
+    for _, s, h, _ in cells:
+        included = unpacked(h)[ids]
+        marginals.append((included.nonzero()[0], included.astype(np.intp), s))
     worst = math.inf
     for _ in range(max_iter):
         worst = 0.0

@@ -75,7 +75,7 @@ _PET_RE = re.compile(
     r"^(?:EP|c(?P<chain>\d+)|s(?P<source_star>\d+)|t(?P<target_star>\d+)|SysR|CS|BS|MDH|defaults"
     rf"|S\((?P<sample>{'|'.join((*stats.SAMPLE_TYPES, *stats.SAMPLE_TYPE_ALIASES))}),"
     r"(?P<pr>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\)"
-    r"|WJ\((?P<walks>\d+)\))$"
+    r"|WJ\((?P<walks>0*[1-9]\d*)\))$"
 )
 _IP_RE = re.compile(
     rf"^IP\((?P<pattern_class>{'|'.join(implications.PATTERN_CLASSES)}),"

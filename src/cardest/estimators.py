@@ -13,7 +13,7 @@ sketch.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -493,51 +493,34 @@ def walk_plan(q: QueryPattern) -> Optional[list[str]]:
     return plan
 
 
-def wander_join_estimate(
-    q: QueryPattern,
-    g: PropertyGraph,
-    walks: int = 1000,
-    seed: int = 0,
-) -> Optional[PartialEstimate]:
-    """Unbiased cardinality estimate from random walks over the query's
-    edges; covers every constraint on ids reachable by the walk plan.
+class _Walks(NamedTuple):
+    """The completed walks of one walk shape on a graph, in walk order:
+    ids[slot, w] is the id the w-th of them mapped to that slot, and
+    inv_prob[w] is the inverse of its probability.  Stored, so read-only."""
 
-    The plan is compiled once per call into slots: each covered query id
-    is an index into the walk's mapping `m`, numbered in plan order, and
-    each step after the first is (edge, source, target, forward, check):
-    it extends from its source along out-edges or from its target along
-    in-edges, and `check` says that its other endpoint is mapped already,
-    so the chosen edge must agree with it.  A completed walk thus
-    satisfies every topology constraint by construction, and only the
-    covered ids' data constraints are checked.  Each index is drawn as
-    `randrange(n)` draws it (CPython's `_randbelow_with_getrandbits`), so
-    the random words, the accepted walks and the sums are those of a walk
-    that calls `randrange` and checks every constraint of its mapping.
-    """
-    plan = walk_plan(q)
-    if plan is None or g.n_edges == 0 or g.n_ids == 0 or walks < 1:
-        return None
-    slots: dict[str, int] = {}
-    slot = lambda i: slots.setdefault(i, len(slots))  # noqa: E731
-    s0, t0 = q.endpoints[plan[0]]
-    f_e, f_s, f_t = slot(plan[0]), slot(s0), slot(t0)
-    steps: list[tuple[int, int, int, bool, bool]] = []
-    for e in plan[1:]:
-        s, t = q.endpoints[e]
-        forward = s in slots
-        check = forward and t in slots
-        steps.append((slot(e), slot(s), slot(t), forward, check))
-    cq = q.compiled
-    data_checks = [(slots[i], allowed(g, cs).tolist()) for i, cs in sorted(q.data_by_id.items()) if i in slots]
+    ids: np.ndarray
+    inv_prob: np.ndarray
 
+
+def _walk_store(g: PropertyGraph) -> dict[tuple, _Walks]:
+    """The graph's completed walks, per (walk shape, walks, seed): at most
+    walks * (n_slots + 1) * 8 bytes a key, none of them evicted.  Two
+    threads that draw one key draw equal tables, and either may be kept."""
+    return {}
+
+
+def _walk(g: PropertyGraph, shape: tuple, walks: int, seed: int) -> _Walks:
+    """The completed walks of `walks` drawn from `seed` over a walk shape
+    (first target slot, steps, number of slots); see `wander_join_estimate`."""
+    f_t, steps, n_slots = shape
     getrandbits = random.Random(seed).getrandbits
     ends, out, into = g.adjacency()
     nv, ne = g.n_vertices, g.n_edges
     ke = ne.bit_length()
-    loop = s0 == t0
-    m = [0] * len(slots)
-    total = 0.0
-    successes = 0
+    loop = f_t == 1
+    m = [0] * n_slots
+    done: list[int] = []
+    inv_probs: list[float] = []
     for _ in range(walks):
         r = getrandbits(ke)
         while r >= ne:
@@ -546,7 +529,7 @@ def wander_join_estimate(
         if loop and gs != gt:
             continue
         inv_prob = float(ne)
-        m[f_e], m[f_s], m[f_t] = nv + r, gs, gt
+        m[0], m[1], m[f_t] = nv + r, gs, gt
         for e, s, t, forward, check in steps:
             cands = out[m[s]] if forward else into[m[t]]
             n = len(cands)
@@ -563,14 +546,73 @@ def wander_join_estimate(
                 break
             m[e], m[s], m[t] = choice, cgs, cgt
         else:
-            for i, ok in data_checks:
-                if not ok[m[i]]:
-                    break
-            else:
-                total += inv_prob
-                successes += 1
+            done.extend(m)
+            inv_probs.append(inv_prob)
+    table = _Walks(np.array(done, np.int64).reshape(-1, n_slots).T.copy(), np.array(inv_probs, np.float64))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def wander_join_estimate(
+    q: QueryPattern,
+    g: PropertyGraph,
+    walks: int = 1000,
+    seed: int = 0,
+) -> Optional[PartialEstimate]:
+    """Unbiased cardinality estimate from random walks over the query's
+    edges; covers every constraint on ids reachable by the walk plan.
+
+    The plan is compiled into slots: each covered query id is an index
+    into the walk's mapping `m`, numbered in plan order (the first edge
+    0, its source 1), and each step after the first is (edge, source,
+    target, forward, check): it extends from its source along out-edges
+    or from its target along in-edges, and `check` says that its other
+    endpoint is mapped already, so the chosen edge must agree with it.  A
+    completed walk thus satisfies every topology constraint by
+    construction.  Each index is drawn as `randrange(n)` draws it
+    (CPython's `_randbelow_with_getrandbits`), so the random words, the
+    accepted walks and the sums are those of a walk that calls
+    `randrange` and checks every constraint of its mapping.
+
+    The draws read only the plan's shape, so the completed walks of each
+    (shape, walks, seed) are drawn once per graph and kept in its walk
+    store (`_walk_store`); each call then checks the covered ids' data
+    constraints on them, one `allowed` mask per id read at its slot's
+    ids, and adds the hits' inverse probabilities one after another in
+    walk order, as the walk itself would.
+    """
+    plan = walk_plan(q)
+    if plan is None or g.n_edges == 0 or g.n_ids == 0 or walks < 1:
+        return None
+    slots: dict[str, int] = {}
+    slot = lambda i: slots.setdefault(i, len(slots))  # noqa: E731
+    s0, t0 = q.endpoints[plan[0]]
+    slot(plan[0])
+    slot(s0)
+    f_t = slot(t0)
+    steps: list[tuple[int, int, int, bool, bool]] = []
+    for e in plan[1:]:
+        s, t = q.endpoints[e]
+        forward = s in slots
+        check = forward and t in slots
+        steps.append((slot(e), slot(s), slot(t), forward, check))
+    key = ((f_t, tuple(steps), len(slots)), walks, seed)
+    store = g.derived(_walk_store)
+    table = store.get(key)
+    if table is None:
+        table = store[key] = _walk(g, *key)
+    hits = np.ones(len(table.inv_prob), bool)
+    for i, cs in q.data_by_id.items():
+        if i in slots:
+            hits &= allowed(g, cs)[table.ids[slots[i]]]
+    chosen = table.inv_prob[hits]
+    successes = len(chosen)
+    # in walk order, one after another: np.sum would add pairwise
+    total = float(np.add.accumulate(chosen)[-1]) if successes else 0.0
     sel = _count_sel(total / walks, g.n_ids, len(slots))
     provenance = "wj" if successes else "wj:low_confidence"
+    cq = q.compiled
     return cq.estimate(cq.within(frozenset(slots)), sel, provenance, "estimate")
 
 

@@ -182,7 +182,9 @@ class PropertyGraph:
     def derived(self, build: Callable[["PropertyGraph"], _T]) -> _T:
         """build(self), computed on the first call with that function and
         kept with the graph, which never changes: its element layout, the
-        adjacency lists and the column view."""
+        adjacency lists, the column view and the wander-join walk store
+        (`estimators._walk_store`, a dict that the walks fill as they are
+        drawn)."""
         if build not in self._derived:
             self._derived[build] = build(self)
         return self._derived[build]

@@ -151,6 +151,13 @@ class TestEstimateCommand:
         assert rc == 2
         assert capsys.readouterr().err == "cardest: error: unknown technique tag: 'NOPE'\n"
 
+    def test_zero_walks_rejected(self, graph_dir, tmp_path, capsys):
+        qfile = tmp_path / "q.json"
+        qfile.write_text(json.dumps(ONE_EDGE_DOC), encoding="utf-8")
+        rc = main(["estimate", "--graph", str(graph_dir), "--query", str(qfile), "--pets", "WJ(0)"])
+        assert rc == 2
+        assert capsys.readouterr().err == "cardest: error: unknown technique tag: 'WJ(0)'\n"
+
     def test_with_stats_and_pets(self, rich_graph_dir, tmp_path, capsys):
         out = tmp_path / "catalog.json"
         main(

@@ -57,7 +57,10 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "text",
-        ["ct=condIndep(Foo)", "ct=maxEnt(0)", "pets=S(id,e)", "pets=S(id,0)", "pets=S(ep,1.5)", "seed=abc"],
+        [
+            "ct=condIndep(Foo)", "ct=maxEnt(0)", "pets=S(id,e)", "pets=S(id,0)", "pets=S(ep,1.5)",
+            "pets=EP,WJ(0)", "pets=WJ(00)", "seed=abc",
+        ],  # fmt: skip
     )
     def test_bad_values_rejected(self, text):
         with pytest.raises(ConfigError):

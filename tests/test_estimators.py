@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cardest.estimators import (
+    _walk_store,
     bound_sketch_estimates,
     char_set_estimates,
     dedup_estimates,
@@ -43,6 +44,9 @@ from cardest.stats import (
 
 from conftest import (
     CYCLIC_SHAPES,
+    G4_EDGES,
+    G4_VERTICES,
+    TWO_CHAIN_DOC,
     check_constraint,
     decorated_shape,
     oracle_constraint_sel,
@@ -777,6 +781,79 @@ def test_wander_join_matches_reference_walk(seed, shape, walks):
     assert got.constraints == want.constraints
     assert got.provenance == want.provenance
     assert got.selectivity.hex() == want.selectivity.hex()
+
+
+@pytest.mark.hash_seed
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    sequence=st.lists(
+        st.tuples(st.sampled_from(["tree"] + sorted(CYCLIC_SHAPES)), st.booleans()), min_size=2, max_size=5
+    ),
+)
+def test_wander_join_warm_store_matches_reference(seed, sequence):
+    """A sequence of queries on one graph, each at two seeds and two walk
+    counts, equals the reference walk bit for bit: the later queries of
+    a shape are scored on the walks the first one stored, under other
+    labels and predicates, or none (a bare query).
+
+    Hash seed: the walk numbers its query ids in slots, and the store is
+    keyed by them, so slots numbered in set iteration order would read
+    another shape's walks under one seed.
+    """
+    rng = random.Random(seed)
+    g = random_graph(rng, n_vertices=rng.randint(1, 3), n_edges=rng.randint(0, 12))
+    tree = random_query(rng, n_edges=rng.randint(1, 3))
+    shapes = dict(CYCLIC_SHAPES, tree=[(e, *tree.endpoints[e]) for e in sorted(tree.edges)])
+    seeds, walk_counts = rng.sample(range(100), 2), rng.sample(range(1, 200), 2)
+    for shape, bare in sequence:
+        edges = shapes[shape]
+        if bare:
+            vertex_ids = sorted({v for _, s, t in edges for v in (s, t)})
+            edge_docs = [{"id": e, "src": s, "trg": t} for e, s, t in edges]
+            q = parse_query({"vertices": [{"id": v} for v in vertex_ids], "edges": edge_docs})
+        else:
+            q = decorated_shape(rng, edges)
+        for walk_seed in seeds:
+            for walks in walk_counts:
+                got = wander_join_estimate(q, g, walks, walk_seed)
+                want = reference_wander_join_estimate(q, g, walks, walk_seed)
+                if want is None:
+                    assert got is None
+                    continue
+                assert got.constraints == want.constraints
+                assert got.provenance == want.provenance
+                assert got.selectivity.hex() == want.selectivity.hex(), (shape, walks, walk_seed)
+
+
+class TestWalkStore:
+    def test_graphs_do_not_share_tables(self, two_chain_query):
+        g, twin = (PropertyGraph(G4_VERTICES, G4_EDGES) for _ in range(2))
+        first = wander_join_estimate(two_chain_query, g, walks=50, seed=1)
+        assert twin.derived(_walk_store) == {}
+        assert wander_join_estimate(two_chain_query, twin, walks=50, seed=1) == first
+        (key,) = g.derived(_walk_store)
+        assert twin.derived(_walk_store)[key] is not g.derived(_walk_store)[key]
+
+    def test_walks_and_seed_key_separate_tables(self, g4, two_chain_query):
+        for walks, seed in ((50, 1), (60, 1), (50, 2), (50, 1)):
+            wander_join_estimate(two_chain_query, g4, walks=walks, seed=seed)
+        store = g4.derived(_walk_store)
+        assert sorted((walks, seed) for _, walks, seed in store) == [(50, 1), (50, 2), (60, 1)]
+        for table in store.values():
+            assert len(table.inv_prob) == table.ids.shape[1] > 0
+            for a in table:
+                assert not a.flags.writeable
+
+    def test_no_completed_walk_stores_an_empty_table(self):
+        # one edge that no walk can extend from its target
+        g = PropertyGraph([("v0", [], {}), ("v1", [], {})], [("e0", "v0", "v1", [], {})])
+        pe = wander_join_estimate(parse_query(TWO_CHAIN_DOC), g, walks=30, seed=0)
+        assert pe.selectivity == 0.0
+        assert pe.provenance == "wj:low_confidence"
+        (table,) = g.derived(_walk_store).values()
+        assert table.ids.shape == (5, 0) and table.inv_prob.shape == (0,)
+        assert not table.ids.flags.writeable and not table.inv_prob.flags.writeable
 
 
 REJECTION_DEGREES = (1, 2, 3, 4, 5, 8, 9, 16, 17)
