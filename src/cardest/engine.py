@@ -107,8 +107,11 @@ class EstimatorConfig:
         for tag in self.epests:
             if tag != "implied" and not _IP_RE.match(tag):
                 raise ConfigError(f"unknown extension tag: {tag!r}")
-        if not _CT_RE.match(self.ct):
+        m = _CT_RE.match(self.ct)
+        if not m:
             raise ConfigError(f"unknown combination tag: {self.ct!r}")
+        if m["mps"] is not None and int(m["mps"]) > combine.MPS_HARD_CAP:
+            raise ConfigError(f"maxEnt partition size in {self.ct!r} must be at most {combine.MPS_HARD_CAP}")
 
     @property
     def label(self) -> str:
@@ -128,6 +131,8 @@ class EstimatorConfig:
                 raise ConfigError(f"bad config fragment: {part!r}")
             key, value = part.split("=", 1)
             key, value = key.strip(), value.strip()
+            if key in fields:
+                raise ConfigError(f"config key given twice: {key!r}")
             if key == "pets":
                 fields["pets"] = _split_tags(value)
             elif key == "epests":

@@ -311,51 +311,41 @@ def system_r_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[Part
 # Bound sketch
 
 
-def bound_sketch_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[PartialEstimate]:
-    """Upper bounds used as estimates, for edges, 2-chains and stars.
+def _joined_bound(parts: Sequence[dict[int, tuple[int, int]]]) -> float:
+    """A star's bound from its branches' partitions: per bucket that every
+    branch holds, ascending, the least over branches k of k's count times
+    the others' max degrees (multiplied in branch order), added one after
+    another (np.sum would add pairwise); a bucket some branch lacks adds 0."""
+    shared = sorted(set(parts[0]).intersection(*parts[1:]))
+    if not shared:
+        return 0.0
+    counts, degrees = np.array([[p[b] for b in shared] for p in parts], np.float64).transpose(2, 0, 1)
+    least = None
+    for k, term in enumerate(counts):
+        for j, degree in enumerate(degrees):
+            if j != k:
+                term = term * degree
+        least = term if least is None else np.minimum(least, term)
+    return float(np.add.accumulate(least)[-1])
 
-    Per partition bucket the bound takes the tightest join order (one
-    pattern contributes its count, the others their max degree); bucket
-    bounds are summed.
-    """
+
+def bound_sketch_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[PartialEstimate]:
+    """Upper bounds used as estimates, for edges and stars (`_joined_bound`);
+    a directed 2-chain is the two-branch star at its middle vertex."""
     if not catalog.sketches or catalog.basic is None or catalog.basic.n_ids == 0:
         return []
     sketch = catalog.sketches[0]
     n_ids_g = catalog.basic.n_ids
     cq = q.compiled
+    # single edges, as one-branch stars: the sketch stores exact per-pattern
+    # counts, but they are stated as bounds like the rest, so that dedup
+    # keeps synopsis:EP
+    shapes = [([(ep, True)], mask) for ep, mask in _edge_patterns(q)]
+    shapes += [(branches, shape_mask(q, edges)) for branches, edges in _labeled_stars(q)]
     out: list[PartialEstimate] = []
-
-    def joined_bound(parts: list[dict[int, tuple[int, int]]]) -> float:
-        buckets: set[int] = set()
-        for p in parts:
-            buckets.update(p)
-        bound = 0.0
-        for b in buckets:
-            stats = [p.get(b, (0, 0)) for p in parts]
-            best = None
-            for k in range(len(stats)):
-                term = float(stats[k][0])
-                for j in range(len(stats)):
-                    if j != k:
-                        term *= stats[j][1]
-                best = term if best is None else min(best, term)
-            bound += best or 0.0
-        return bound
-
-    # single edges: the sketch stores exact per-pattern counts, but they
-    # are stated as bounds like the rest, so that dedup keeps synopsis:EP
-    for ep, mask in _edge_patterns(q):
-        count = sum(c for c, _ in sketch.partition(*ep, "src").values())
-        out.append(cq.estimate(mask, _count_sel(count, n_ids_g, 3), "sketch", "upper"))
-
-    for slots, mask in _labeled_chains(q, 2):
-        parts = [sketch.partition(*slots[0:3], "trg"), sketch.partition(*slots[2:5], "src")]
-        out.append(cq.estimate(mask, _count_sel(joined_bound(parts), n_ids_g, 5), "sketch", "upper"))
-
-    for branches, edges in _labeled_stars(q):
+    for branches, mask in shapes:
         parts = [sketch.partition(*ep, "src" if outgoing else "trg") for ep, outgoing in branches]
-        mask = shape_mask(q, edges)
-        sel = _count_sel(joined_bound(parts), n_ids_g, cq.ids_of(mask).bit_count())
+        sel = _count_sel(_joined_bound(parts), n_ids_g, cq.ids_of(mask).bit_count())
         out.append(cq.estimate(mask, sel, "sketch", "upper"))
     return out
 
@@ -377,9 +367,8 @@ def char_set_estimates(q: QueryPattern, catalog: StatisticsCatalog) -> list[Part
     cq = q.compiled
     out: list[PartialEstimate] = []
     for store in catalog.char_sets:
-        direction = "out" if store.direction == "out" else "in"
         for center in sorted(q.vertices):
-            info = cs_pattern_of(q, center, direction=direction)
+            info = cs_pattern_of(q, center, direction=store.direction)
             if info is None:
                 continue
             card = 0.0

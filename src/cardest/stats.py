@@ -17,9 +17,11 @@ with `fileform.stored`, next to the field.  A condition that spans a
 section's fields is checked in its `__post_init__`, when the section is
 built and when it is read: a sample's pattern type must be known, its
 probability in (0, 1] and its members of the kinds the pattern type
-holds, with their endpoints in an edge-pattern sample; a histogram's
-domain must be known and its buckets hold the domain's keys; and a
-grid's cells must lie within its axes.
+holds, with their endpoints in an edge-pattern sample; a synopsis's
+class must be known and its size at least one; a characteristic-set
+store's direction must be `out` or `in`; a histogram's domain must be
+known and its buckets hold the domain's keys; and a grid's cells must
+lie within its axes.
 
 Wildcard label slots are encoded as "*"; synopsis/sketch keys are compact
 JSON arrays so arbitrary label strings stay unambiguous.
@@ -188,6 +190,13 @@ class LabeledTopoSynopsis(_Section):
     klass: str = field(metadata=stored(key="class"))
     max_size: int
     counts: dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        """A known class and a size of at least one."""
+        if self.klass not in SYNOPSIS_CLASSES:
+            raise FormError(" or ".join(SYNOPSIS_CLASSES), self.klass, path=".class")
+        if self.max_size < 1:
+            raise FormError("a size >= 1", self.max_size, path=".max_size")
 
     def count_edge(self, ls: str, le: str, lt: str) -> Optional[int]:
         return self.counts.get(edge_key(ls, le, lt))
@@ -484,6 +493,11 @@ class CharacteristicSetStore(_Section):
     entries: list[CSEntry] = field(default_factory=list, metadata=stored(out=lambda es: sorted(es, key=_cs_rank)))
     max_entries: int = 10000
     direction: str = "out"
+
+    def __post_init__(self) -> None:
+        """A direction of `out` or `in`."""
+        if self.direction not in ("out", "in"):
+            raise FormError("out or in", self.direction, path=".direction")
 
     def supersets(self, elements: frozenset[str]) -> list[CSEntry]:
         return [e for e in self.entries if e.cs >= elements]
@@ -919,7 +933,11 @@ def build_md_histogram(g: PropertyGraph, keys: Sequence[str], n_buckets_per_axis
 
 def md_fraction(mdh: MDHistogram, constraints: Iterable[tuple[str, PredicateKind, Any]]) -> float:
     """Fraction of the grid population satisfying the given (key, op,
-    value) predicates, with intra-bucket uniformity per axis."""
+    value) predicates, with intra-bucket uniformity per axis: each
+    predicate's `_bucket_fraction` per bucket of its axis, multiplied per
+    cell (axes in order of first mention), and the cells' counts times
+    fractions added one after another in ascending cell order, so that a
+    built grid and a reloaded one agree."""
     if mdh.total == 0:
         return 0.0
     by_axis: dict[int, list[tuple[PredicateKind, Any]]] = {}
@@ -927,19 +945,16 @@ def md_fraction(mdh: MDHistogram, constraints: Iterable[tuple[str, PredicateKind
         if key not in mdh.keys:
             raise ValueError(f"key {key!r} not covered by this histogram")
         by_axis.setdefault(mdh.keys.index(key), []).append((op, value))
-    acc = 0.0
-    for cell, count in mdh.grid.items():
-        frac = 1.0
-        for a, preds in by_axis.items():
-            lo = mdh.axes[a]["bounds"][cell[a]]
-            hi = mdh.axes[a]["bounds"][cell[a] + 1]
-            distinct = mdh.axes[a]["distincts"][cell[a]]
-            for op, value in preds:
-                frac *= _bucket_fraction(lo, hi, distinct, op, value)
-                if frac == 0.0:
-                    break
-        acc += count * frac
-    return acc / mdh.total
+    cells = sorted(mdh.grid)
+    frac = np.ones(len(cells))
+    for a, preds in by_axis.items():
+        bounds, distincts = mdh.axes[a]["bounds"], mdh.axes[a]["distincts"]
+        at = np.array([cell[a] for cell in cells], np.intp)
+        for op, value in preds:
+            fractions = [_bucket_fraction(lo, hi, d, op, value) for lo, hi, d in zip(bounds, bounds[1:], distincts)]
+            frac = frac * np.array(fractions, np.float64)[at]
+    weighted = np.array([mdh.grid[cell] for cell in cells], np.float64) * frac
+    return (float(np.add.accumulate(weighted)[-1]) if cells else 0.0) / mdh.total
 
 
 # Looking up an Enum member costs about as much as the rest of a bucket's
@@ -966,14 +981,15 @@ def _bucket_fraction(lo: float, hi: float, distinct: int, op: PredicateKind, val
     if lo == hi:
         return 1.0 if predicate_holds(op, lo, value) else 0.0
     v = float(value)
+    # `not v > lo` and `not v < hi` hold for a NaN, which meets no order predicate
     if op in _BELOW:
-        if v <= lo:
+        if not v > lo:
             return 0.0
         if v >= hi:
             return 1.0
         return (v - lo) / (hi - lo)
     if op in _ABOVE:
-        if v >= hi:
+        if not v < hi:
             return 0.0
         if v <= lo:
             return 1.0

@@ -158,6 +158,13 @@ class TestEstimateCommand:
         assert rc == 2
         assert capsys.readouterr().err == "cardest: error: unknown technique tag: 'WJ(0)'\n"
 
+    def test_partition_size_past_cap_rejected(self, graph_dir, tmp_path, capsys):
+        qfile = tmp_path / "q.json"
+        qfile.write_text(json.dumps(ONE_EDGE_DOC), encoding="utf-8")
+        rc = main(["estimate", "--graph", str(graph_dir), "--query", str(qfile), "--ct", "maxEnt(mps=21)"])
+        assert rc == 2
+        assert capsys.readouterr().err == "cardest: error: maxEnt partition size in 'maxEnt(mps=21)' must be at most 20\n"
+
     def test_with_stats_and_pets(self, rich_graph_dir, tmp_path, capsys):
         out = tmp_path / "catalog.json"
         main(
@@ -255,6 +262,12 @@ def sample_catalog(pattern_type="id", probability=1.0, members=()) -> str:
          "stats.json: md_histograms[0].axes: expected 2 axes, one per key, got [{"),
         ("stats", md_catalog(axes=[{"bounds": [0.0, 1.0, 2.0], "distincts": [1]}] * 2),
          "stats.json: md_histograms[0].axes[0].distincts: expected a count per bucket, got [1]"),
+        ("stats", json.dumps({"version": 1, "synopses": [{"class": "cycle", "max_size": 2, "counts": {}}]}),
+         "stats.json: synopses[0].class: expected edge or chain or source_star or target_star, got 'cycle'"),
+        ("stats", json.dumps({"version": 1, "synopses": [{"class": "edge", "max_size": 0, "counts": {}}]}),
+         "stats.json: synopses[0].max_size: expected a size >= 1, got 0"),
+        ("stats", json.dumps({"version": 1, "char_sets": [{"entries": [], "max_entries": 10, "direction": "sideways"}]}),
+         "stats.json: char_sets[0].direction: expected out or in, got 'sideways'"),
         ("stats", sample_catalog(pattern_type="foo"),
          "stats.json: samples[0].pattern_type: expected id or vertex or edge_pattern, got 'foo'"),
         ("stats", sample_catalog(probability=1.5),
@@ -292,11 +305,13 @@ def sample_catalog(pattern_type="id", probability=1.0, members=()) -> str:
         ("query", NOT_UTF8, "q.json: 'utf-8' codec can't decode byte 0xff"),
         ("workload", NOT_UTF8, "workload.json: 'utf-8' codec can't decode byte 0xff"),
         ("configs", NOT_UTF8, "configs.txt: 'utf-8' codec can't decode byte 0xff"),
+        ("configs", "ct=bounds; ct=condIndep(MoDi)\n", "config key given twice: 'ct'"),
     ],
     ids=["edge-to-missing-vertex", "graph-line-not-json", "catalog-not-json", "basic-without-key",
          "synopsis-without-key", "sample-member-without-src", "numeric-bucket-without-lo",
          "sample-member-without-trg", "prefix-bucket-without-prefix", "histogram-domain-unknown",
          "grid-cell-outside-axes", "grid-cell-of-three-indexes", "grid-axis-dropped", "grid-distincts-short",
+         "synopsis-class-unknown", "synopsis-size-zero", "cs-direction-unknown",
          "sample-type-unknown", "sample-probability-above-one", "sample-probability-zero",
          "id-sample-member-kind-unknown", "vertex-sample-edge-member", "edge-pattern-sample-vertex-member",
          "edge-pattern-sample-edge-source",
@@ -305,7 +320,8 @@ def sample_catalog(pattern_type="id", probability=1.0, members=()) -> str:
          "query-value-object", "query-in-list-of-lists",
          "query-id-number", "query-ids-all-numbers", "query-id-list", "query-trg-object", "query-anyof-id-object",
          "edge-labels-string", "vertex-labels-number", "vertex-props-string", "vertex-props-list",
-         "catalog-not-utf8", "graph-not-utf8", "query-not-utf8", "workload-not-utf8", "configs-not-utf8"],  # fmt: skip
+         "catalog-not-utf8", "graph-not-utf8", "query-not-utf8", "workload-not-utf8", "configs-not-utf8",
+         "configs-key-repeated"],  # fmt: skip
 )
 def test_malformed_input_file_rejected(graph_dir, tmp_path, capsys, kind, text, message):
     """A malformed graph, catalog, query, workload or configs file, or a

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import cardest.engine as engine_mod
 from cardest.bench import GraphSpec, PropSpec, enumerate_subqueries, generate_graph
-from cardest.combine import _EXACT_ENUM_LIMIT, MaxEntError
+from cardest.combine import _EXACT_ENUM_LIMIT, MPS_HARD_CAP, MaxEntError
 from cardest.engine import (
     ConfigError,
     EstimatorConfig,
@@ -59,12 +59,19 @@ class TestConfig:
         "text",
         [
             "ct=condIndep(Foo)", "ct=maxEnt(0)", "pets=S(id,e)", "pets=S(id,0)", "pets=S(ep,1.5)",
-            "pets=EP,WJ(0)", "pets=WJ(00)", "seed=abc",
+            "pets=EP,WJ(0)", "pets=WJ(00)", "seed=abc", "ct=maxEnt(mps=21)", "ct=maxEnt(mps=0021)",
         ],  # fmt: skip
     )
     def test_bad_values_rejected(self, text):
         with pytest.raises(ConfigError):
             EstimatorConfig.parse(text)
+
+    def test_repeated_key_rejected(self):
+        """A key given twice would silently keep only its last value."""
+        with pytest.raises(ConfigError, match="config key given twice: 'pets'"):
+            EstimatorConfig.parse("pets=EP; pets=c2; ct=bounds")
+        with pytest.raises(ConfigError, match="config key given twice: 'ct'"):
+            EstimatorConfig.parse("pets=EP; ct=bounds; ct=condIndep(MoDi)")
 
     def test_known_tags_accepted(self):
         EstimatorConfig(
@@ -72,6 +79,7 @@ class TestConfig:
             epests=("IP(id,pv)", "IP(id,p)", "IP(id,a)", "IP(ep,p)", "IP(ep,a)"),
             ct="maxEnt(mps=6)",
         )
+        EstimatorConfig.parse(f"ct=maxEnt(mps={MPS_HARD_CAP})")
 
 
 class TestEstimate:

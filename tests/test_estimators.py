@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cardest.estimators import (
+    _joined_bound,
     _walk_store,
     bound_sketch_estimates,
     char_set_estimates,
@@ -345,6 +346,71 @@ class TestBoundSketch:
         catalog = build_catalog(g, sketch_buckets=3, sketch_seed=seed)
         for pe in bound_sketch_estimates(two_chain_query, catalog):
             assert pe.selectivity >= oracle_sel(g, two_chain_query, pe.constraints) - 1e-12
+
+
+    def test_each_constraint_set_once(self, two_chain_query):
+        """A directed 2-chain is the two-branch star at its middle vertex,
+        so it is bounded once, as a star, and no set comes twice."""
+        rng = random.Random(4)
+        for seed in range(6):
+            g = random_graph(rng, n_vertices=7, n_edges=12)
+            catalog = build_catalog(g, sketch_buckets=3, sketch_seed=seed)
+            for q in (two_chain_query, random_query(rng, n_edges=3), random_query(rng, n_edges=4)):
+                sets = [pe.constraints for pe in bound_sketch_estimates(q, catalog)]
+                assert len(sets) == len(set(sets)), seed
+
+
+def reference_joined_bound(parts, order):
+    """The bound sketch's join bound as a loop per bucket: over the union
+    of the branches' buckets, in the given order of that set (a bucket
+    some branch lacks counts as (0, 0)), the least per-order term, summed."""
+    buckets = set()
+    for p in parts:
+        buckets.update(p)
+    bound = 0.0
+    for b in order(buckets):
+        stats = [p.get(b, (0, 0)) for p in parts]
+        best = None
+        for k in range(len(stats)):
+            term = float(stats[k][0])
+            for j in range(len(stats)):
+                if j != k:
+                    term *= stats[j][1]
+            best = term if best is None else min(best, term)
+        bound += best or 0.0
+    return bound
+
+
+@st.composite
+def sketch_partitions(draw):
+    """1-5 branches' partitions over 1, 16 or 1000 buckets, sharing some;
+    with large degrees a bucket's terms pass 2**53."""
+    n_buckets = draw(st.sampled_from([1, 16, 1000]))
+    bucket = st.integers(0, n_buckets - 1)
+    shared = draw(st.lists(bucket, unique=True, max_size=30))
+    top = draw(st.sampled_from([30, 10**6]))
+    parts = []
+    for _ in range(draw(st.integers(1, 5))):
+        p = {}
+        for b in shared + draw(st.lists(bucket, unique=True, max_size=6)):
+            degree = draw(st.integers(1, top))
+            p[b] = (degree * draw(st.integers(1, top)), degree)
+        parts.append(p)
+    return parts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(parts=sketch_partitions())
+def test_joined_bound_matches_per_bucket_reference(parts):
+    """Over ascending buckets the bound repeats the per-bucket loop bit
+    for bit; in the loop's own set order too while the bound stays below
+    2**53, as every product and partial sum is then exact (degrees are at
+    least 1, so a bucket's least term has no larger factor)."""
+    got = _joined_bound(parts)
+    assert got.hex() == reference_joined_bound(parts, sorted).hex()
+    in_set_order = reference_joined_bound(parts, list)
+    if in_set_order < 2**53:
+        assert got.hex() == in_set_order.hex()
 
 
 class TestCharSets:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cardest import stats
 from cardest.bench import GraphSpec, generate_graph
-from cardest.estimators import individual_estimate, sample_estimates
+from cardest.estimators import individual_estimate, md_histogram_estimates, sample_estimates
 from cardest.graph import PropertyGraph, exact_matches, exact_selectivity
 from cardest.query import Constraint, ConstraintKind, PredicateKind, extract_constraints, parse_query, predicate_holds
 from cardest.stats import (
@@ -1062,6 +1062,17 @@ class TestMDHistogram:
         mdh = build_md_histogram(g, ["x", "y"], 3)
         assert md_fraction(mdh, [("x", PredicateKind.EQ, 99)]) == 0.0
 
+    @pytest.mark.parametrize("op", [PredicateKind.LT, PredicateKind.LEQ, PredicateKind.GT, PredicateKind.GEQ])
+    def test_nan_meets_no_order_predicate(self, op):
+        """As in `predicate_holds`, so a NaN scores 0 in every bucket, 1-D
+        or grid, and a grid's zero fraction stays 0 whatever follows it."""
+        nan = float("nan")
+        g = PropertyGraph([(f"v{i}", [], {"x": i, "y": i % 3}) for i in range(10)], [])
+        mdh = build_md_histogram(g, ["x", "y"], 3)
+        assert md_fraction(mdh, [("x", op, nan)]) == 0.0
+        assert md_fraction(mdh, [("x", PredicateKind.LT, -1), ("x", op, nan)]) == 0.0
+        assert histogram_estimate(build_histogram(g, "x", "equi_width", 3), op, nan) == 0.0
+
     @pytest.mark.parametrize("n_buckets", [0, -2])
     def test_fewer_than_one_bucket_rejected(self, n_buckets):
         g = PropertyGraph([("a", [], {"x": 1, "y": 1}), ("b", [], {"x": 2, "y": 2})], [])
@@ -1081,6 +1092,96 @@ class TestMDHistogram:
         mdh = build_md_histogram(g, ["x", "y"], 4)
         expected = 1.0 if predicate_holds(op, c, value) else 0.0
         assert md_fraction(mdh, [("y", op, value)]) == expected
+
+
+def reference_md_fraction(mdh, constraints, cells):
+    """The grid fraction as a loop per cell: over the given cells in
+    order, each cell's product of its buckets' fractions, with an early
+    break at 0, weighted by its count and summed."""
+    if mdh.total == 0:
+        return 0.0
+    by_axis = {}
+    for key, op, value in constraints:
+        by_axis.setdefault(mdh.keys.index(key), []).append((op, value))
+    acc = 0.0
+    for cell in cells:
+        frac = 1.0
+        for a, preds in by_axis.items():
+            lo = mdh.axes[a]["bounds"][cell[a]]
+            hi = mdh.axes[a]["bounds"][cell[a] + 1]
+            distinct = mdh.axes[a]["distincts"][cell[a]]
+            for op, value in preds:
+                frac *= stats._bucket_fraction(lo, hi, distinct, op, value)
+                if frac == 0.0:
+                    break
+        acc += mdh.grid[cell] * frac
+    return acc / mdh.total
+
+
+def random_grid(rng):
+    """A grid of 2 or 3 axes of 1, 3 or 8 buckets (or one point bucket),
+    its cells in a random order."""
+    axes = []
+    for _ in range(rng.randint(2, 3)):
+        lo, n = rng.uniform(-1, 3), rng.choice([0, 1, 3, 8])  # 0: one point bucket
+        bounds = sorted(lo + rng.uniform(0, 2 * n) for _ in range(n + 1)) if n else [lo, lo]
+        axes.append({"bounds": bounds, "distincts": [rng.randint(0, 5) for _ in range(max(n, 1))]})
+    cells = list(itertools.product(*(range(len(axis["distincts"])) for axis in axes)))
+    cells = rng.sample(cells, rng.randint(1, len(cells)))
+    grid = {cell: rng.randint(1, 1000) for cell in cells}
+    keys = ["k0", "k1", "k2"][: len(axes)]
+    return stats.MDHistogram(keys=keys, axes=axes, grid=grid, total=sum(grid.values()) + rng.randint(0, 5))
+
+
+def random_md_value(rng):
+    """A number on or off the grid's span, or one of the values that are not numbers."""
+    r = rng.random()
+    if r < 0.1:
+        return rng.choice(["x", True, None, float("nan")])
+    return rng.randint(-2, 12) if r < 0.4 else rng.uniform(-2, 12)
+
+
+def test_md_fraction_matches_per_cell_reference():
+    """Scored by axis, the grid repeats the per-cell loop over sorted cells
+    bit for bit, for repeated and interleaved keys, `IN` lists and values
+    that are not numbers; as every bucket fraction is finite, the loop's
+    early break moves no bit."""
+    rng = random.Random(11)
+    for _ in range(3000):
+        mdh = random_grid(rng)
+        constraints = []
+        for _ in range(rng.randint(1, 5)):
+            op = rng.choice(POINT_OPS + [PredicateKind.IN])
+            n = rng.randint(0, 3)
+            value = [random_md_value(rng) for _ in range(n)] if op is PredicateKind.IN else random_md_value(rng)
+            constraints.append((rng.choice(mdh.keys), op, value))
+        want = reference_md_fraction(mdh, constraints, sorted(mdh.grid))
+        assert md_fraction(mdh, constraints).hex() == want.hex(), (mdh, constraints)
+
+
+def test_reloaded_grid_scores_like_the_built_one(tmp_path):
+    """A reloaded grid holds its cells in the file's sorted key order,
+    which for 12 buckets an axis is not cell order ("0,10" < "0,2"), and a
+    built one in first-occurrence order; scored over sorted cells, both
+    give every fraction and estimate bit for bit."""
+    rng = random.Random(8)
+    ops = ["=", "!=", "<", "<=", ">", ">="]
+    for n_keys in (2, 3):
+        keys = ["x", "y", "z"][:n_keys]
+        for n_buckets in (1, 3, 8, 12):
+            g = PropertyGraph([(f"v{i}", [], {k: rng.uniform(0, 50) for k in keys}) for i in range(300)], [])
+            built = StatisticsCatalog(basic=build_basic(g), md_histograms=[build_md_histogram(g, keys, n_buckets)])
+            path = tmp_path / f"{n_keys}-{n_buckets}.json"
+            save_catalog(built, str(path))
+            reloaded = load_catalog(str(path))
+            for _ in range(100):
+                props = [{"key": k, "op": rng.choice(ops), "value": rng.uniform(0, 50)} for k in keys]
+                constraints = [(p["key"], PredicateKind.from_op(p["op"]), p["value"]) for p in props]
+                fractions = [md_fraction(c.md_histograms[0], constraints) for c in (built, reloaded)]
+                assert fractions[0].hex() == fractions[1].hex(), (n_keys, n_buckets)
+                q = parse_query({"vertices": [{"id": "a", "props": props}]})
+                (a,), (b,) = (md_histogram_estimates(q, c) for c in (built, reloaded))
+                assert a.selectivity.hex() == b.selectivity.hex(), (n_keys, n_buckets)
 
 
 class TestCatalogPersistence:
@@ -1124,6 +1225,24 @@ class TestCatalogPersistence:
         assert [len(s.members) for s in reloaded.samples] == [4, 2, 2]
         save_catalog(reloaded, str(old))
         assert old.read_bytes() == p.read_bytes()
+
+    @pytest.mark.parametrize(
+        "section, entry, message",
+        [
+            ("synopses", {"class": "cycle", "max_size": 2, "counts": {}},
+             "synopses[0].class: expected edge or chain or source_star or target_star, got 'cycle'"),
+            ("synopses", {"class": "chain", "max_size": 0, "counts": {}},
+             "synopses[0].max_size: expected a size >= 1, got 0"),
+            ("char_sets", {"entries": [], "max_entries": 10, "direction": "sideways"},
+             "char_sets[0].direction: expected out or in, got 'sideways'"),
+        ],  # fmt: skip
+    )
+    def test_unknown_enumerated_field_rejected(self, tmp_path, section, entry, message):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"version": 1, section: [entry]}), encoding="utf-8")
+        with pytest.raises(CatalogFormatError) as exc:
+            load_catalog(str(p))
+        assert str(exc.value) == f"{p}: {message}"
 
     def test_corrupted_file(self, tmp_path):
         p = tmp_path / "bad.json"
