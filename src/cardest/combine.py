@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .estimators import individual_estimate
+from .graph import scaled
 from .query import (
     CompiledQuery,
     PartialEstimate,
@@ -529,7 +530,8 @@ def combine_bounds(
 
 
 def selectivity_to_cardinality(s: float, q: QueryPattern, catalog: StatisticsCatalog) -> float:
-    """Scale a selectivity to a match count: s * |ids|^{query ids}."""
+    """Scale a selectivity to a match count: s * |ids|^{query ids}
+    (`graph.scaled`), inf past the float range."""
     if catalog.basic is None:
         raise ValueError("basic statistics required")
-    return s * float(catalog.basic.n_ids) ** len(q.ids)
+    return scaled(s, catalog.basic.n_ids, len(q.ids))

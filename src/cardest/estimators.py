@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .graph import PropertyGraph, allowed
+from .graph import PropertyGraph, allowed, scaled
 from .query import (
     Constraint,
     ConstraintKind,
@@ -75,8 +75,9 @@ def _clamp(s: float) -> float:
 
 def _count_sel(count: float, n_ids: int, k: int) -> float:
     """Selectivity of `count` matches over k query ids on a graph of
-    n_ids ids: count / n_ids^k, clamped; 0 on an empty graph."""
-    return _clamp(count / float(n_ids**k)) if n_ids else 0.0
+    n_ids ids: count / n_ids^k (`graph.scaled`), clamped; 0 on an empty
+    graph."""
+    return _clamp(scaled(count, n_ids, -k)) if n_ids else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -502,35 +503,26 @@ def _walk(g: PropertyGraph, shape: tuple, walks: int, seed: int) -> _Walks:
     """The completed walks of `walks` drawn from `seed` over a walk shape
     (first target slot, steps, number of slots); see `wander_join_estimate`."""
     f_t, steps, n_slots = shape
-    getrandbits = random.Random(seed).getrandbits
-    ends, out, into = g.adjacency()
+    randrange = random.Random(seed).randrange
     nv, ne = g.n_vertices, g.n_edges
-    ke = ne.bit_length()
     loop = f_t == 1
     m = [0] * n_slots
     done: list[int] = []
     inv_probs: list[float] = []
     for _ in range(walks):
-        r = getrandbits(ke)
-        while r >= ne:
-            r = getrandbits(ke)
-        gs, gt = ends[r]
+        first = nv + randrange(ne)
+        gs, gt = g.endpoints(first)
         if loop and gs != gt:
             continue
         inv_prob = float(ne)
-        m[0], m[1], m[f_t] = nv + r, gs, gt
+        m[0], m[1], m[f_t] = first, gs, gt
         for e, s, t, forward, check in steps:
-            cands = out[m[s]] if forward else into[m[t]]
-            n = len(cands)
-            if not n:
+            cands = g.out_edges(m[s]) if forward else g.in_edges(m[t])
+            if not cands:
                 break
-            k = n.bit_length()
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            choice = cands[r]
-            inv_prob *= n
-            cgs, cgt = ends[choice - nv]
+            choice = cands[randrange(len(cands))]
+            inv_prob *= len(cands)
+            cgs, cgt = g.endpoints(choice)
             if check and m[t] != cgt:
                 break
             m[e], m[s], m[t] = choice, cgs, cgt
@@ -559,10 +551,8 @@ def wander_join_estimate(
     or from its target along in-edges, and `check` says that its other
     endpoint is mapped already, so the chosen edge must agree with it.  A
     completed walk thus satisfies every topology constraint by
-    construction.  Each index is drawn as `randrange(n)` draws it
-    (CPython's `_randbelow_with_getrandbits`), so the random words, the
-    accepted walks and the sums are those of a walk that calls
-    `randrange` and checks every constraint of its mapping.
+    construction.  Each index is `randrange(n)` of one
+    `random.Random(seed)`.
 
     The draws read only the plan's shape, so the completed walks of each
     (shape, walks, seed) are drawn once per graph and kept in its walk

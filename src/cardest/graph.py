@@ -24,6 +24,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
+from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, TypedDict, TypeVar
 
 import numpy as np
@@ -159,13 +161,6 @@ class PropertyGraph:
     def in_edges(self, v: int) -> list[int]:
         """Edges whose target is v, ascending; [] if v is no vertex."""
         return self.derived(_adjacency)[1][v] if 0 <= v < self.n_vertices else []
-
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], list[list[int]], list[list[int]]]:
-        """(ends, out, into), for loops that take many steps: ends[e -
-        n_vertices] is `endpoints(e)`, and out[v] and into[v] are the lists
-        that `out_edges(v)` and `in_edges(v)` return.  Shared, so read-only."""
-        out, into = self.derived(_adjacency)
-        return self._endpoints, out, into
 
     # -- content hash --------------------------------------------------------
 
@@ -625,10 +620,31 @@ def exact_matches(
     return _Matcher(g, q, semantics == "isomorphic", budget).count()
 
 
+def scaled(x: float, n_ids: int, k: int) -> float:
+    """x * n_ids ** k, for k of either sign (n_ids >= 1 when k < 0): at
+    k = -len(ids) a match count becomes a selectivity, and at k = len(ids)
+    a selectivity a match count.  While n_ids ** |k| converts to a float,
+    this is x times or over float(n_ids ** |k|); past the float range it
+    is exact (`Fraction`), rounded once, and inf when the result lies past
+    it too.  An infinite or NaN x stays as it is."""
+    scale = n_ids ** abs(k)
+    try:
+        f = float(scale)
+    except OverflowError:
+        if isinstance(x, float) and not math.isfinite(x):
+            return x
+        exact = Fraction(x) * scale if k >= 0 else Fraction(x) / scale
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
+    return x * f if k >= 0 else x / f
+
+
 def exact_selectivity(g: PropertyGraph, q: QueryPattern, budget: Optional[int] = None) -> float:
     """Fraction of all possible mappings that are homomorphic matches."""
     if not q.ids:
         return 1.0
     if g.n_ids == 0:
         return 0.0
-    return exact_matches(g, q, budget=budget) / float(g.n_ids ** len(q.ids))
+    return scaled(exact_matches(g, q, budget=budget), g.n_ids, -len(q.ids))

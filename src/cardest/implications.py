@@ -21,10 +21,6 @@ from .query import (
     union,
 )
 
-_TRIGGER_KINDS = frozenset(
-    {ConstraintKind.SRC, ConstraintKind.TRG, ConstraintKind.PROP_VALUE}
-)
-
 CONSTRAINT_CLASSES = {
     "pv": frozenset({ConstraintKind.PROP_VALUE}),
     "p": PROP_KINDS,
@@ -35,9 +31,9 @@ PATTERN_CLASSES = ("id", "ep")
 
 
 def add_implied_closures(pes: Iterable[PartialEstimate], q: QueryPattern) -> list[PartialEstimate]:
-    """For every estimate containing a src/trg or value predicate, derive
-    the estimate over its implied closure at the same selectivity and of
-    the same kind.
+    """For every estimate, derive the estimate over its implied closure
+    (larger only for one with a src/trg or value predicate) at the same
+    selectivity and of the same kind.
 
     The implied constraints hold whenever the original ones do, so the
     selectivity carries over exactly.  Returns only estimates whose
@@ -46,12 +42,7 @@ def add_implied_closures(pes: Iterable[PartialEstimate], q: QueryPattern) -> lis
     """
     pes = list(pes)
     cq, masks = compiled_for(pes, q)
-    trigger = cq.kinds(_TRIGGER_KINDS)
-    closures = (
-        (cq.closure(mask), pe.selectivity, pe.provenance, pe.kind)
-        for pe, mask in zip(pes, masks)
-        if mask & trigger
-    )
+    closures = ((cq.closure(mask), pe.selectivity, pe.provenance, pe.kind) for pe, mask in zip(pes, masks))
     return _new_sets(cq, masks, closures)
 
 

@@ -32,7 +32,9 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import random
+import reprlib
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence, TypedDict, Union
@@ -133,6 +135,15 @@ class BasicStats(_Section):
             back=lambda rows: {exact_key(k, op, v): n for k, op, v, n in rows},
         ),
     )
+
+    def __post_init__(self) -> None:
+        """Every count of a label, a key or an exact triple lies in [0, n_ids]."""
+        counts = [(f".label_sel[{l!r}][{j}]", n) for l, pair in self.label_sel.items() for j, n in enumerate(pair)]
+        counts += [(f".key_sel[{k!r}]", n) for k, n in self.key_sel.items()]
+        counts += [(f".prop_exact[{triple[:3]!r}]", n) for triple, n in self.prop_exact.items()]
+        for path, n in counts:
+            if not 0 <= n <= self.n_ids:
+                raise FormError(f"a count in [0, {self.n_ids}]", n, path=path)
 
     def label_count(self, label: str) -> int:
         v, e = self.label_sel.get(label, (0, 0))
@@ -425,17 +436,15 @@ def build_labeled_synopsis(g: PropertyGraph, klass: str, max_size: int = 1) -> L
     number below 2**62, and the star matrix holds int64 when
     sum(deg(v) ** max_size) fits; both count in Python ints otherwise.
     """
-    if klass not in SYNOPSIS_CLASSES:
-        raise ValueError(f"unknown synopsis class: {klass!r}")
-    if max_size < 1:
-        raise ValueError("max_size must be >= 1")
+    synopsis = LabeledTopoSynopsis(klass, max_size)  # checks the class and the size
     if max_size > 4:
         raise ValueError("max_size > 4 is not supported (resource guard)")
-
     if klass in ("edge", "chain"):
-        size = max_size if klass == "chain" else 1
-        return LabeledTopoSynopsis(klass, size, _chain_counts(g, size))
-    return LabeledTopoSynopsis(klass, max_size, _star_counts(g, klass == "source_star", max_size))
+        synopsis.max_size = max_size if klass == "chain" else 1
+        synopsis.counts = _chain_counts(g, synopsis.max_size)
+    else:
+        synopsis.counts = _star_counts(g, klass == "source_star", max_size)
+    return synopsis
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +517,9 @@ def build_char_sets(
 ) -> CharacteristicSetStore:
     """One entry per distinct characteristic set, merged down to at most
     max_entries (keep the most frequent, fold the rest into supersets)."""
+    store = CharacteristicSetStore(max_entries=max_entries, direction=direction)  # checks the direction
     if max_entries < 1:
         raise ValueError("max_entries must be >= 1")
-    if direction not in ("out", "in"):
-        raise ValueError("direction must be 'out' or 'in'")
 
     by_cs: dict[frozenset[str], CSEntry] = {}
     for v in g.vertices:
@@ -536,7 +544,8 @@ def build_char_sets(
         for victim in victims:
             _merge_cs(kept, victim.cs, victim.count, victim.label_counts)
         entries = kept
-    return CharacteristicSetStore(entries=entries, max_entries=max_entries, direction=direction)
+    store.entries = entries
+    return store
 
 
 def _merge_cs(
@@ -802,11 +811,20 @@ def build_histogram(
     if not values:
         return Histogram(key, kind, "numeric", 0, [])
     if all(_is_number(v) for v in values):
-        return _numeric_histogram(key, kind, n_buckets, [float(v) for v in values])
+        return _numeric_histogram(key, kind, n_buckets, [_float_value(key, v) for v in values])
     strings = sorted(v for v in values if isinstance(v, str))
     groups = [(p, list(vs)) for p, vs in itertools.groupby(strings, key=lambda v: v[:PREFIX_LEN])]
     buckets = [{"prefix": p, "count": len(vs), "distinct": len(set(vs))} for p, vs in groups]
     return Histogram(key, kind, "string_prefix", len(strings), buckets)
+
+
+def _float_value(key: str, v: Union[int, float]) -> float:
+    """A graph's number under `key` as a float statistic holds it; a
+    ValueError names an int past the float range."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"a value of {key!r} lies past the float range: {reprlib.repr(v)}") from None
 
 
 def _numeric_histogram(key: str, kind: str, n_buckets: int, values: list[float]) -> Histogram:
@@ -814,7 +832,7 @@ def _numeric_histogram(key: str, kind: str, n_buckets: int, values: list[float])
     total = len(values)
     buckets: list[Bucket] = []
     if kind == "equi_width":
-        bounds, column, distincts = _equi_width(values, n_buckets)
+        bounds, column, distincts = _equi_width(key, values, n_buckets)
         counts = Counter(column)
         for b, (lo, hi, distinct) in enumerate(zip(bounds, bounds[1:], distincts)):
             buckets.append({"lo": lo, "hi": hi, "count": counts[b], "distinct": distinct})
@@ -832,12 +850,15 @@ def _numeric_histogram(key: str, kind: str, n_buckets: int, values: list[float])
     return Histogram(key, kind, "numeric", total, buckets)
 
 
-def _equi_width(values: Sequence[float], n: int) -> tuple[list[float], list[int], list[int]]:
+def _equi_width(key: str, values: Sequence[float], n: int) -> tuple[list[float], list[int], list[int]]:
     """Split the values' span into n equal-width buckets: the bounds
     b0..bn, each value's bucket, and each bucket's distinct count.  A span
-    of one point (or no values) gets a single bucket.  The 1-D equi-width
-    histogram and every grid axis are this split."""
+    of one point (or no values) gets a single bucket; a ValueError names
+    the key of a span past the float range.  The 1-D equi-width histogram
+    and every grid axis are this split."""
     lo, hi = (min(values), max(values)) if values else (0.0, 0.0)
+    if math.isinf(hi - lo):
+        raise ValueError(f"the values of {key!r} span {lo!r} to {hi!r}, a width past the float range")
     if lo == hi:
         bounds, column = [lo, hi], [0] * len(values)
     else:
@@ -920,11 +941,11 @@ def build_md_histogram(g: PropertyGraph, keys: Sequence[str], n_buckets_per_axis
     for i in range(g.n_ids):
         props = g.props_of(i)
         if all(k in props and _is_number(props[k]) for k in keys):
-            rows.append(tuple(float(props[k]) for k in keys))
+            rows.append(tuple(_float_value(k, props[k]) for k in keys))
     axes: list[Axis] = []
     columns: list[list[int]] = []  # per axis, each row's bucket
     for a in range(len(keys)):
-        bounds, column, distincts = _equi_width([r[a] for r in rows], n_buckets_per_axis)
+        bounds, column, distincts = _equi_width(keys[a], [r[a] for r in rows], n_buckets_per_axis)
         axes.append({"bounds": bounds, "distincts": distincts})
         columns.append(column)
     grid = dict(Counter(zip(*columns)))
@@ -980,21 +1001,22 @@ def _bucket_fraction(lo: float, hi: float, distinct: int, op: PredicateKind, val
         return 0.0
     if lo == hi:
         return 1.0 if predicate_holds(op, lo, value) else 0.0
-    v = float(value)
-    # `not v > lo` and `not v < hi` hold for a NaN, which meets no order predicate
+    # compared before it is converted, so an int past the float range
+    # falls outside the bucket; `not value > lo` and `not value < hi` hold
+    # for a NaN, which meets no order predicate
     if op in _BELOW:
-        if not v > lo:
+        if not value > lo:
             return 0.0
-        if v >= hi:
+        if value >= hi:
             return 1.0
-        return (v - lo) / (hi - lo)
+        return (float(value) - lo) / (hi - lo)
     if op in _ABOVE:
-        if not v < hi:
+        if not value < hi:
             return 0.0
-        if v <= lo:
+        if value <= lo:
             return 1.0
-        return (hi - v) / (hi - lo)
-    eq = (1.0 / (distinct or 1)) if lo <= v <= hi else 0.0
+        return (hi - float(value)) / (hi - lo)
+    eq = (1.0 / (distinct or 1)) if lo <= value <= hi else 0.0
     if op is PredicateKind.EQ:
         return eq
     if op is PredicateKind.NEQ:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -93,6 +94,7 @@ class TestStatsBuild:
             ("--sample", "foo:0.5", "pattern_type: expected id or vertex or edge_pattern, got 'foo'"),
             ("--sample", "id:1.5", "probability: expected a probability in (0, 1], got 1.5"),
             ("--synopses", "chain9", "max_size > 4 is not supported (resource guard)"),
+            ("--synopses", "chain0", "max_size: expected a size >= 1, got 0"),
             ("--cs", "0", "max_entries must be >= 1"),
             ("--sketch", "0", "n_buckets must be >= 1"),
             ("--histogram", "k1:bogus", "unknown histogram kind: 'bogus'"),
@@ -109,6 +111,36 @@ class TestStatsBuild:
         assert rc == 2
         assert capsys.readouterr().err == f"cardest: error: {message}\n"
         assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "k, flags, message",
+        [
+            (10**400, ["--histogram", "k"], "a value of 'k' lies past the float range: 1000"),
+            (10**400, ["--md-histogram", "j,k"], "a value of 'k' lies past the float range: 1000"),
+            (math.inf, ["--histogram", "k:equi_width:3"], "the values of 'k' span 1.0 to inf, a width past"),
+            (math.inf, ["--md-histogram", "j,k"], "the values of 'k' span 1.0 to inf, a width past"),
+        ],
+        ids=["int-histogram", "int-grid", "infinity-equi-width", "infinity-grid"],
+    )
+    def test_value_past_the_float_range_reported(self, tmp_path, capsys, k, flags, message):
+        d = values_graph_dir(tmp_path, [1, k, 3])
+        out = tmp_path / "catalog.json"
+        rc = main(["stats", "build", "--graph", str(d), "--out", str(out), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cardest: error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+
+def values_graph_dir(tmp_path, ks) -> str:
+    """An edgeless graph whose vertices hold the given values of k, and j = 1."""
+    d = tmp_path / "values"
+    d.mkdir()
+    lines = [json.dumps({"id": f"v{n}", "props": {"k": k, "j": 1}}) + "\n" for n, k in enumerate(ks)]
+    (d / "vertices.jsonl").write_text("".join(lines))
+    (d / "edges.jsonl").write_text("")
+    return d
 
 
 class TestEstimateCommand:
@@ -164,6 +196,16 @@ class TestEstimateCommand:
         rc = main(["estimate", "--graph", str(graph_dir), "--query", str(qfile), "--ct", "maxEnt(mps=21)"])
         assert rc == 2
         assert capsys.readouterr().err == "cardest: error: maxEnt partition size in 'maxEnt(mps=21)' must be at most 20\n"
+
+    def test_query_value_past_the_float_range_estimates(self, tmp_path, capsys):
+        d = values_graph_dir(tmp_path, [1, 2, 3])
+        main(["stats", "build", "--graph", str(d), "--out", str(tmp_path / "c.json"), "--histogram", "k:equi_width:3"])
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps({"vertices": [{"id": "x", "props": [{"key": "k", "op": "<", "value": 10**400}]}]}))
+        capsys.readouterr()
+        rc = main(["estimate", "--graph", str(d), "--stats", str(tmp_path / "c.json"), "--query", str(q), "--json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["cardinality"] == 3
 
     def test_with_stats_and_pets(self, rich_graph_dir, tmp_path, capsys):
         out = tmp_path / "catalog.json"
@@ -268,6 +310,8 @@ def sample_catalog(pattern_type="id", probability=1.0, members=()) -> str:
          "stats.json: synopses[0].max_size: expected a size >= 1, got 0"),
         ("stats", json.dumps({"version": 1, "char_sets": [{"entries": [], "max_entries": 10, "direction": "sideways"}]}),
          "stats.json: char_sets[0].direction: expected out or in, got 'sideways'"),
+        ("stats", json.dumps({"version": 1, "basic": {"n_vertices": 3, "n_edges": 2, "n_ids": 5, "key_sel": {"k": 10**400}}}),
+         "stats.json: basic.key_sel['k']: expected a count in [0, 5], got 1000"),
         ("stats", sample_catalog(pattern_type="foo"),
          "stats.json: samples[0].pattern_type: expected id or vertex or edge_pattern, got 'foo'"),
         ("stats", sample_catalog(probability=1.5),
@@ -311,7 +355,7 @@ def sample_catalog(pattern_type="id", probability=1.0, members=()) -> str:
          "synopsis-without-key", "sample-member-without-src", "numeric-bucket-without-lo",
          "sample-member-without-trg", "prefix-bucket-without-prefix", "histogram-domain-unknown",
          "grid-cell-outside-axes", "grid-cell-of-three-indexes", "grid-axis-dropped", "grid-distincts-short",
-         "synopsis-class-unknown", "synopsis-size-zero", "cs-direction-unknown",
+         "synopsis-class-unknown", "synopsis-size-zero", "cs-direction-unknown", "key-count-past-ids",
          "sample-type-unknown", "sample-probability-above-one", "sample-probability-zero",
          "id-sample-member-kind-unknown", "vertex-sample-edge-member", "edge-pattern-sample-vertex-member",
          "edge-pattern-sample-edge-source",

@@ -2,7 +2,10 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,7 @@ from cardest.query import (
     ConstraintKind,
     PartialEstimate,
     QueryFormatError,
+    QueryPattern,
     constraint_set_key,
     extract_constraints,
     implied_closure,
@@ -594,6 +598,36 @@ def test_report_golden_digest():
     assert h.hexdigest() == (
         "688065f352ab31dc1325363fa85ac886cc5744a31613fbfbf02e6e9d3a029cd7"
     )
+
+
+def label_free_chain(n_edges: int) -> QueryPattern:
+    return parse_query({
+        "vertices": [{"id": f"v{i}"} for i in range(n_edges + 1)],
+        "edges": [{"id": f"e{i}", "src": f"v{i}", "trg": f"v{i + 1}"} for i in range(n_edges)],
+    })  # fmt: skip
+
+
+def test_chain_past_the_float_range_estimates():
+    """A 42-edge chain has 85 ids, and 5000 ** 85 mappings lie past the
+    float range: its exact selectivity is the exact count over them,
+    rounded once, and every golden configuration estimates a finite
+    cardinality."""
+    g = generate_graph(GraphSpec(1000, 4000), 1)
+    q = label_free_chain(42)
+    assert len(q.ids) == 85 and g.n_ids ** 85 > int(sys.float_info.max)
+    count = exact_matches(g, q)
+    assert exact_selectivity(g, q) == float(Fraction(count, g.n_ids**85)) > 0.0
+    catalog = build_catalog(
+        g,
+        synopses=[("edge", 1), ("chain", 2), ("source_star", 3), ("target_star", 2)],
+        with_sysr=True,
+        cs_max=1000,
+        sketch_buckets=16,
+        samples=[("id", 0.05, 3)],
+        md_keys=[("k1", "k2")],
+    )
+    for config in GOLDEN_CONFIGS:
+        assert math.isfinite(estimate(q, g, catalog, config).cardinality), config
 
 
 def _stated_kind(pe: PartialEstimate) -> str:

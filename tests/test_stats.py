@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import json
+import math
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cardest import stats
+from cardest.fileform import FormError
 from cardest.bench import GraphSpec, generate_graph
 from cardest.estimators import individual_estimate, md_histogram_estimates, sample_estimates
 from cardest.graph import PropertyGraph, exact_matches, exact_selectivity
@@ -139,6 +142,23 @@ class TestBasicStats:
                 assert (pe.selectivity, pe.provenance) == (count / 3, "individual:exact")
 
 
+    @pytest.mark.parametrize(
+        "field, value, path",
+        [
+            ("label_sel", {"A": [5, 0]}, "label_sel['A'][0]"),
+            ("label_sel", {"A": [0, -1]}, "label_sel['A'][1]"),
+            ("key_sel", {"k": 10**400}, "key_sel['k']"),
+            ("prop_exact", [["k", "=", 1, 5]], "prop_exact[('k', '=', 1)]"),
+        ],
+    )
+    def test_count_outside_the_ids_rejected(self, field, value, path):
+        """A read count lies in [0, n_ids], so no selectivity is scaled
+        from one past the float range."""
+        doc = {"n_vertices": 3, "n_edges": 1, "n_ids": 4, field: value}
+        with pytest.raises(CatalogFormatError, match=re.escape(f"{path}: expected a count in [0, 4], got")):
+            stats.BasicStats.from_dict(doc)
+
+
 class TestSynopses:
     def test_g4_edge_and_chain(self, g4):
         syn = build_labeled_synopsis(g4, "edge")
@@ -158,6 +178,14 @@ class TestSynopses:
             build_labeled_synopsis(g4, "chain", 5)
         with pytest.raises(ValueError):
             build_labeled_synopsis(g4, "nope")
+
+    @pytest.mark.parametrize("klass, size", [("nope", 1), ("chain", 0), ("edge", 0)])
+    def test_builder_rejects_as_a_read_synopsis(self, g4, klass, size):
+        with pytest.raises(FormError) as built:
+            build_labeled_synopsis(g4, klass, size)
+        with pytest.raises(CatalogFormatError) as read:
+            LabeledTopoSynopsis.from_dict({"class": klass, "max_size": size, "counts": {}})
+        assert str(built.value) == str(read.value)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_chain2_counts_match_oracle(self, seed):
@@ -707,6 +735,14 @@ class TestCharSets:
         assert by_cs[frozenset()] == 1  # v0 has nothing
 
 
+    def test_builder_rejects_as_a_read_store(self, g4):
+        with pytest.raises(FormError) as built:
+            build_char_sets(g4, 10, "sideways")
+        with pytest.raises(CatalogFormatError) as read:
+            stats.CharacteristicSetStore.from_dict({"entries": [], "max_entries": 10, "direction": "sideways"})
+        assert str(built.value) == str(read.value) == "direction: expected out or in, got 'sideways'"
+
+
 class TestBoundSketch:
     def test_g4_single_bucket(self, g4):
         sk = build_bound_sketch(g4, n_buckets=1)
@@ -1015,6 +1051,48 @@ class TestHistograms:
         g = PropertyGraph([("a", [], {"x": 1}), ("b", [], {"x": 2})], [])
         with pytest.raises(ValueError, match="n_buckets must be >= 1"):
             build_histogram(g, "x", kind, n_buckets)
+
+
+    def test_query_value_past_the_float_range_meets_bucket_ends(self):
+        """An int past the float range is compared with the buckets' ends
+        as it is: above every bucket, or below every one."""
+        big = 10**400
+        g = PropertyGraph([(f"v{i}", [], {"x": i, "y": i % 3}) for i in range(10)], [])
+        h = build_histogram(g, "x", "equi_width", 3)
+        mdh = build_md_histogram(g, ["x", "y"], 3)
+        for op, above, below in (
+            (PredicateKind.LT, 1, 0),
+            (PredicateKind.LEQ, 1, 0),
+            (PredicateKind.GT, 0, 1),
+            (PredicateKind.GEQ, 0, 1),
+            (PredicateKind.EQ, 0, 0),
+            (PredicateKind.NEQ, 1, 1),
+        ):
+            for value, share in ((big, above), (-big, below)):
+                assert histogram_estimate(h, op, value) == 10 * share, (op, value)
+                assert md_fraction(mdh, [("x", op, value)]) == share, (op, value)
+        assert histogram_estimate(h, PredicateKind.IN, [big, 5]) == histogram_estimate(h, PredicateKind.EQ, 5) > 0
+
+    def test_graph_value_past_the_float_range_rejected(self):
+        g = PropertyGraph([("a", [], {"k": 1, "j": 1}), ("b", [], {"k": 10**400, "j": 2})], [])
+        message = re.escape("a value of 'k' lies past the float range: 1000")
+        with pytest.raises(ValueError, match=message):
+            build_histogram(g, "k")
+        with pytest.raises(ValueError, match=message):
+            build_md_histogram(g, ["j", "k"])
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0), (-1e308, 1e308)])
+    def test_span_past_the_float_range_rejected_by_equal_widths(self, lo, hi):
+        """Equal widths cannot split a span past the float range, and say
+        so with the key and the ends; equal depths split it."""
+        g = PropertyGraph([(f"v{x}", [], {"k": x, "j": 1}) for x in (lo, 0.5, hi)], [])
+        message = re.escape(f"the values of 'k' span {lo!r} to {hi!r}, a width past the float range")
+        with pytest.raises(ValueError, match=message):
+            build_histogram(g, "k", "equi_width", 3)
+        with pytest.raises(ValueError, match=message):
+            build_md_histogram(g, ["j", "k"])
+        h = build_histogram(g, "k", "equi_depth", 3)
+        assert [(b["lo"], b["hi"]) for b in h.buckets] == [(lo, lo), (0.5, 0.5), (hi, hi)]
 
 
 class TestMDHistogram:
